@@ -7,7 +7,6 @@ rectangular complex arithmetic), and emits machine-checkable certificates
 that an independent verifier replays from scratch.
 """
 
-from ._backend import backend_name
 from .bench import (
     BenchmarkReport,
     BenchmarkSpec,

@@ -1,18 +1,21 @@
 """Segment-batched interval kernels for the certificate verifier.
 
-The segments of a certificate are independent claims, so ``verify``
-replays all of them at once.  The functions here are array versions of
-the scalar kernels in ``_kernels``.  A complex interval array has shape
-(4, ...) with re_lo, re_hi, im_lo, im_hi along the first axis; every
-other axis is a batch axis (segments, then terms, equations, matrix
-entries or coefficient slots).
+The tracker runs one Krawczyk test at a time on the scalar kernels of
+``_kernels``.  The segments of a certificate are independent claims, so
+``verify`` replays all of them at once with the array versions here, the
+verifier's throughput layer.  A complex interval array has shape (4, ...)
+with re_lo, re_hi, im_lo, im_hi along the first axis; every other axis is
+a batch axis (segments, then terms, equations, matrix entries or
+coefficient slots).
 
 Each array function performs, element by element, the same IEEE
 operations in the same order as its scalar twin: the same term order,
 the same k-order sums, ``nextafter`` on every endpoint, and Python's
-``min``/``max`` semantics for NaN.  A replayed Krawczyk image and
+``min``/``max`` semantics for NaN (keep the first operand unless the
+second compares below/above it).  A replayed Krawczyk image and
 contraction norm are therefore bit-identical to what
-``krawczyk.parametric_krawczyk_test`` computes for the same segment.
+``krawczyk.parametric_krawczyk_test`` computes for the same segment;
+``tests/test_kernels.py`` checks the arithmetic twins on special values.
 """
 
 import numpy as np

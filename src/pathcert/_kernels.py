@@ -1,9 +1,11 @@
-"""Numerical kernels.
+"""Scalar interval kernels over Python floats.
 
-Everything here is written to be compiled by numba's ``njit`` (see
-``_backend.jit_kernel``) but runs unchanged as plain Python when the numpy
-backend is selected.  Scalar interval operations pass endpoints as floats
-and return tuples; batch kernels loop over contiguous float64 arrays.
+The tracker tests one small problem at a time, so these kernels are plain
+Python.  A complex rectangle [re_lo, re_hi] + i*[im_lo, im_hi] is a 4-tuple
+of floats.  Each array kernel converts its operands once with ``tolist``
+and returns float64 arrays: a box over C^n has shape (n, 4), an interval
+matrix (r, c, 4).  Python floats are IEEE binary64 like numpy's, but their
+arithmetic skips numpy's scalar dispatch and never warns on overflow.
 
 Interval soundness convention: every arithmetic result is widened outward
 by one ulp per endpoint (``math.nextafter`` toward the respective
@@ -11,34 +13,45 @@ infinity) AFTER the rounded-to-nearest float computation.  Since IEEE-754
 round-to-nearest never strays past the neighbouring representable, the
 widened interval encloses the exact real result.
 
-Complex intervals are rectangles [re_lo, re_hi] + i*[im_lo, im_hi] stored
-as 4 consecutive floats; a box over C^n is a float64 array of shape (n, 4).
+The endpoint min/max of a product keep Python's ``min``/``max`` semantics
+(keep a unless b < a), which fixes where a NaN ends up.  ``_batch`` holds
+the verifier's array twins of these kernels and performs the same IEEE
+operations in the same order, so the two agree bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from ._backend import jit_kernel
-
 _INF = math.inf
+_next = math.nextafter
+
+ZERO = (0.0, 0.0, 0.0, 0.0)
+ONE = (1.0, 1.0, 0.0, 0.0)
+
+
+def _rects(rows, shape):
+    """float64 array of the given shape from a list of rectangles."""
+    return np.array(rows, dtype=np.float64).reshape(shape)
+
+
+def _points(v):
+    """Degenerate rectangles at the entries of a complex array, flattened."""
+    return [(z.real, z.real, z.imag, z.imag) for z in v.ravel().tolist()]
 
 
 # ---------------------------------------------------------------------------
 # scalar real interval ops
 # ---------------------------------------------------------------------------
 
-@jit_kernel
 def r_add(al, ah, bl, bh):
-    return math.nextafter(al + bl, -_INF), math.nextafter(ah + bh, _INF)
+    return _next(al + bl, -_INF), _next(ah + bh, _INF)
 
 
-@jit_kernel
 def r_sub(al, ah, bl, bh):
-    return math.nextafter(al - bh, -_INF), math.nextafter(ah - bl, _INF)
+    return _next(al - bh, -_INF), _next(ah - bl, _INF)
 
 
-@jit_kernel
 def r_mul(al, ah, bl, bh):
     p1 = al * bl
     p2 = al * bh
@@ -46,10 +59,9 @@ def r_mul(al, ah, bl, bh):
     p4 = ah * bh
     lo = min(min(p1, p2), min(p3, p4))
     hi = max(max(p1, p2), max(p3, p4))
-    return math.nextafter(lo, -_INF), math.nextafter(hi, _INF)
+    return _next(lo, -_INF), _next(hi, _INF)
 
 
-@jit_kernel
 def r_div(al, ah, bl, bh):
     # caller guarantees 0 is not in [bl, bh]
     q1 = al / bl
@@ -58,51 +70,107 @@ def r_div(al, ah, bl, bh):
     q4 = ah / bh
     lo = min(min(q1, q2), min(q3, q4))
     hi = max(max(q1, q2), max(q3, q4))
-    return math.nextafter(lo, -_INF), math.nextafter(hi, _INF)
+    return _next(lo, -_INF), _next(hi, _INF)
 
 
 # ---------------------------------------------------------------------------
 # scalar complex (rectangle) ops
 # ---------------------------------------------------------------------------
 
-@jit_kernel
-def c_add(arl, arh, ail, aih, brl, brh, bil, bih):
-    rl, rh = r_add(arl, arh, brl, brh)
-    il, ih = r_add(ail, aih, bil, bih)
-    return rl, rh, il, ih
+def c_add(a, b):
+    return (_next(a[0] + b[0], -_INF), _next(a[1] + b[1], _INF),
+            _next(a[2] + b[2], -_INF), _next(a[3] + b[3], _INF))
 
 
-@jit_kernel
-def c_sub(arl, arh, ail, aih, brl, brh, bil, bih):
-    rl, rh = r_sub(arl, arh, brl, brh)
-    il, ih = r_sub(ail, aih, bil, bih)
-    return rl, rh, il, ih
+def c_sub(a, b):
+    return (_next(a[0] - b[1], -_INF), _next(a[1] - b[0], _INF),
+            _next(a[2] - b[3], -_INF), _next(a[3] - b[2], _INF))
 
 
-@jit_kernel
-def c_mul(arl, arh, ail, aih, brl, brh, bil, bih):
-    # Re = Re_a*Re_b - Im_a*Im_b, Im = Re_a*Im_b + Im_a*Re_b
-    p1l, p1h = r_mul(arl, arh, brl, brh)
-    p2l, p2h = r_mul(ail, aih, bil, bih)
-    rl, rh = r_sub(p1l, p1h, p2l, p2h)
-    p3l, p3h = r_mul(arl, arh, bil, bih)
-    p4l, p4h = r_mul(ail, aih, brl, brh)
-    il, ih = r_add(p3l, p3h, p4l, p4h)
-    return rl, rh, il, ih
+def c_mul(a, b):
+    """Re = Re_a*Re_b - Im_a*Im_b, Im = Re_a*Im_b + Im_a*Re_b.
+
+    The four real products are ``r_mul`` written out, with each min/max
+    as the conditional expression Python's builtins evaluate.
+    """
+    arl, arh, ail, aih = a
+    brl, brh, bil, bih = b
+    # Re_a * Re_b
+    p, q, r, s = arl * brl, arl * brh, arh * brl, arh * brh
+    lo = q if q < p else p
+    m = s if s < r else r
+    rrl = _next(m if m < lo else lo, -_INF)
+    hi = q if q > p else p
+    m = s if s > r else r
+    rrh = _next(m if m > hi else hi, _INF)
+    # Im_a * Im_b
+    p, q, r, s = ail * bil, ail * bih, aih * bil, aih * bih
+    lo = q if q < p else p
+    m = s if s < r else r
+    iil = _next(m if m < lo else lo, -_INF)
+    hi = q if q > p else p
+    m = s if s > r else r
+    iih = _next(m if m > hi else hi, _INF)
+    # Re_a * Im_b
+    p, q, r, s = arl * bil, arl * bih, arh * bil, arh * bih
+    lo = q if q < p else p
+    m = s if s < r else r
+    ril = _next(m if m < lo else lo, -_INF)
+    hi = q if q > p else p
+    m = s if s > r else r
+    rih = _next(m if m > hi else hi, _INF)
+    # Im_a * Re_b
+    p, q, r, s = ail * brl, ail * brh, aih * brl, aih * brh
+    lo = q if q < p else p
+    m = s if s < r else r
+    irl = _next(m if m < lo else lo, -_INF)
+    hi = q if q > p else p
+    m = s if s > r else r
+    irh = _next(m if m > hi else hi, _INF)
+    return (_next(rrl - iih, -_INF), _next(rrh - iil, _INF),
+            _next(ril + irl, -_INF), _next(rih + irh, _INF))
 
 
-@jit_kernel
-def c_den(brl, brh, bil, bih):
+def cp_mul(a, z):
+    """Rectangle a times the complex point z.
+
+    Bit-identical to ``c_mul`` with z as a degenerate rectangle on either
+    side: with equal endpoints, two of the four products of each real
+    interval product repeat, and the min/max of the repeats is the first;
+    swapping the sides swaps the addends of the imaginary part.
+    """
+    arl, arh, ail, aih = a
+    zr = z.real
+    zi = z.imag
+    p, q = arl * zr, arh * zr
+    rrl = _next(q if q < p else p, -_INF)
+    rrh = _next(q if q > p else p, _INF)
+    p, q = ail * zi, aih * zi
+    iil = _next(q if q < p else p, -_INF)
+    iih = _next(q if q > p else p, _INF)
+    p, q = arl * zi, arh * zi
+    ril = _next(q if q < p else p, -_INF)
+    rih = _next(q if q > p else p, _INF)
+    p, q = ail * zr, aih * zr
+    irl = _next(q if q < p else p, -_INF)
+    irh = _next(q if q > p else p, _INF)
+    return (_next(rrl - iih, -_INF), _next(rrh - iil, _INF),
+            _next(ril + irl, -_INF), _next(rih + irh, _INF))
+
+
+def c_den(b):
     # denominator interval Re_b*Re_b + Im_b*Im_b of complex division
+    brl, brh, bil, bih = b
     s1l, s1h = r_mul(brl, brh, brl, brh)
     s2l, s2h = r_mul(bil, bih, bil, bih)
     return r_add(s1l, s1h, s2l, s2h)
 
 
-@jit_kernel
-def c_div(arl, arh, ail, aih, brl, brh, bil, bih):
+def c_div(a, b):
     # caller guarantees 0 is not in the denominator interval
-    dl, dh = c_den(brl, brh, bil, bih)
+    arl, arh, ail, aih = a
+    brl, brh, bil, bih = b
+    dl, dh = c_den(b)
     n1l, n1h = r_mul(arl, arh, brl, brh)
     n2l, n2h = r_mul(ail, aih, bil, bih)
     rnl, rnh = r_add(n1l, n1h, n2l, n2h)
@@ -114,365 +182,170 @@ def c_div(arl, arh, ail, aih, brl, brh, bil, bih):
     return rl, rh, il, ih
 
 
-@jit_kernel
-def c_mag(rl, rh, il, ih):
+def c_mag(a):
     # upper bound on |z| over the rectangle, rounded up at every step
-    a = max(abs(rl), abs(rh))
-    b = max(abs(il), abs(ih))
-    s1 = math.nextafter(a * a, _INF)
-    s2 = math.nextafter(b * b, _INF)
-    s = math.nextafter(s1 + s2, _INF)
-    return math.nextafter(math.sqrt(s), _INF)
+    rl, rh, il, ih = a
+    x, y = abs(rl), abs(rh)
+    re = y if y > x else x
+    x, y = abs(il), abs(ih)
+    im = y if y > x else x
+    s = _next(_next(re * re, _INF) + _next(im * im, _INF), _INF)
+    return _next(math.sqrt(s), _INF)
 
 
 # ---------------------------------------------------------------------------
-# box ops (n, 4)
+# boxes (n, 4) and interval matrices (r, c, 4)
 # ---------------------------------------------------------------------------
 
-@jit_kernel
 def box_add(a, b):
-    n = a.shape[0]
-    out = np.empty((n, 4), np.float64)
-    for i in range(n):
-        rl, rh, il, ih = c_add(a[i, 0], a[i, 1], a[i, 2], a[i, 3],
-                               b[i, 0], b[i, 1], b[i, 2], b[i, 3])
-        out[i, 0] = rl
-        out[i, 1] = rh
-        out[i, 2] = il
-        out[i, 3] = ih
-    return out
+    return _rects([c_add(p, q) for p, q in zip(a.tolist(), b.tolist())],
+                  a.shape)
 
 
-@jit_kernel
 def box_sub(a, b):
-    n = a.shape[0]
-    out = np.empty((n, 4), np.float64)
-    for i in range(n):
-        rl, rh, il, ih = c_sub(a[i, 0], a[i, 1], a[i, 2], a[i, 3],
-                               b[i, 0], b[i, 1], b[i, 2], b[i, 3])
-        out[i, 0] = rl
-        out[i, 1] = rh
-        out[i, 2] = il
-        out[i, 3] = ih
-    return out
+    return _rects([c_sub(p, q) for p, q in zip(a.tolist(), b.tolist())],
+                  a.shape)
 
 
-@jit_kernel
-def box_mul(a, b):
-    n = a.shape[0]
-    out = np.empty((n, 4), np.float64)
-    for i in range(n):
-        rl, rh, il, ih = c_mul(a[i, 0], a[i, 1], a[i, 2], a[i, 3],
-                               b[i, 0], b[i, 1], b[i, 2], b[i, 3])
-        out[i, 0] = rl
-        out[i, 1] = rh
-        out[i, 2] = il
-        out[i, 3] = ih
-    return out
+def box_shift(box, v):
+    # box + v for a complex point vector v
+    return _rects([c_add(p, q) for p, q in zip(box.tolist(), _points(v))],
+                  box.shape)
 
 
-@jit_kernel
-def box_div(a, b):
-    # caller guarantees each denominator interval excludes 0
-    n = a.shape[0]
-    out = np.empty((n, 4), np.float64)
-    for i in range(n):
-        rl, rh, il, ih = c_div(a[i, 0], a[i, 1], a[i, 2], a[i, 3],
-                               b[i, 0], b[i, 1], b[i, 2], b[i, 3])
-        out[i, 0] = rl
-        out[i, 1] = rh
-        out[i, 2] = il
-        out[i, 3] = ih
-    return out
-
-
-@jit_kernel
-def box_dens(b):
-    # denominator intervals of entrywise complex division (for zero checks)
-    n = b.shape[0]
-    out = np.empty((n, 2), np.float64)
-    for i in range(n):
-        dl, dh = c_den(b[i, 0], b[i, 1], b[i, 2], b[i, 3])
-        out[i, 0] = dl
-        out[i, 1] = dh
-    return out
-
-
-@jit_kernel
-def box_shift(box, vre, vim):
-    # box + v for a point vector v (degenerate intervals)
-    n = box.shape[0]
-    out = np.empty((n, 4), np.float64)
-    for i in range(n):
-        rl, rh, il, ih = c_add(box[i, 0], box[i, 1], box[i, 2], box[i, 3],
-                               vre[i], vre[i], vim[i], vim[i])
-        out[i, 0] = rl
-        out[i, 1] = rh
-        out[i, 2] = il
-        out[i, 3] = ih
-    return out
-
-
-@jit_kernel
-def box_centered_k(xre, xim, r):
-    n = xre.shape[0]
-    out = np.empty((n, 4), np.float64)
-    for i in range(n):
-        out[i, 0] = math.nextafter(xre[i] - r, -_INF)
-        out[i, 1] = math.nextafter(xre[i] + r, _INF)
-        out[i, 2] = math.nextafter(xim[i] - r, -_INF)
-        out[i, 3] = math.nextafter(xim[i] + r, _INF)
-    return out
-
-
-@jit_kernel
-def box_contains_k(outer, inner):
-    n = outer.shape[0]
-    for i in range(n):
-        if inner[i, 0] < outer[i, 0] or inner[i, 1] > outer[i, 1]:
-            return False
-        if inner[i, 2] < outer[i, 2] or inner[i, 3] > outer[i, 3]:
-            return False
-    return True
-
-
-@jit_kernel
 def box_norm_k(box):
-    n = box.shape[0]
-    m = 0.0
-    for i in range(n):
-        v = c_mag(box[i, 0], box[i, 1], box[i, 2], box[i, 3])
-        if v > m:
-            m = v
-    return m
+    best = 0.0
+    for row in box.tolist():
+        v = c_mag(row)
+        if v > best:
+            best = v
+    return best
 
 
-# ---------------------------------------------------------------------------
-# interval matrices (r, c, 4)
-# ---------------------------------------------------------------------------
-
-@jit_kernel
 def inorm_k(mat):
     # max row sum of entry magnitudes, rounded up
-    r = mat.shape[0]
-    c = mat.shape[1]
     best = 0.0
-    for i in range(r):
+    for row in mat.tolist():
         s = 0.0
-        for j in range(c):
-            v = c_mag(mat[i, j, 0], mat[i, j, 1], mat[i, j, 2], mat[i, j, 3])
-            s = math.nextafter(s + v, _INF)
+        for entry in row:
+            s = _next(s + c_mag(entry), _INF)
         if s > best:
             best = s
     return best
 
 
-@jit_kernel
 def imatvec_k(mat, vec):
-    r = mat.shape[0]
-    c = mat.shape[1]
-    out = np.empty((r, 4), np.float64)
-    for i in range(r):
-        arl = 0.0
-        arh = 0.0
-        ail = 0.0
-        aih = 0.0
-        for j in range(c):
-            prl, prh, pil, pih = c_mul(
-                mat[i, j, 0], mat[i, j, 1], mat[i, j, 2], mat[i, j, 3],
-                vec[j, 0], vec[j, 1], vec[j, 2], vec[j, 3])
-            arl, arh, ail, aih = c_add(arl, arh, ail, aih, prl, prh, pil, pih)
-        out[i, 0] = arl
-        out[i, 1] = arh
-        out[i, 2] = ail
-        out[i, 3] = aih
-    return out
+    # interval matrix times interval vector, row sums in column order
+    vec = vec.tolist()
+    out = []
+    for row in mat.tolist():
+        acc = ZERO
+        for m, v in zip(row, vec):
+            acc = c_add(acc, c_mul(m, v))
+        out.append(acc)
+    return _rects(out, (mat.shape[0], 4))
 
 
-@jit_kernel
-def pmatvec_k(yre, yim, vec):
-    # point matrix times interval vector
-    r = yre.shape[0]
-    c = yre.shape[1]
-    out = np.empty((r, 4), np.float64)
-    for i in range(r):
-        arl = 0.0
-        arh = 0.0
-        ail = 0.0
-        aih = 0.0
-        for j in range(c):
-            prl, prh, pil, pih = c_mul(
-                yre[i, j], yre[i, j], yim[i, j], yim[i, j],
-                vec[j, 0], vec[j, 1], vec[j, 2], vec[j, 3])
-            arl, arh, ail, aih = c_add(arl, arh, ail, aih, prl, prh, pil, pih)
-        out[i, 0] = arl
-        out[i, 1] = arh
-        out[i, 2] = ail
-        out[i, 3] = aih
-    return out
+def pmatvec_k(y, vec):
+    # complex point matrix times interval vector
+    vec = vec.tolist()
+    out = []
+    for row in y.tolist():
+        acc = ZERO
+        for z, v in zip(row, vec):
+            acc = c_add(acc, cp_mul(v, z))
+        out.append(acc)
+    return _rects(out, (len(out), 4))
 
 
-@jit_kernel
-def residual_k(yre, yim, mat):
-    # identity minus (point matrix Y) * (interval matrix)
-    n = yre.shape[0]
-    out = np.empty((n, n, 4), np.float64)
-    for i in range(n):
+def residual_k(y, mat):
+    # identity minus (complex point matrix Y) * (interval matrix)
+    n = y.shape[0]
+    cols = list(zip(*mat.tolist()))
+    out = []
+    for i, row in enumerate(y.tolist()):
         for j in range(n):
-            arl = 0.0
-            arh = 0.0
-            ail = 0.0
-            aih = 0.0
-            for k in range(n):
-                prl, prh, pil, pih = c_mul(
-                    yre[i, k], yre[i, k], yim[i, k], yim[i, k],
-                    mat[k, j, 0], mat[k, j, 1], mat[k, j, 2], mat[k, j, 3])
-                arl, arh, ail, aih = c_add(arl, arh, ail, aih,
-                                           prl, prh, pil, pih)
-            d = 1.0 if i == j else 0.0
-            rl, rh, il, ih = c_sub(d, d, 0.0, 0.0, arl, arh, ail, aih)
-            out[i, j, 0] = rl
-            out[i, j, 1] = rh
-            out[i, j, 2] = il
-            out[i, j, 3] = ih
-    return out
+            acc = ZERO
+            for z, m in zip(row, cols[j]):
+                acc = c_add(acc, cp_mul(m, z))
+            out.append(c_sub(ONE if i == j else ZERO, acc))
+    return _rects(out, (n, n, 4))
 
 
 # ---------------------------------------------------------------------------
 # homotopy preludes
 # ---------------------------------------------------------------------------
 
-@jit_kernel
-def param_interval_k(p0re, p0im, p1re, p1im, tlo, thi):
-    # (1 - T)*p0 + T*p1 entrywise, T = [tlo, thi] real
-    m = p0re.shape[0]
-    out = np.empty((m, 4), np.float64)
+def param_interval_k(p0, p1, tlo, thi):
+    # (1 - T)*p0 + T*p1 entrywise for complex vectors p0, p1, T = [tlo, thi]
     ul, uh = r_sub(1.0, 1.0, tlo, thi)
-    for k in range(m):
-        arl, arh, ail, aih = c_mul(ul, uh, 0.0, 0.0,
-                                   p0re[k], p0re[k], p0im[k], p0im[k])
-        brl, brh, bil, bih = c_mul(tlo, thi, 0.0, 0.0,
-                                   p1re[k], p1re[k], p1im[k], p1im[k])
-        rl, rh, il, ih = c_add(arl, arh, ail, aih, brl, brh, bil, bih)
-        out[k, 0] = rl
-        out[k, 1] = rh
-        out[k, 2] = il
-        out[k, 3] = ih
-    return out
+    u = (ul, uh, 0.0, 0.0)
+    t = (tlo, thi, 0.0, 0.0)
+    return _rects([c_add(cp_mul(u, a), cp_mul(t, b))
+                   for a, b in zip(p0.tolist(), p1.tolist())], (p0.shape[0], 4))
 
 
-@jit_kernel
-def shear_box_k(box, are, aim, bre, bim, tlo, thi):
+def shear_box_k(box, sa, sb, tlo, thi):
     # box + (a + T*b) entrywise, the interval image of a time-linear shift
-    n = box.shape[0]
-    out = np.empty((n, 4), np.float64)
-    for i in range(n):
-        srl, srh, sil, sih = c_mul(tlo, thi, 0.0, 0.0,
-                                   bre[i], bre[i], bim[i], bim[i])
-        srl, srh, sil, sih = c_add(srl, srh, sil, sih,
-                                   are[i], are[i], aim[i], aim[i])
-        rl, rh, il, ih = c_add(box[i, 0], box[i, 1], box[i, 2], box[i, 3],
-                               srl, srh, sil, sih)
-        out[i, 0] = rl
-        out[i, 1] = rh
-        out[i, 2] = il
-        out[i, 3] = ih
-    return out
+    t = (tlo, thi, 0.0, 0.0)
+    return _rects([c_add(p, c_add(cp_mul(t, b), a)) for p, a, b in
+                   zip(box.tolist(), _points(sa), sb.tolist())], box.shape)
 
 
 # ---------------------------------------------------------------------------
-# polynomial evaluation
+# polynomial evaluation over a systems._Flat term list
 # ---------------------------------------------------------------------------
 
-@jit_kernel
-def eval_terms_interval(coef_re, coef_im, fac, par, expo, ptr, max_expo, z, pv):
+def eval_terms_interval(flat, z, pv):
     """Interval evaluation of a flattened term list.
 
-    Equation i is the sum of terms t in [ptr[i], ptr[i+1]):
-      coef[t] * fac[t] * pv[par[t]] * prod_j z[j]^expo[t, j]
-    with the parameter factor skipped when par[t] < 0.  ``fac`` carries
-    exact small-integer multiplicities (from differentiation); it is
-    applied with interval semantics so no rounding is silently dropped.
+    Equation i is the sum, in term order, of
+      coef * fac * pv[par] * prod_j z[j]^e_j
+    over ``flat.terms[i]``, with the parameter factor skipped when
+    par < 0.  ``fac`` carries exact small-integer multiplicities (from
+    differentiation); it is applied with interval semantics so no rounding
+    is silently dropped.  z is (n, 4), pv (m, 4).
     """
-    neq = ptr.shape[0] - 1
-    n = z.shape[0]
-    zpow = np.empty((n, max_expo + 1, 4), np.float64)
-    for j in range(n):
-        zpow[j, 0, 0] = 1.0
-        zpow[j, 0, 1] = 1.0
-        zpow[j, 0, 2] = 0.0
-        zpow[j, 0, 3] = 0.0
-        for e in range(1, max_expo + 1):
-            rl, rh, il, ih = c_mul(
-                zpow[j, e - 1, 0], zpow[j, e - 1, 1],
-                zpow[j, e - 1, 2], zpow[j, e - 1, 3],
-                z[j, 0], z[j, 1], z[j, 2], z[j, 3])
-            zpow[j, e, 0] = rl
-            zpow[j, e, 1] = rh
-            zpow[j, e, 2] = il
-            zpow[j, e, 3] = ih
-    out = np.empty((neq, 4), np.float64)
-    for i in range(neq):
-        arl = 0.0
-        arh = 0.0
-        ail = 0.0
-        aih = 0.0
-        for t in range(ptr[i], ptr[i + 1]):
-            vrl = coef_re[t]
-            vrh = coef_re[t]
-            vil = coef_im[t]
-            vih = coef_im[t]
-            if fac[t] != 1.0:
-                vrl, vrh, vil, vih = c_mul(vrl, vrh, vil, vih,
-                                           fac[t], fac[t], 0.0, 0.0)
-            k = par[t]
-            if k >= 0:
-                vrl, vrh, vil, vih = c_mul(vrl, vrh, vil, vih,
-                                           pv[k, 0], pv[k, 1],
-                                           pv[k, 2], pv[k, 3])
-            for j in range(n):
-                e = expo[t, j]
-                if e > 0:
-                    vrl, vrh, vil, vih = c_mul(
-                        vrl, vrh, vil, vih,
-                        zpow[j, e, 0], zpow[j, e, 1],
-                        zpow[j, e, 2], zpow[j, e, 3])
-            arl, arh, ail, aih = c_add(arl, arh, ail, aih, vrl, vrh, vil, vih)
-        out[i, 0] = arl
-        out[i, 1] = arh
-        out[i, 2] = ail
-        out[i, 3] = aih
+    zpow = []
+    for zj in z.tolist():
+        powers = [ONE]
+        for _ in range(flat.max_expo):
+            powers.append(c_mul(powers[-1], zj))
+        zpow.append(powers)
+    pv = pv.tolist()
+    out = []
+    for terms in flat.terms:
+        acc = ZERO
+        for cre, cim, fac, par, factors, _ in terms:
+            v = (cre, cre, cim, cim)
+            if fac != 1.0:
+                v = c_mul(v, (fac, fac, 0.0, 0.0))
+            if par >= 0:
+                v = c_mul(v, pv[par])
+            for j, e in factors:
+                v = c_mul(v, zpow[j][e])
+            acc = c_add(acc, v)
+        out.append(acc)
+    return _rects(out, (len(out), 4))
+
+
+def tpoly_linmul(w, factor):
+    """The coefficient polynomial w[0..deg] times (A + B*tau).
+
+    ``factor`` is (A, ZERO*A, B, mul_b): the new top slot is the zero slot
+    above deg times A plus w[deg]*B, as the in-place form over a
+    zero-padded slot array computes it, and ``mul_b`` multiplies by B
+    (``cp_mul`` when B is a complex point).
+    """
+    a, top, b, mul_b = factor
+    out = [c_mul(w[0], a)]
+    for d in range(1, len(w)):
+        out.append(c_add(c_mul(w[d], a), mul_b(w[d - 1], b)))
+    out.append(c_add(top, mul_b(w[-1], b)))
     return out
 
 
-@jit_kernel
-def tpoly_linmul(w, wdeg, arl, arh, ail, aih, brl, brh, bil, bih):
-    # in-place multiply of the coefficient polynomial w[0..wdeg] by
-    # (A + B*tau); slots above wdeg must be zero on entry
-    for d in range(wdeg + 1, 0, -1):
-        hrl, hrh, hil, hih = c_mul(w[d, 0], w[d, 1], w[d, 2], w[d, 3],
-                                   arl, arh, ail, aih)
-        lrl, lrh, lil, lih = c_mul(w[d - 1, 0], w[d - 1, 1],
-                                   w[d - 1, 2], w[d - 1, 3],
-                                   brl, brh, bil, bih)
-        rl, rh, il, ih = c_add(hrl, hrh, hil, hih, lrl, lrh, lil, lih)
-        w[d, 0] = rl
-        w[d, 1] = rh
-        w[d, 2] = il
-        w[d, 3] = ih
-    rl, rh, il, ih = c_mul(w[0, 0], w[0, 1], w[0, 2], w[0, 3],
-                           arl, arh, ail, aih)
-    w[0, 0] = rl
-    w[0, 1] = rh
-    w[0, 2] = il
-    w[0, 3] = ih
-    return wdeg + 1
-
-
-@jit_kernel
-def eval_terms_tpoly(coef_re, coef_im, fac, par, expo, ptr, dmax,
-                     x_re, x_im, sa_re, sa_im, sb_re, sb_im, has_shear,
-                     p0_re, p0_im, p1_re, p1_im, t_lo, t_hi):
+def eval_terms_tpoly(flat, x, sa, sb, p0, p1, t_lo, t_hi):
     """Enclosure over t in [t_lo, t_hi] of a term list at a fixed point x.
 
     Every time-dependent factor is kept as a degree-1 polynomial in the
@@ -485,168 +358,115 @@ def eval_terms_tpoly(coef_re, coef_im, fac, par, expo, ptr, dmax,
     at the midpoint, between the two refined window endpoints) happen
     in coefficient arithmetic instead of being lost to independent
     copies of the time interval.
+
+    x, p0, p1 are complex vectors; the shear s(t) = sa + t*sb is given by
+    complex vectors sa, sb, or both None when unsheared.
     """
-    neq = ptr.shape[0] - 1
-    n = x_re.shape[0]
-    m = p0_re.shape[0]
-    nd = dmax + 2
+    nd = flat.tdeg + 2
     tc = 0.5 * (t_lo + t_hi)
     if tc < t_lo:
         tc = t_lo
     elif tc > t_hi:
         tc = t_hi
-    z0 = np.empty((n, 4), np.float64)
-    for j in range(n):
-        if has_shear:
-            rl, rh = r_mul(sb_re[j], sb_re[j], tc, tc)
-            il, ih = r_mul(sb_im[j], sb_im[j], tc, tc)
-            rl, rh = r_add(rl, rh, sa_re[j], sa_re[j])
-            il, ih = r_add(il, ih, sa_im[j], sa_im[j])
-            rl, rh = r_add(rl, rh, x_re[j], x_re[j])
-            il, ih = r_add(il, ih, x_im[j], x_im[j])
-        else:
-            rl = x_re[j]
-            rh = x_re[j]
-            il = x_im[j]
-            ih = x_im[j]
-        z0[j, 0] = rl
-        z0[j, 1] = rh
-        z0[j, 2] = il
-        z0[j, 3] = ih
+    if sa is None:
+        scale = x.tolist()
+        lin = None
+    else:
+        lin = []
+        for xj, a, b in zip(x.tolist(), sa.tolist(), sb.tolist()):
+            rl, rh = r_mul(b.real, b.real, tc, tc)
+            il, ih = r_mul(b.imag, b.imag, tc, tc)
+            rl, rh = r_add(rl, rh, a.real, a.real)
+            il, ih = r_add(il, ih, a.imag, a.imag)
+            rl, rh = r_add(rl, rh, xj.real, xj.real)
+            il, ih = r_add(il, ih, xj.imag, xj.imag)
+            z0 = (rl, rh, il, ih)
+            lin.append((z0, c_mul(ZERO, z0), b, cp_mul))
     # parameter drift p1 - p0 as an interval (the float difference rounds)
-    # and the path point p(t_lo) = p0 + t_lo*(p1 - p0)
-    dq = np.empty((m, 4), np.float64)
-    q0 = np.empty((m, 4), np.float64)
-    for k in range(m):
-        drl, drh = r_sub(p1_re[k], p1_re[k], p0_re[k], p0_re[k])
-        dil, dih = r_sub(p1_im[k], p1_im[k], p0_im[k], p0_im[k])
-        dq[k, 0] = drl
-        dq[k, 1] = drh
-        dq[k, 2] = dil
-        dq[k, 3] = dih
+    # and the path point p(tc) = p0 + tc*(p1 - p0)
+    plin = []
+    for a, b in zip(p0.tolist(), p1.tolist()):
+        drl, drh = r_sub(b.real, b.real, a.real, a.real)
+        dil, dih = r_sub(b.imag, b.imag, a.imag, a.imag)
         rl, rh = r_mul(drl, drh, tc, tc)
         il, ih = r_mul(dil, dih, tc, tc)
-        rl, rh = r_add(rl, rh, p0_re[k], p0_re[k])
-        il, ih = r_add(il, ih, p0_im[k], p0_im[k])
-        q0[k, 0] = rl
-        q0[k, 1] = rh
-        q0[k, 2] = il
-        q0[k, 3] = ih
+        rl, rh = r_add(rl, rh, a.real, a.real)
+        il, ih = r_add(il, ih, a.imag, a.imag)
+        q0 = (rl, rh, il, ih)
+        plin.append((q0, c_mul(ZERO, q0), (drl, drh, dil, dih), c_mul))
+    # the symmetric tau interval [tau_lo, tau_hi] straddles 0: odd powers
+    # are monotone, even powers have range [0, max-magnitude^d], each
+    # magnitude power rounded up
     tau_lo, _ = r_sub(t_lo, t_lo, tc, tc)
     _, tau_hi = r_sub(t_hi, t_hi, tc, tc)
-    w = np.empty((nd, 4), np.float64)
-    acc = np.empty((nd, 4), np.float64)
-    out = np.empty((neq, 4), np.float64)
-    for i in range(neq):
-        for d in range(nd):
-            for c in range(4):
-                acc[d, c] = 0.0
-        for t in range(ptr[i], ptr[i + 1]):
-            for d in range(nd):
-                for c in range(4):
-                    w[d, c] = 0.0
-            w[0, 0] = coef_re[t]
-            w[0, 1] = coef_re[t]
-            w[0, 2] = coef_im[t]
-            w[0, 3] = coef_im[t]
-            if fac[t] != 1.0:
-                rl, rh, il, ih = c_mul(w[0, 0], w[0, 1], w[0, 2], w[0, 3],
-                                       fac[t], fac[t], 0.0, 0.0)
-                w[0, 0] = rl
-                w[0, 1] = rh
-                w[0, 2] = il
-                w[0, 3] = ih
-            wdeg = 0
-            k = par[t]
-            if k >= 0:
-                wdeg = tpoly_linmul(w, wdeg,
-                                    q0[k, 0], q0[k, 1], q0[k, 2], q0[k, 3],
-                                    dq[k, 0], dq[k, 1], dq[k, 2], dq[k, 3])
-            for j in range(n):
-                for _rep in range(expo[t, j]):
-                    if has_shear:
-                        wdeg = tpoly_linmul(
-                            w, wdeg,
-                            z0[j, 0], z0[j, 1], z0[j, 2], z0[j, 3],
-                            sb_re[j], sb_re[j], sb_im[j], sb_im[j])
+    taus = []
+    pl = ph = 1.0
+    for d in range(1, nd):
+        pl = _next(pl * (-tau_lo), _INF)
+        ph = _next(ph * tau_hi, _INF)
+        if d % 2 == 1:
+            taus.append((-pl, ph, 0.0, 0.0))
+        else:
+            taus.append((0.0, pl if pl > ph else ph, 0.0, 0.0))
+    out = []
+    for terms in flat.terms:
+        acc = [ZERO] * nd
+        for cre, cim, fac, par, factors, _ in terms:
+            w = [(cre, cre, cim, cim)]
+            if fac != 1.0:
+                w[0] = c_mul(w[0], (fac, fac, 0.0, 0.0))
+            if par >= 0:
+                w = tpoly_linmul(w, plin[par])
+            for j, e in factors:
+                for _ in range(e):
+                    if lin is None:
+                        w = [cp_mul(v, scale[j]) for v in w]
                     else:
-                        for d in range(wdeg + 1):
-                            rl, rh, il, ih = c_mul(
-                                w[d, 0], w[d, 1], w[d, 2], w[d, 3],
-                                z0[j, 0], z0[j, 1], z0[j, 2], z0[j, 3])
-                            w[d, 0] = rl
-                            w[d, 1] = rh
-                            w[d, 2] = il
-                            w[d, 3] = ih
-            for d in range(wdeg + 1):
-                rl, rh, il, ih = c_add(acc[d, 0], acc[d, 1],
-                                       acc[d, 2], acc[d, 3],
-                                       w[d, 0], w[d, 1], w[d, 2], w[d, 3])
-                acc[d, 0] = rl
-                acc[d, 1] = rh
-                acc[d, 2] = il
-                acc[d, 3] = ih
-        # substitute the symmetric tau interval [tau_lo, tau_hi] (it
-        # straddles 0): odd powers are monotone, even powers have range
-        # [0, max-magnitude^d], each magnitude power rounded up
-        rl = acc[0, 0]
-        rh = acc[0, 1]
-        il = acc[0, 2]
-        ih = acc[0, 3]
-        pl = 1.0
-        ph = 1.0
+                        w = tpoly_linmul(w, lin[j])
+            for d, v in enumerate(w):
+                acc[d] = c_add(acc[d], v)
+        r = acc[0]
         for d in range(1, nd):
-            pl = math.nextafter(pl * (-tau_lo), _INF)
-            ph = math.nextafter(ph * tau_hi, _INF)
-            if d % 2 == 1:
-                pwl = -pl
-                pwh = ph
-            else:
-                pwl = 0.0
-                pwh = pl if pl > ph else ph
-            trl, trh, til, tih = c_mul(acc[d, 0], acc[d, 1],
-                                       acc[d, 2], acc[d, 3],
-                                       pwl, pwh, 0.0, 0.0)
-            rl, rh, il, ih = c_add(rl, rh, il, ih, trl, trh, til, tih)
-        out[i, 0] = rl
-        out[i, 1] = rh
-        out[i, 2] = il
-        out[i, 3] = ih
-    return out
+            r = c_add(r, c_mul(acc[d], taus[d - 1]))
+        out.append(r)
+    return _rects(out, (len(out), 4))
 
 
-@jit_kernel
-def eval_terms_point(coef, par, expo, ptr, max_expo, z, pv):
-    """Plain complex point evaluation of a flattened term list."""
-    neq = ptr.shape[0] - 1
-    n = z.shape[0]
-    zpow = np.empty((n, max_expo + 1), np.complex128)
-    for j in range(n):
-        zpow[j, 0] = 1.0 + 0.0j
-        for e in range(1, max_expo + 1):
-            zpow[j, e] = zpow[j, e - 1] * z[j]
-    out = np.empty(neq, np.complex128)
-    for i in range(neq):
+def eval_terms_point(flat, z, pv):
+    """Complex point evaluation of a flattened term list.
+
+    Python complex multiplies and adds exactly as numpy's complex128
+    scalars do, so the result is bit for bit a complex128 evaluation in
+    the same order.
+    """
+    zpow = []
+    for zj in z.tolist():
+        powers = [1.0 + 0.0j]
+        for _ in range(flat.max_expo):
+            powers.append(powers[-1] * zj)
+        zpow.append(powers)
+    pv = pv.tolist()
+    out = []
+    for terms in flat.terms:
         acc = 0.0 + 0.0j
-        for t in range(ptr[i], ptr[i + 1]):
-            v = coef[t]
-            k = par[t]
-            if k >= 0:
-                v = v * pv[k]
-            for j in range(n):
-                e = expo[t, j]
-                if e > 0:
-                    v = v * zpow[j, e]
+        for _, _, _, par, factors, coef in terms:
+            v = coef
+            if par >= 0:
+                v = v * pv[par]
+            for j, e in factors:
+                v = v * zpow[j][e]
             acc = acc + v
-        out[i] = acc
-    return out
+        out.append(acc)
+    return np.array(out, dtype=np.complex128)
 
 
 # ---------------------------------------------------------------------------
 # dense complex linear algebra (LU with partial pivoting)
+#
+# These stay on numpy complex128 scalars: Python's complex division rounds
+# differently from numpy's, and every stored Y comes out of this LU.
 # ---------------------------------------------------------------------------
 
-@jit_kernel
 def lu_factor_k(a):
     n = a.shape[0]
     lu = a.copy()
@@ -677,7 +497,6 @@ def lu_factor_k(a):
     return lu, piv, ok
 
 
-@jit_kernel
 def lu_apply_k(lu, piv, b):
     n = lu.shape[0]
     x = b.copy()
@@ -697,7 +516,6 @@ def lu_apply_k(lu, piv, b):
     return x
 
 
-@jit_kernel
 def lu_solve_k(a, b):
     lu, piv, ok = lu_factor_k(a)
     if not ok:
@@ -705,7 +523,6 @@ def lu_solve_k(a, b):
     return lu_apply_k(lu, piv, b), True
 
 
-@jit_kernel
 def lu_inverse_k(a):
     n = a.shape[0]
     lu, piv, ok = lu_factor_k(a)
@@ -720,51 +537,3 @@ def lu_inverse_k(a):
         for i in range(n):
             out[i, c] = x[i]
     return out, True
-
-
-# ---------------------------------------------------------------------------
-# batch helpers for randomized soundness checks
-# ---------------------------------------------------------------------------
-
-@jit_kernel
-def rop_batch(a, b, opcode):
-    # opcode: 0 add, 1 sub, 2 mul, 3 div; shapes (N, 2)
-    n = a.shape[0]
-    out = np.empty((n, 2), np.float64)
-    for i in range(n):
-        if opcode == 0:
-            lo, hi = r_add(a[i, 0], a[i, 1], b[i, 0], b[i, 1])
-        elif opcode == 1:
-            lo, hi = r_sub(a[i, 0], a[i, 1], b[i, 0], b[i, 1])
-        elif opcode == 2:
-            lo, hi = r_mul(a[i, 0], a[i, 1], b[i, 0], b[i, 1])
-        else:
-            lo, hi = r_div(a[i, 0], a[i, 1], b[i, 0], b[i, 1])
-        out[i, 0] = lo
-        out[i, 1] = hi
-    return out
-
-
-@jit_kernel
-def cop_batch(a, b, opcode):
-    # opcode: 0 add, 1 sub, 2 mul, 3 div; shapes (N, 4)
-    n = a.shape[0]
-    out = np.empty((n, 4), np.float64)
-    for i in range(n):
-        if opcode == 0:
-            rl, rh, il, ih = c_add(a[i, 0], a[i, 1], a[i, 2], a[i, 3],
-                                   b[i, 0], b[i, 1], b[i, 2], b[i, 3])
-        elif opcode == 1:
-            rl, rh, il, ih = c_sub(a[i, 0], a[i, 1], a[i, 2], a[i, 3],
-                                   b[i, 0], b[i, 1], b[i, 2], b[i, 3])
-        elif opcode == 2:
-            rl, rh, il, ih = c_mul(a[i, 0], a[i, 1], a[i, 2], a[i, 3],
-                                   b[i, 0], b[i, 1], b[i, 2], b[i, 3])
-        else:
-            rl, rh, il, ih = c_div(a[i, 0], a[i, 1], a[i, 2], a[i, 3],
-                                   b[i, 0], b[i, 1], b[i, 2], b[i, 3])
-        out[i, 0] = rl
-        out[i, 1] = rh
-        out[i, 2] = il
-        out[i, 3] = ih
-    return out

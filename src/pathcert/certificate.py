@@ -7,8 +7,9 @@ endpoints in tilted mode, centered at the stored point in rect mode).
 
 ``verify`` trusts nothing but those claims: it replays every test with its
 own interval arithmetic, re-checks that the segments tile [0, 1] exactly,
-that consecutive certified regions overlap at the shared times, and that
-the recorded endpoint really solves the t = 1 system to the certification
+that consecutive certified regions overlap at the shared times, that the
+recorded endpoint lies in the region the last segment certifies at t = 1,
+and that it really solves the t = 1 system to the certification
 tolerance.  The replay runs all segments of a certificate as one batch
 (``_batch``) with the same outward-rounded operations, in the same order,
 as the tracker's kernels, so each segment's operator image and contraction
@@ -371,6 +372,17 @@ def verify(cert):
             failures.append(
                 f"segments[{i}]/[{i + 1}]: hand-off regions disjoint "
                 f"at t={segs[i].t_hi!r}")
+
+    # the endpoint lies in the region the last segment certifies at t=1,
+    # which holds that path's root and no other
+    region = claims.box[-1]
+    if claims.sa is not None:
+        region = shear_regions(region[None], claims.sa[-1:], claims.sb[-1:],
+                               np.ones(1))[0]
+    if claims.shear_errors[-1] is None and not Box(
+            region, _validate=False).contains_point(cert.final_point):
+        failures.append("final point lies outside the last segment's "
+                        "certified region at t=1")
 
     # endpoint really solves the t=1 system
     res = float(np.abs(cert.homotopy.eval_point(cert.final_point, 1.0)).max())

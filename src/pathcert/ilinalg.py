@@ -113,9 +113,7 @@ def residual_matrix(y, m):
     if y.ndim != 2 or y.shape[0] != y.shape[1] or y.shape[1] != r or r != c:
         raise DimensionMismatch(
             f"residual needs square shapes, got {y.shape} and {m.shape}")
-    out = _k.residual_k(np.ascontiguousarray(y.real),
-                        np.ascontiguousarray(y.imag), m.data)
-    return IntervalMatrix(out, _validate=False)
+    return IntervalMatrix(_k.residual_k(y, m.data), _validate=False)
 
 
 def imatvec(m, v):
@@ -131,6 +129,4 @@ def point_matvec_box(y, v):
     y = np.ascontiguousarray(y, dtype=np.complex128)
     if y.shape[1] != v.n:
         raise DimensionMismatch(f"matvec shapes {y.shape} and {v.n} differ")
-    return Box(_k.pmatvec_k(np.ascontiguousarray(y.real),
-                            np.ascontiguousarray(y.imag), v.data),
-               _validate=False)
+    return Box(_k.pmatvec_k(y, v.data), _validate=False)

@@ -148,7 +148,7 @@ class ComplexInterval:
     @property
     def mag(self):
         """Upper bound on |z| over the rectangle."""
-        return _k.c_mag(*self.endpoints())
+        return _k.c_mag(self.endpoints())
 
     @property
     def mid(self):
@@ -191,7 +191,7 @@ class ComplexInterval:
         if o is None:
             return NotImplemented
         return ComplexInterval.from_endpoints(
-            *_k.c_add(*self.endpoints(), *o.endpoints()))
+            *_k.c_add(self.endpoints(), o.endpoints()))
 
     __radd__ = __add__
 
@@ -200,21 +200,21 @@ class ComplexInterval:
         if o is None:
             return NotImplemented
         return ComplexInterval.from_endpoints(
-            *_k.c_sub(*self.endpoints(), *o.endpoints()))
+            *_k.c_sub(self.endpoints(), o.endpoints()))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return ComplexInterval.from_endpoints(
-            *_k.c_sub(*o.endpoints(), *self.endpoints()))
+            *_k.c_sub(o.endpoints(), self.endpoints()))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return ComplexInterval.from_endpoints(
-            *_k.c_mul(*self.endpoints(), *o.endpoints()))
+            *_k.c_mul(self.endpoints(), o.endpoints()))
 
     __rmul__ = __mul__
 
@@ -222,12 +222,12 @@ class ComplexInterval:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        dl, dh = _k.c_den(*o.endpoints())
+        dl, dh = _k.c_den(o.endpoints())
         if dl <= 0.0 <= dh:
             raise DivisionByIntervalContainingZero(
                 f"denominator rectangle {o!r} may contain 0")
         return ComplexInterval.from_endpoints(
-            *_k.c_div(*self.endpoints(), *o.endpoints()))
+            *_k.c_div(self.endpoints(), o.endpoints()))
 
     def __neg__(self):
         return ComplexInterval(-self.re, -self.im)
@@ -319,7 +319,9 @@ class Box:
     def encloses(self, other):
         if other.n != self.n:
             raise DimensionMismatch("box dimensions differ")
-        return bool(_k.box_contains_k(self.data, other.data))
+        a, b = self.data, other.data
+        return not ((b[:, 0] < a[:, 0]) | (b[:, 1] > a[:, 1])
+                    | (b[:, 2] < a[:, 2]) | (b[:, 3] > a[:, 3])).any()
 
     def intersects(self, other):
         """True when the two boxes overlap in every component (closed)."""
@@ -335,10 +337,7 @@ class Box:
         v = np.asarray(v, dtype=np.complex128)
         if v.shape[0] != self.n:
             raise DimensionMismatch("shift vector dimension differs from box")
-        return Box(_k.box_shift(self.data,
-                                np.ascontiguousarray(v.real),
-                                np.ascontiguousarray(v.imag)),
-                   _validate=False)
+        return Box(_k.box_shift(self.data, v), _validate=False)
 
     def __add__(self, other):
         if not isinstance(other, Box):
@@ -382,9 +381,13 @@ def box_centered(x, r):
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 1 or x.shape[0] == 0:
         raise DimensionMismatch("center must be a nonempty vector")
-    return Box(_k.box_centered_k(np.ascontiguousarray(x.real),
-                                 np.ascontiguousarray(x.imag), float(r)),
-               _validate=False)
+    r = float(r)
+    data = np.empty((x.shape[0], 4), dtype=np.float64)
+    data[:, 0] = np.nextafter(x.real - r, -_INF)
+    data[:, 1] = np.nextafter(x.real + r, _INF)
+    data[:, 2] = np.nextafter(x.imag - r, -_INF)
+    data[:, 3] = np.nextafter(x.imag + r, _INF)
+    return Box(data, _validate=False)
 
 
 def box_contains(outer, inner):

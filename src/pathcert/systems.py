@@ -29,9 +29,6 @@ from .errors import (
 from .ilinalg import IntervalMatrix
 from .intervals import Box, RealInterval
 
-_EMPTY_PV4 = np.empty((0, 4), dtype=np.float64)
-_EMPTY_PV = np.empty(0, dtype=np.complex128)
-
 
 @dataclass(frozen=True)
 class Term:
@@ -42,10 +39,15 @@ class Term:
 
 
 class _Flat:
-    """Flattened term arrays in the layout the kernels consume."""
+    """Flattened term arrays in the layouts the kernels consume.
+
+    The arrays feed ``_batch``.  ``terms[i]`` lists equation i's terms for
+    the scalar kernels as Python values: (coef_re, coef_im, fac, par,
+    factors, coef_point), with ``factors`` the (j, e) pairs with e > 0.
+    """
 
     __slots__ = ("coef_re", "coef_im", "coef_point", "fac", "par", "expo",
-                 "ptr", "max_expo", "tdeg")
+                 "ptr", "max_expo", "tdeg", "terms")
 
     def __init__(self, rows, n):
         nt = sum(len(r) for r in rows)
@@ -71,6 +73,14 @@ class _Flat:
         # degree in t after substituting a time-affine shear and path
         deg = self.expo.sum(axis=1) + (self.par >= 0)
         self.tdeg = int(deg.max()) if nt else 0
+        terms = list(zip(
+            self.coef_re.tolist(), self.coef_im.tolist(), self.fac.tolist(),
+            self.par.tolist(),
+            [tuple((j, e) for j, e in enumerate(row) if e > 0)
+             for row in self.expo.tolist()],
+            self.coef_point.tolist()))
+        ptr = self.ptr.tolist()
+        self.terms = [terms[lo:hi] for lo, hi in zip(ptr[:-1], ptr[1:])]
 
 
 class ParametricSystem:
@@ -143,19 +153,15 @@ class ParametricSystem:
         x = np.ascontiguousarray(x, dtype=np.complex128)
         p = np.ascontiguousarray(p, dtype=np.complex128)
         self._check_dims(x, p)
-        f = self._flat_f
-        return _k.eval_terms_point(f.coef_point, f.par, f.expo, f.ptr,
-                                   f.max_expo, x, p)
+        return _k.eval_terms_point(self._flat_f, x, p)
 
     def jac_x_point(self, x, p):
         """d F / d x at a point, as an (n, n) complex matrix."""
         x = np.ascontiguousarray(x, dtype=np.complex128)
         p = np.ascontiguousarray(p, dtype=np.complex128)
         self._check_dims(x, p)
-        f = self._flat_jac
-        flat = _k.eval_terms_point(f.coef_point, f.par, f.expo, f.ptr,
-                                   f.max_expo, x, p)
-        return flat.reshape(self.n, self.n)
+        return _k.eval_terms_point(self._flat_jac, x, p).reshape(self.n,
+                                                                  self.n)
 
     def f1_eval(self, x, dp):
         """Parameter part of F at displacement dp: F1(x; dp).
@@ -166,9 +172,7 @@ class ParametricSystem:
         x = np.ascontiguousarray(x, dtype=np.complex128)
         dp = np.ascontiguousarray(dp, dtype=np.complex128)
         self._check_dims(x, dp)
-        f = self._flat_f1
-        return _k.eval_terms_point(f.coef_point, f.par, f.expo, f.ptr,
-                                   f.max_expo, x, dp)
+        return _k.eval_terms_point(self._flat_f1, x, dp)
 
     def _check_dims(self, x, p):
         if x.shape != (self.n,):
@@ -291,21 +295,10 @@ class Homotopy:
     def _z_interval(self, box, T):
         if self.shear is None:
             return box.data
-        return _k.shear_box_k(box.data,
-                              np.ascontiguousarray(self._sa.real),
-                              np.ascontiguousarray(self._sa.imag),
-                              np.ascontiguousarray(self._sb.real),
-                              np.ascontiguousarray(self._sb.imag),
-                              T.lo, T.hi)
+        return _k.shear_box_k(box.data, self._sa, self._sb, T.lo, T.hi)
 
     def _pv_interval(self, T):
-        if self.m == 0:
-            return _EMPTY_PV4
-        return _k.param_interval_k(np.ascontiguousarray(self.p0.real),
-                                   np.ascontiguousarray(self.p0.imag),
-                                   np.ascontiguousarray(self.p1.real),
-                                   np.ascontiguousarray(self.p1.imag),
-                                   T.lo, T.hi)
+        return _k.param_interval_k(self.p0, self.p1, T.lo, T.hi)
 
     def eval_interval(self, box, T):
         """Enclosure of { H(x, t) : x in box, t in T }, componentwise."""
@@ -313,9 +306,7 @@ class Homotopy:
             raise DimensionMismatch("box dimension differs from system")
         if not isinstance(T, RealInterval):
             T = RealInterval(T)
-        f = self.system._flat_f
-        out = _k.eval_terms_interval(f.coef_re, f.coef_im, f.fac, f.par,
-                                     f.expo, f.ptr, f.max_expo,
+        out = _k.eval_terms_interval(self.system._flat_f,
                                      self._z_interval(box, T),
                                      self._pv_interval(T))
         return Box(out, _validate=False)
@@ -336,26 +327,8 @@ class Homotopy:
             raise DimensionMismatch(f"x must have shape ({self.n},)")
         if not isinstance(T, RealInterval):
             T = RealInterval(T)
-        f = self.system._flat_f
-        if self.shear is None:
-            zre = np.zeros(self.n, dtype=np.float64)
-            sa_re = sa_im = sb_re = sb_im = zre
-            has_shear = False
-        else:
-            sa_re = np.ascontiguousarray(self._sa.real)
-            sa_im = np.ascontiguousarray(self._sa.imag)
-            sb_re = np.ascontiguousarray(self._sb.real)
-            sb_im = np.ascontiguousarray(self._sb.imag)
-            has_shear = True
-        out = _k.eval_terms_tpoly(
-            f.coef_re, f.coef_im, f.fac, f.par, f.expo, f.ptr, f.tdeg,
-            np.ascontiguousarray(x.real), np.ascontiguousarray(x.imag),
-            sa_re, sa_im, sb_re, sb_im, has_shear,
-            np.ascontiguousarray(self.p0.real),
-            np.ascontiguousarray(self.p0.imag),
-            np.ascontiguousarray(self.p1.real),
-            np.ascontiguousarray(self.p1.imag),
-            T.lo, T.hi)
+        out = _k.eval_terms_tpoly(self.system._flat_f, x, self._sa, self._sb,
+                                  self.p0, self.p1, T.lo, T.hi)
         return Box(out, _validate=False)
 
     def jac_x_interval(self, box, T):
@@ -364,9 +337,7 @@ class Homotopy:
             raise DimensionMismatch("box dimension differs from system")
         if not isinstance(T, RealInterval):
             T = RealInterval(T)
-        f = self.system._flat_jac
-        out = _k.eval_terms_interval(f.coef_re, f.coef_im, f.fac, f.par,
-                                     f.expo, f.ptr, f.max_expo,
+        out = _k.eval_terms_interval(self.system._flat_jac,
                                      self._z_interval(box, T),
                                      self._pv_interval(T))
         n = self.n

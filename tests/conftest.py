@@ -1,26 +1,22 @@
 """Session fixtures.
 
-The compiled-kernel warmup runs once up front so that no individual test
-pays JIT compilation time inside its own runtime budget.  With the pure
-numpy backend (PATHCERT_BACKEND=numpy) the fixture is a cheap no-op pass
-through the same code paths.
+One short track in both modes and one verification run up front, so that
+no individual test pays the first-use costs of imports and lazily built
+module state inside its own runtime budget.
 """
 
-import numpy as np
 import pytest
 
-from pathcert import _backend
 from pathcert.bench import gen_newton_homotopy
 from pathcert.certificate import serialize, deserialize, verify
 from pathcert.tracker import TrackerConfig, track_rect, track_tilted
 
 
 @pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Exercise every jitted kernel once (tracking + verification)."""
+def warm_up():
+    """Exercise the tracking and verification paths once."""
     h, starts = gen_newton_homotopy(2.0)
     cfg = TrackerConfig(dt0=0.25, r0=0.25)
     res = track_tilted(h, starts[0], cfg)
     track_rect(h, starts[0], cfg)
     verify(deserialize(serialize(res.certificate)))
-    return _backend.backend_name()

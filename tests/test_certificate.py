@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +220,20 @@ class TestTamper:
         assert not rep.ok
         assert any("final residual" in f for f in rep.failures)
 
+    def test_swapped_endpoint_fails(self):
+        # path 1's endpoint solves the t=1 system too, so only binding the
+        # endpoint to the region the chain certifies rejects the swap
+        h, starts = gen_random_quadratic(1)
+        cert0 = track_tilted(h, starts[0], TrackerConfig()).certificate
+        cert1 = track_tilted(h, starts[1], TrackerConfig(),
+                             path_id=1).certificate
+        assert verify(cert0).ok and verify(cert1).ok
+        rep = verify(dataclasses.replace(cert0,
+                                         final_point=cert1.final_point))
+        assert rep.failures == ["final point lies outside the last "
+                                "segment's certified region at t=1"]
+        assert all(rep.segment_ok)
+
 
 @pytest.fixture(scope="module")
 def replay_certs(newton_certs):
@@ -318,8 +333,11 @@ class TestBatchedReplay:
         _, tilted, _, _ = newton_certs
         i = len(tilted.segments) // 2
         cert = with_segment(tilted, i, y=tilted.segments[i].y * 1e308)
-        batch = replay(cert)
-        want = scalar_replay(cert, i)
+        with warnings.catch_warnings():
+            # the scalar kernels overflow to inf silently, as floats do
+            warnings.simplefilter("error", RuntimeWarning)
+            batch = replay(cert)
+            want = scalar_replay(cert, i)
         assert isinstance(want, NonFiniteEndpoint)
         assert type(batch[i]) is type(want) and str(batch[i]) == str(want)
         rep = verify(cert)

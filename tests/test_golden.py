@@ -1,0 +1,42 @@
+"""Golden certificates: tracking must reproduce the frozen files byte for byte.
+
+The files in ``data/golden`` were written by ``serialize`` before the
+scalar kernels moved from numpy scalars to Python floats.  Any change to
+the order or rounding of an interval operation on the tracking path shows
+up here as a byte difference.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from pathcert.bench import gen_newton_homotopy, gen_random_quadratic
+from pathcert.certificate import deserialize, serialize, verify
+from pathcert.tracker import TrackerConfig, track_rect, track_tilted
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+
+
+def newton10(track):
+    h, starts = gen_newton_homotopy(10.0)
+    return track(h, starts[0], TrackerConfig(dt0=0.02, r0=0.1))
+
+
+def random2_tilted():
+    h, starts = gen_random_quadratic(2)
+    return track_tilted(h, starts[0], TrackerConfig())
+
+
+CASES = {
+    "newton10_tilted.json": lambda: newton10(track_tilted),
+    "newton10_rect.json": lambda: newton10(track_rect),
+    "random2_tilted.json": random2_tilted,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_fresh_track_matches_golden_file(name):
+    want = (GOLDEN / name).read_text(encoding="utf-8")
+    got = serialize(CASES[name]().certificate)
+    assert got == want
+    assert verify(deserialize(want)).ok
