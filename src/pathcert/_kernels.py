@@ -461,58 +461,90 @@ def eval_terms_point(flat, z, pv):
 
 
 # ---------------------------------------------------------------------------
-# dense complex linear algebra (LU with partial pivoting)
+# dense complex linear algebra (LU with partial pivoting) on Python complex
 #
-# These stay on numpy complex128 scalars: Python's complex division rounds
-# differently from numpy's, and every stored Y comes out of this LU.
+# Python complex multiplies and subtracts as numpy's complex128 scalars do;
+# its division and abs differ, so _cdiv and _cabs compute what numpy
+# computes.  Every stored Y comes out of this LU.
 # ---------------------------------------------------------------------------
 
+def _over_zero(v):
+    """v / +0.0 in IEEE arithmetic, where Python raises."""
+    return math.copysign(_INF, v) if v == v and v != 0.0 else math.nan
+
+
+def _cdiv(a, b):
+    """a / b bit for bit as numpy's complex128 scalar division (Smith's
+    method), with IEEE results where Python would raise."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    abs_br, abs_bi = abs(br), abs(bi)
+    if abs_br >= abs_bi:
+        if abs_br == 0.0:
+            return complex(_over_zero(ar), _over_zero(ai))
+        rat = bi / br
+        scl = 1.0 / (br + bi * rat)
+        return complex((ar + ai * rat) * scl, (ai - ar * rat) * scl)
+    # bi is zero here only when br is NaN, and NaN / 0 is NaN
+    rat = br / bi if bi else math.nan
+    scl = 1.0 / (bi + br * rat)
+    return complex((ar * rat + ai) * scl, (ai * rat - ar) * scl)
+
+
+def _cabs(z):
+    """abs(z) as numpy computes it: inf where Python raises on overflow."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return _INF
+
+
 def lu_factor_k(a):
+    """Row-pivoted LU of a complex128 matrix, as lists of Python complex.
+
+    Returns (lu, piv, ok); ok is False when a pivot falls below 1e-300.
+    """
     n = a.shape[0]
-    lu = a.copy()
-    piv = np.empty(n, np.int64)
-    ok = True
+    lu = a.tolist()
+    piv = list(range(n))
     for k in range(n):
         pk = k
-        pmax = abs(lu[k, k])
+        pmax = _cabs(lu[k][k])
         for i in range(k + 1, n):
-            v = abs(lu[i, k])
+            v = _cabs(lu[i][k])
             if v > pmax:
                 pmax = v
                 pk = i
         if pmax < 1e-300:
-            ok = False
-            break
+            return lu, piv, False
         piv[k] = pk
-        if pk != k:
-            for j in range(n):
-                tmp = lu[k, j]
-                lu[k, j] = lu[pk, j]
-                lu[pk, j] = tmp
+        lu[k], lu[pk] = lu[pk], lu[k]
+        row_k = lu[k]
+        pivot = row_k[k]
         for i in range(k + 1, n):
-            lu[i, k] = lu[i, k] / lu[k, k]
-            f = lu[i, k]
+            row = lu[i]
+            f = row[k] = _cdiv(row[k], pivot)
             for j in range(k + 1, n):
-                lu[i, j] = lu[i, j] - f * lu[k, j]
-    return lu, piv, ok
+                row[j] = row[j] - f * row_k[j]
+    return lu, piv, True
 
 
 def lu_apply_k(lu, piv, b):
-    n = lu.shape[0]
-    x = b.copy()
+    """Solve with the factors of ``lu_factor_k``; b is a list of complex."""
+    n = len(lu)
+    x = list(b)
     for k in range(n):
         pk = piv[k]
-        if pk != k:
-            tmp = x[k]
-            x[k] = x[pk]
-            x[pk] = tmp
+        x[k], x[pk] = x[pk], x[k]
     for i in range(n):
+        row, v = lu[i], x[i]
         for j in range(i):
-            x[i] = x[i] - lu[i, j] * x[j]
+            v = v - row[j] * x[j]
+        x[i] = v
     for i in range(n - 1, -1, -1):
+        row, v = lu[i], x[i]
         for j in range(i + 1, n):
-            x[i] = x[i] - lu[i, j] * x[j]
-        x[i] = x[i] / lu[i, i]
+            v = v - row[j] * x[j]
+        x[i] = _cdiv(v, row[i])
     return x
 
 
@@ -520,20 +552,15 @@ def lu_solve_k(a, b):
     lu, piv, ok = lu_factor_k(a)
     if not ok:
         return np.zeros_like(b), False
-    return lu_apply_k(lu, piv, b), True
+    return np.array(lu_apply_k(lu, piv, b.tolist()), dtype=np.complex128), True
 
 
 def lu_inverse_k(a):
     n = a.shape[0]
     lu, piv, ok = lu_factor_k(a)
-    out = np.zeros((n, n), np.complex128)
     if not ok:
-        return out, False
-    e = np.zeros(n, np.complex128)
-    for c in range(n):
-        e[:] = 0.0
-        e[c] = 1.0
-        x = lu_apply_k(lu, piv, e)
-        for i in range(n):
-            out[i, c] = x[i]
-    return out, True
+        return np.zeros((n, n), np.complex128), False
+    cols = [lu_apply_k(lu, piv, [1.0 + 0.0j if i == c else 0.0j
+                                 for i in range(n)])
+            for c in range(n)]
+    return np.array(cols, dtype=np.complex128).T.copy(), True

@@ -23,6 +23,7 @@ timing inside, so identical seeds yield identical bytes).
 
 import csv
 import json
+import logging
 import math
 import os
 import time
@@ -44,13 +45,14 @@ from .errors import (
     ParseError,
     PathcertError,
     RootCountMismatch,
-    SingularMatrix,
     UnsupportedN,
 )
 from .systems import Homotopy, ParametricSystem, Term
 from .tracker import TrackerConfig, track
 
 WORKERS_ENV_VAR = "PATHCERT_WORKERS"
+
+_log = logging.getLogger("pathcert")
 
 # Shipped default seed per family, chosen so the default instances are
 # well-conditioned: the katsura seed keeps all start-system paths clear
@@ -523,10 +525,15 @@ def _cvec_out(v):
 
 
 def _track_task(args):
+    """Track one path.  Any exception fails this path alone; one that is
+    not a PathcertError is a defect, so its traceback is logged."""
     h, x0, cfg, mode, pid = args
     try:
         return pid, track(h, x0, cfg, mode=mode, path_id=pid), None
-    except (PathcertError, SingularMatrix) as e:
+    except PathcertError as e:
+        return pid, None, f"{type(e).__name__}: {e}"
+    except Exception as e:
+        _log.exception("path %d raised an unexpected error", pid)
         return pid, None, f"{type(e).__name__}: {e}"
 
 

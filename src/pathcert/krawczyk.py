@@ -11,10 +11,16 @@ K(I, T).  If additionally sqrt(2) * |Id - Y * encl(dH/dx(I, T))| < 1 in
 the row-sum norm, that solution is the only one in I for each t.  The
 sqrt(2) factor is the price of testing complex rectangles instead of
 discs; it is always applied.
+
+``parametric_krawczyk_test`` checks contraction first: it encloses the
+Jacobian and bounds |Id - Y * encl(dH/dx(I, T))| before anything else.
+A test whose finite norm fails the bound is rejected whatever its image,
+so its verdict computes the image (the enclosure of H over T and the two
+mat-vecs) only when ``existence`` or ``operator_image`` is first read.
+A tracker that reads ``passed`` never pays for it.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,18 +31,51 @@ from .intervals import Box, RealInterval
 _SQRT2_UP = math.nextafter(math.sqrt(2.0), math.inf)
 
 
-@dataclass(frozen=True)
 class KrawczykVerdict:
     """Outcome of one test: the two flags, the contraction norm that
-    witnessed uniqueness, and the operator image box."""
-    existence: bool
-    uniqueness: bool
-    residual_norm: float
-    operator_image: Box
+    witnessed uniqueness, and the operator image box.
+
+    A verdict made by ``deferred`` fails uniqueness.  It holds a function
+    that returns the full verdict, and calls it on the first read of
+    ``existence`` or ``operator_image``; that read raises what the
+    function raises.
+    """
+
+    __slots__ = ("uniqueness", "residual_norm", "_existence", "_image",
+                 "_pending")
+
+    def __init__(self, existence, uniqueness, residual_norm, operator_image):
+        self.uniqueness = uniqueness
+        self.residual_norm = residual_norm
+        self._existence = existence
+        self._image = operator_image
+        self._pending = None
+
+    @classmethod
+    def deferred(cls, residual_norm, full_verdict):
+        verdict = cls(None, False, residual_norm, None)
+        verdict._pending = full_verdict
+        return verdict
+
+    def _resolve(self):
+        if self._pending is not None:
+            full = self._pending()
+            self._existence, self._image = full.existence, full.operator_image
+            self._pending = None
+
+    @property
+    def existence(self):
+        self._resolve()
+        return self._existence
+
+    @property
+    def operator_image(self):
+        self._resolve()
+        return self._image
 
     @property
     def passed(self):
-        return self.existence and self.uniqueness
+        return self.uniqueness and self.existence
 
 
 def check_operands(n, x, y, box, T):
@@ -59,21 +98,22 @@ def check_operands(n, x, y, box, T):
     return x, y, T
 
 
-def _operator_parts(h, x, y, box, T):
-    x, y, T = check_operands(h.n, x, y, box, T)
+def _contraction(h, y, box, T):
+    """Interval residual Id - Y * encl(dH/dx(I, T))."""
+    return residual_matrix(y, h.jac_x_interval(box, T))
+
+
+def _image(h, x, y, box, T, resid):
     x_box = Box.degenerate(x)
-    hx = h.eval_over_time(x, T)
-    a = point_matvec_box(y, hx)
-    jac = h.jac_x_interval(box, T)
-    resid = residual_matrix(y, jac)
+    a = point_matvec_box(y, h.eval_over_time(x, T))
     b = imatvec(resid, box - x_box)
-    image = (x_box - a) + b
-    return image, resid
+    return (x_box - a) + b
 
 
 def krawczyk_operator(h, x, y, box, T):
     """Interval image K(I, T) of the parametric Krawczyk operator."""
-    image, _ = _operator_parts(h, x, y, box, T)
+    x, y, T = check_operands(h.n, x, y, box, T)
+    image = _image(h, x, y, box, T, _contraction(h, y, box, T))
     if not np.isfinite(image.data).all():
         raise NonFiniteEndpoint("Krawczyk image has non-finite endpoints")
     return image
@@ -86,9 +126,29 @@ def parametric_krawczyk_test(h, x, y, box, T):
     uniqueness: sqrt(2) * |Id - Y*Jac| < 1, rounded against the claim.
     Both checks are sound: rounding can only turn a true pass into a
     reported failure, never the other way.
+
+    The contraction norm comes first.  When it is finite and fails the
+    bound, the verdict defers the image: ``existence`` and
+    ``operator_image`` are computed on first read, with the same bits as
+    an eager test, and that read raises NonFiniteEndpoint if the image
+    overflows.  Otherwise the verdict is complete, and a non-finite image
+    or norm raises NonFiniteEndpoint here.
     """
-    image, resid = _operator_parts(h, x, y, box, T)
-    return verdict_from(box, image, resid.norm())
+    x, y, T = check_operands(h.n, x, y, box, T)
+    resid = _contraction(h, y, box, T)
+    rn = resid.norm()
+
+    def full_verdict():
+        return verdict_from(box, _image(h, x, y, box, T, resid), rn)
+
+    if math.isfinite(rn) and not _contracts(rn):
+        return KrawczykVerdict.deferred(rn, full_verdict)
+    return full_verdict()
+
+
+def _contracts(rn):
+    """sqrt(2) * rn < 1, with the product rounded up."""
+    return math.nextafter(_SQRT2_UP * rn, math.inf) < 1.0
 
 
 def verdict_from(box, image, rn):
@@ -100,6 +160,4 @@ def verdict_from(box, image, rn):
         raise NonFiniteEndpoint("Krawczyk image has non-finite endpoints")
     if not math.isfinite(rn):
         raise NonFiniteEndpoint("contraction norm is non-finite")
-    existence = box.encloses(image)
-    uniqueness = math.nextafter(_SQRT2_UP * rn, math.inf) < 1.0
-    return KrawczykVerdict(existence, uniqueness, rn, image)
+    return KrawczykVerdict(box.encloses(image), _contracts(rn), rn, image)

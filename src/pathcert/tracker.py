@@ -5,13 +5,18 @@ Two modes over the parameter segment t in [0, 1]:
 rect:   test a box centered at the current refined point x over
         T = [t0, t1].  On success scale dt and r up by lambda, advance,
         refine the box midpoint at the new t0 and recompute Y.  On failure
-        re-refine x, scale dt and r down, retry with the same Y.
+        scale dt and r down and retry with the same x and Y.
 
-tilted: before EVERY test (success or failure alike), predict x1 at t1 by
-        an Euler step refined with Newton, shear the homotopy along the
-        line through (t0, x) and (t1, x1), and test a box centered at 0
-        for the sheared map.  The box then rides along the secant of the
-        path, which keeps it small even when the path moves fast.
+tilted: once per t0, compute the Euler direction J(x, t0)^{-1} dH/dt.
+        Before each test, predict x1 at t1 along it, refine x1 with
+        Newton, shear the homotopy along the line through (t0, x) and
+        (t1, x1), and test a box centered at 0 for the sheared map.  The
+        box then rides along the secant of the path, which keeps it small
+        even when the path moves fast.  On success x1, already refined
+        at the new t0, becomes x.
+
+In both modes x meets the Newton tolerance at t0 whenever a test runs,
+so a failure leaves x as it is.
 
 Both accept a step only when the Krawczyk test proves existence and
 uniqueness over the whole time slice, so the accepted segments assemble
@@ -164,8 +169,8 @@ def newton_refine(h, x, t, tol, max_iter=50):
         f"iterations at t={t}")
 
 
-def euler_predict(h, x, t0, dt):
-    """One Euler step of the defining ODE: x - dt * J^{-1} dH/dt.
+def euler_direction(h, x, t0):
+    """J(x, t0)^{-1} dH/dt, the negated velocity of the defining ODE.
 
     The t-derivative of H is the parameter part evaluated at the
     displacement p1 - p0, constant in t.
@@ -174,18 +179,30 @@ def euler_predict(h, x, t0, dt):
     jac = h.jac_x_point(x, t0)
     rhs = h.f1_eval(x)
     try:
-        dx = solve_point(jac, rhs)
+        return solve_point(jac, rhs)
     except SingularMatrix as e:
         raise SingularJacobian(f"Jacobian singular at t={t0}") from e
-    return x - dt * dx
 
 
-def precondition(h, x0, t0, t1, cfg):
+def euler_predict(h, x, t0, dt):
+    """One Euler step of the defining ODE: x - dt * J^{-1} dH/dt."""
+    x = np.asarray(x, dtype=np.complex128)
+    return x - dt * euler_direction(h, x, t0)
+
+
+def precondition(h, x0, t0, t1, cfg, direction=None):
     """Predict x1 at t1, then shear the homotopy through (t0, x0) and
-    (t1, x1).  Returns (sheared homotopy, x1)."""
+    (t1, x1).  Returns (sheared homotopy, x1).
+
+    The prediction is an Euler step along ``direction``, which is
+    ``euler_direction(h, x0, t0)`` and is computed here when not given.
+    """
     if not (t1 > t0):
         raise DegenerateTimeInterval(f"need t1 > t0, got [{t0}, {t1}]")
-    xp = euler_predict(h, x0, t0, t1 - t0)
+    if direction is None:
+        xp = euler_predict(h, x0, t0, t1 - t0)
+    else:
+        xp = x0 - (t1 - t0) * direction
     x1, _ = newton_refine(h, xp, t1, cfg.newton_tol, cfg.newton_max_iter)
     return h.sheared(x0, x1, t0, t1), x1
 
@@ -219,13 +236,13 @@ def _mid_inverse_or_raise(h, x, t):
     return y
 
 
-def _refine_quietly(h, x, t, cfg):
-    """Failure-branch re-refinement: best effort, never aborts."""
+def _direction_or_none(h, x, t):
+    """Euler direction at (x, t), or None when the Jacobian is singular:
+    every test at this t0 is then rejected, as its prediction fails."""
     try:
-        xr, _ = newton_refine(h, x, t, cfg.newton_tol, cfg.newton_max_iter)
-        return xr
-    except TrackingError:
-        return x
+        return euler_direction(h, x, t)
+    except SingularJacobian:
+        return None
 
 
 def track_rect(h, x0, cfg=None, path_id=0):
@@ -260,7 +277,6 @@ def track_rect(h, x0, cfg=None, path_id=0):
             if state.t0 < 1.0:
                 y = _mid_inverse_or_raise(h, x, state.t0)
         else:
-            x = _refine_quietly(h, x, state.t0, cfg)
             step_update(state, cfg, False, rn)
     final_res = float(np.abs(h.eval_point(x, 1.0)).max())
     cert = PathCertificate(MODE_RECT, h, segments, x, final_res,
@@ -279,6 +295,7 @@ def track_tilted(h, x0, cfg=None, path_id=0):
     zeros = np.zeros(n, dtype=np.complex128)
     x, _ = newton_refine(h, x0, 0.0, cfg.newton_tol, cfg.newton_max_iter)
     y = _mid_inverse_or_raise(h, x, 0.0)
+    direction = _direction_or_none(h, x, 0.0)
     state = make_state(x, cfg)
     segments = []
     while state.t0 < 1.0:
@@ -287,11 +304,12 @@ def track_tilted(h, x0, cfg=None, path_id=0):
         ok = False
         rn = math.nan
         sheared = None
-        x1 = None
-        try:
-            sheared, x1 = precondition(h, x, state.t0, state.t1, cfg)
-        except (TrackingError, SingularMatrix):
-            sheared = None
+        if direction is not None:
+            try:
+                sheared, x1 = precondition(h, x, state.t0, state.t1, cfg,
+                                           direction)
+            except (TrackingError, SingularMatrix):
+                sheared = None
         if sheared is not None:
             box = box_centered(zeros, state.r)
             T = RealInterval(state.t0, state.t1)
@@ -306,12 +324,11 @@ def track_tilted(h, x0, cfg=None, path_id=0):
             segments.append(Segment(state.t0, state.t1, box, y, rn,
                                     shear_x0=x.copy(), shear_x1=x1.copy()))
             step_update(state, cfg, True, rn)
-            x, _ = newton_refine(h, x1, state.t0, cfg.newton_tol,
-                                 cfg.newton_max_iter)
+            x = x1
             if state.t0 < 1.0:
                 y = _mid_inverse_or_raise(h, x, state.t0)
+                direction = _direction_or_none(h, x, state.t0)
         else:
-            x = _refine_quietly(h, x, state.t0, cfg)
             step_update(state, cfg, False, rn)
     final_res = float(np.abs(h.eval_point(x, 1.0)).max())
     cert = PathCertificate(MODE_TILTED, h, segments, x, final_res,

@@ -272,3 +272,35 @@ class TestHarness:
         run_benchmark(spec, out_dir=par)
         assert (seq / "report.json").read_bytes() == \
                (par / "report.json").read_bytes()
+
+
+class TestPathFailureIsolation:
+    """An exception of any type fails only the path that raised it, in
+    the sequential loop and in the process pool alike."""
+
+    @pytest.mark.parametrize("workers", [None, "2"])
+    def test_unexpected_exception_fails_one_path(self, tmp_path, monkeypatch,
+                                                 caplog, workers):
+        import pathcert.bench as bench_mod
+        real_track = bench_mod.track
+
+        def track_or_raise(h, x0, cfg, mode, path_id):
+            if path_id == 1:
+                raise ZeroDivisionError("injected")
+            return real_track(h, x0, cfg, mode=mode, path_id=path_id)
+
+        monkeypatch.setattr(bench_mod, "track", track_or_raise)
+        if workers is None:
+            monkeypatch.delenv("PATHCERT_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("PATHCERT_WORKERS", workers)
+        out = tmp_path / "run"
+        rep = run_benchmark(BenchmarkSpec("random", k=1), out_dir=out).report
+        ok, bad = rep["paths"]
+        assert ok["certified"] and (out / ok["cert_file"]).exists()
+        assert not bad["certified"]
+        assert bad["error"] == "ZeroDivisionError: injected"
+        assert rep["aggregate"]["n_certified"] == 1
+        if workers is None:        # a pool worker logs in its own process
+            assert "path 1 raised an unexpected error" in caplog.text
+            assert "ZeroDivisionError: injected" in caplog.text

@@ -85,3 +85,105 @@ def test_point_product_matches_c_mul_on_both_sides(operands):
         left.append(_k.c_mul(point, p))
         right.append(_k.c_mul(p, point))
     assert same_bits(got, left) and same_bits(got, right)
+
+
+# ---------------------------------------------------------------------------
+# point LU on Python complex against the same LU on numpy complex128 scalars
+# ---------------------------------------------------------------------------
+
+def numpy_lu_solve(a, b):
+    """Pivoted LU solve with every operation on numpy complex128 scalars,
+    in the order of ``lu_factor_k``/``lu_apply_k``; None when a pivot falls
+    below 1e-300."""
+    n = a.shape[0]
+    lu = a.copy()
+    piv = np.empty(n, np.int64)
+    for k in range(n):
+        pk = k
+        pmax = abs(lu[k, k])
+        for i in range(k + 1, n):
+            v = abs(lu[i, k])
+            if v > pmax:
+                pmax = v
+                pk = i
+        if pmax < 1e-300:
+            return None
+        piv[k] = pk
+        lu[[k, pk]] = lu[[pk, k]]
+        for i in range(k + 1, n):
+            lu[i, k] = lu[i, k] / lu[k, k]
+            for j in range(k + 1, n):
+                lu[i, j] = lu[i, j] - lu[i, k] * lu[k, j]
+    x = b.copy()
+    for k in range(n):
+        x[[k, piv[k]]] = x[[piv[k], k]]
+    for i in range(n):
+        for j in range(i):
+            x[i] = x[i] - lu[i, j] * x[j]
+    for i in range(n - 1, -1, -1):
+        for j in range(i + 1, n):
+            x[i] = x[i] - lu[i, j] * x[j]
+        x[i] = x[i] / lu[i, i]
+    return x
+
+
+def complex_operands(rng, size):
+    z = np.empty(size, dtype=np.complex128)
+    z.real, z.imag = endpoints(rng, (2, size))
+    return z
+
+
+def same_complex_bits(got, want):
+    got = np.asarray(got, dtype=np.complex128)
+    want = np.asarray(want, dtype=np.complex128)
+    return same_bits(got.real, want.real) and same_bits(got.imag, want.imag)
+
+
+def test_cdiv_matches_numpy_division():
+    rng = np.random.default_rng(7)
+    a = complex_operands(rng, N)
+    b = complex_operands(rng, N)
+    special = np.array([complex(p, q) for p in SPECIAL for q in SPECIAL])
+    a = np.concatenate([a, np.repeat(special, len(special))])
+    b = np.concatenate([b, np.tile(special, len(special))])
+    with np.errstate(all="ignore"):
+        want = [p / q for p, q in zip(a, b)]
+    got = [_k._cdiv(p, q) for p, q in zip(a.tolist(), b.tolist())]
+    assert same_complex_bits(got, want)
+
+
+def lu_matrices(rng):
+    for n in (1, 2, 3, 4, 6):
+        for _ in range(40):
+            yield complex_operands(rng, n * n).reshape(n, n)
+            yield (rng.standard_normal((n, n))
+                   + 1j * rng.standard_normal((n, n)))
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a[-1] = 2.0 * a[0]
+        yield a                                       # singular
+        for bad in (math.nan, math.inf, 1e308, -1e308,
+                    complex(math.nan, 0.0), complex(1.5e308, -1.5e308)):
+            for k in range(n):
+                b = a.copy()
+                b[-1] = rng.standard_normal(n)
+                b[k, (k + 1) % n] = bad
+                yield b
+
+
+def test_lu_solve_and_inverse_match_numpy_scalars():
+    rng = np.random.default_rng(11)
+    checked = 0
+    for a in lu_matrices(rng):
+        n = a.shape[0]
+        b = complex_operands(rng, n)
+        with np.errstate(all="ignore"):
+            want = numpy_lu_solve(a, b)
+            want_inv = [numpy_lu_solve(a, e) for e in np.eye(n, dtype=complex)]
+        x, ok = _k.lu_solve_k(a, b)
+        y, ok_inv = _k.lu_inverse_k(a)
+        assert ok is ok_inv is (want is not None)
+        if ok:
+            checked += 1
+            assert same_complex_bits(x, want)
+            assert same_complex_bits(y, np.array(want_inv).T)
+    assert checked > 400

@@ -169,3 +169,67 @@ class TestParametric:
                 passed_any += 1
                 assert real_pass
         assert passed_any > 0
+
+
+class TestDeferredImage:
+    """A test that fails the contraction bound with a finite norm defers
+    the enclosure of H over T and the mat-vecs until the image is read,
+    and then gives the image krawczyk_operator gives, bit for bit."""
+
+    @pytest.fixture
+    def eval_calls(self, monkeypatch):
+        from pathcert.systems import Homotopy
+        calls = []
+        real = Homotopy.eval_over_time
+
+        def counted(self, x, T):
+            calls.append(T)
+            return real(self, x, T)
+
+        monkeypatch.setattr(Homotopy, "eval_over_time", counted)
+        return calls
+
+    @staticmethod
+    def newton_doubled_y():
+        h, starts = gen_newton_homotopy(10.0)
+        x, _ = newton_refine(h, starts[0], 0.0, 1e-12)
+        y, _ = mid_inverse(h.jac_x_point(x, 0.0))
+        return h, x, 2.0 * y, box_centered(x, 0.1), RealInterval(0.0, 0.02)
+
+    def cases(self):
+        h, x, y, box = sqrt2_fixture(1e3)           # criterion 2's huge box
+        yield h, x, y, box, RealInterval(0.0, 0.0)
+        yield self.newton_doubled_y()
+
+    def test_image_deferred_and_bit_identical(self, eval_calls):
+        for h, x, y, box, T in self.cases():
+            v = parametric_krawczyk_test(h, x, y, box, T)
+            assert not v.uniqueness and not v.passed
+            assert math.isfinite(v.residual_norm)
+            assert eval_calls == []
+            image = v.operator_image
+            assert len(eval_calls) == 1
+            want = krawczyk_operator(h, x, y, box, T)
+            assert np.array_equal(image.data, want.data)
+            assert v.existence == box.encloses(want)
+            assert len(eval_calls) == 2        # the operator call above only
+            eval_calls.clear()
+
+    def test_contracting_test_is_eager(self, eval_calls):
+        h, x, y, box = sqrt2_fixture(0.01)
+        v = parametric_krawczyk_test(h, x, y, box, RealInterval(0.0, 0.0))
+        assert len(eval_calls) == 1 and v.passed
+
+    def test_overflowing_image_raises_on_read(self):
+        # H(x) = x^2 - 2 overflows at x = 1.5e154, and Y = 1/x, twice the
+        # Newton inverse, makes |I - YJ| about 1
+        from pathcert.errors import NonFiniteEndpoint
+        h, x, y, box = sqrt2_fixture(1.0, center=1.5e154)
+        y = 2.0 * y
+        T = RealInterval(0.0, 0.0)
+        with pytest.raises(NonFiniteEndpoint):
+            krawczyk_operator(h, x, y, box, T)
+        v = parametric_krawczyk_test(h, x, y, box, T)
+        assert not v.passed and math.isfinite(v.residual_norm)
+        with pytest.raises(NonFiniteEndpoint):
+            v.existence

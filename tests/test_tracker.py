@@ -273,3 +273,41 @@ class TestTrackEndToEnd:
         with pytest.raises(ValueError):
             TrackerConfig(lam=1.0)
         assert TrackerConfig(dt0=0.2, r0=0.4).ratio == 0.5
+
+
+class TestStepWork:
+    """Each piece of a tilted step runs at most once: Newton once per
+    attempt (in the prediction) plus once at the start, and the enclosure
+    of H over T only for tests that pass the contraction bound."""
+
+    def test_newton_family_call_counts(self, monkeypatch):
+        import pathcert.tracker as tracker_mod
+        from pathcert.systems import Homotopy
+        counts = {"eval_over_time": 0, "newton_refine": 0}
+        verdicts = []
+        real_eval = Homotopy.eval_over_time
+        real_newton = tracker_mod.newton_refine
+        real_test = tracker_mod.parametric_krawczyk_test
+
+        def eval_over_time(self, x, T):
+            counts["eval_over_time"] += 1
+            return real_eval(self, x, T)
+
+        def newton(*args, **kwargs):
+            counts["newton_refine"] += 1
+            return real_newton(*args, **kwargs)
+
+        def test(*args):
+            verdicts.append(real_test(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(Homotopy, "eval_over_time", eval_over_time)
+        monkeypatch.setattr(tracker_mod, "newton_refine", newton)
+        monkeypatch.setattr(tracker_mod, "parametric_krawczyk_test", test)
+        h, starts = gen_newton_homotopy(10.0)
+        res = track_tilted(h, starts[0], TrackerConfig(dt0=0.02, r0=0.1))
+        contracting = sum(SQRT2 * v.residual_norm < 1.0 for v in verdicts)
+        assert len(verdicts) == res.tests
+        assert 0 < contracting < res.tests
+        assert counts["eval_over_time"] == contracting
+        assert counts["newton_refine"] == len(res.step_log) + 1
