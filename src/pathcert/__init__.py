@@ -61,7 +61,6 @@ from .errors import (
 from .ilinalg import (
     IntervalMatrix,
     imatvec,
-    inorm,
     mid_inverse,
     point_matvec_box,
     residual_matrix,
@@ -72,19 +71,12 @@ from .intervals import (
     ComplexInterval,
     RealInterval,
     box_centered,
-    box_contains,
-    box_norm,
-    mag,
-    midpoint,
-    minkowski_shift,
-    width,
 )
 from .krawczyk import KrawczykVerdict, krawczyk_operator, parametric_krawczyk_test
 from .systems import (
     Homotopy,
     ParametricSystem,
     Term,
-    apply_shear,
     dump_system,
     load_system,
 )
@@ -92,14 +84,12 @@ from .tracker import (
     TrackerConfig,
     TrackResult,
     TrackState,
-    euler_predict,
+    euler_direction,
     make_state,
     newton_refine,
     precondition,
     step_update,
     track,
-    track_rect,
-    track_tilted,
 )
 
 __version__ = "0.1.0"

@@ -207,12 +207,6 @@ def box_sub(a, b):
                   a.shape)
 
 
-def box_shift(box, v):
-    # box + v for a complex point vector v
-    return _rects([c_add(p, q) for p, q in zip(box.tolist(), _points(v))],
-                  box.shape)
-
-
 def box_norm_k(box):
     best = 0.0
     for row in box.tolist():

@@ -47,7 +47,7 @@ from .errors import (
     RootCountMismatch,
     UnsupportedN,
 )
-from .systems import Homotopy, ParametricSystem, Term
+from .systems import Homotopy, ParametricSystem, Term, cvec_out, float_out
 from .tracker import TrackerConfig, track
 
 WORKERS_ENV_VAR = "PATHCERT_WORKERS"
@@ -516,14 +516,6 @@ class BenchmarkReport:
     out_dir: "str | None"
 
 
-def _f(x):
-    return repr(float(x))
-
-
-def _cvec_out(v):
-    return [[_f(z.real), _f(z.imag)] for z in np.asarray(v, np.complex128)]
-
-
 def _track_task(args):
     """Track one path.  Any exception fails this path alone; one that is
     not a PathcertError is a defect, so its traceback is logged."""
@@ -578,7 +570,7 @@ def run_benchmark(spec, out_dir=None):
     for pid, res, err in results:
         entry = {
             "path_id": pid,
-            "start": _cvec_out(starts[pid]),
+            "start": cvec_out(starts[pid]),
             "certified": res is not None,
         }
         if res is not None:
@@ -586,8 +578,8 @@ def run_benchmark(spec, out_dir=None):
             entry["tests"] = res.tests
             entry["accepted"] = res.accepted
             entry["rejected"] = res.rejected
-            entry["final_point"] = _cvec_out(res.final_point)
-            entry["final_residual"] = _f(res.final_residual)
+            entry["final_point"] = cvec_out(res.final_point)
+            entry["final_residual"] = float_out(res.final_residual)
             entry["cert_file"] = f"cert_{pid:03d}.json"
             iters.append(res.iterations)
             tests.append(res.tests)
@@ -601,8 +593,9 @@ def run_benchmark(spec, out_dir=None):
         "n_certified": len(iters),
         "iterations_min": min(iters) if iters else None,
         "iterations_max": max(iters) if iters else None,
-        "iterations_avg": _f(sum(iters) / len(iters)) if iters else None,
-        "tests_avg": _f(sum(tests) / len(tests)) if tests else None,
+        "iterations_avg":
+            float_out(sum(iters) / len(iters)) if iters else None,
+        "tests_avg": float_out(sum(tests) / len(tests)) if tests else None,
     }
     cfg = spec.config
     report = {
@@ -613,10 +606,10 @@ def run_benchmark(spec, out_dir=None):
         "mode": spec.mode,
         "seed": spec.effective_seed(),
         "config": {
-            "dt0": _f(cfg.dt0),
-            "r0": _f(cfg.r0),
-            "lambda": _f(cfg.lam),
-            "newton_tol": _f(cfg.newton_tol),
+            "dt0": float_out(cfg.dt0),
+            "r0": float_out(cfg.r0),
+            "lambda": float_out(cfg.lam),
+            "newton_tol": float_out(cfg.newton_tol),
         },
         "paths": paths,
         "aggregate": aggregate,
@@ -635,9 +628,10 @@ def run_benchmark(spec, out_dir=None):
                 if res is None:
                     continue
                 for rec in res.step_log:
-                    w.writerow([pid, rec.index, _f(rec.t0), _f(rec.dt),
-                                _f(rec.r), int(rec.accepted),
-                                _f(rec.residual_norm)])
+                    w.writerow([pid, rec.index, float_out(rec.t0),
+                                float_out(rec.dt), float_out(rec.r),
+                                int(rec.accepted),
+                                float_out(rec.residual_norm)])
         with open(out / "report.json", "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=1)
             fh.write("\n")

@@ -30,7 +30,7 @@ from ._batch import krawczyk_images, shear_regions
 from .errors import MalformedCertificate, ParseError, PathcertError
 from .intervals import Box, RealInterval
 from .krawczyk import check_operands, verdict_from
-from .systems import Homotopy, shear_line
+from .systems import Homotopy, cvec_in, cvec_out, float_out, shear_line
 
 FINAL_RESIDUAL_TOL = 1e-8
 
@@ -80,10 +80,6 @@ class VerificationReport:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _f(x):
-    return repr(float(x))
-
-
 def _parse_f(s, loc):
     try:
         return float(s)
@@ -91,25 +87,13 @@ def _parse_f(s, loc):
         raise ParseError(f"{loc}: bad float {s!r}") from e
 
 
-def _cvec_out(v):
-    return [[_f(z.real), _f(z.imag)] for z in np.asarray(v, dtype=np.complex128)]
-
-
-def _cvec_in(obj, loc):
-    try:
-        return np.array([complex(float(a), float(b)) for a, b in obj],
-                        dtype=np.complex128)
-    except (TypeError, ValueError) as e:
-        raise ParseError(f"{loc}: bad complex vector") from e
-
-
 def _cmat_out(m):
-    return [_cvec_out(row) for row in np.asarray(m, dtype=np.complex128)]
+    return [cvec_out(row) for row in np.asarray(m, dtype=np.complex128)]
 
 
 def _cmat_in(obj, loc):
     try:
-        rows = [_cvec_in(r, loc) for r in obj]
+        rows = [cvec_in(r, loc) for r in obj]
         return np.array(rows, dtype=np.complex128)
     except ParseError:
         raise
@@ -118,7 +102,7 @@ def _cmat_in(obj, loc):
 
 
 def _box_out(b):
-    return [[_f(v) for v in row] for row in b.data]
+    return [[float_out(v) for v in row] for row in b.data]
 
 
 def _box_in(obj, loc):
@@ -140,17 +124,17 @@ def serialize(cert):
     segs = []
     for s in cert.segments:
         row = {
-            "t_lo": _f(s.t_lo),
-            "t_hi": _f(s.t_hi),
+            "t_lo": float_out(s.t_lo),
+            "t_hi": float_out(s.t_hi),
             "box": _box_out(s.box),
             "y": _cmat_out(s.y),
-            "residual_norm": _f(s.residual_norm),
+            "residual_norm": float_out(s.residual_norm),
         }
         if s.center is not None:
-            row["center"] = _cvec_out(s.center)
+            row["center"] = cvec_out(s.center)
         if s.shear_x0 is not None:
-            row["shear_x0"] = _cvec_out(s.shear_x0)
-            row["shear_x1"] = _cvec_out(s.shear_x1)
+            row["shear_x0"] = cvec_out(s.shear_x0)
+            row["shear_x1"] = cvec_out(s.shear_x1)
         segs.append(row)
     obj = {
         "format": "path-certificate",
@@ -159,8 +143,8 @@ def serialize(cert):
         "path_id": cert.path_id,
         "homotopy": cert.homotopy.to_json(),
         "segments": segs,
-        "final_point": _cvec_out(cert.final_point),
-        "final_residual": _f(cert.final_residual),
+        "final_point": cvec_out(cert.final_point),
+        "final_residual": float_out(cert.final_residual),
     }
     return json.dumps(obj, indent=1) + "\n"
 
@@ -180,7 +164,7 @@ def deserialize(text):
     try:
         h = Homotopy.from_json(obj["homotopy"])
         raw_segs = obj["segments"]
-        final_point = _cvec_in(obj["final_point"], "final_point")
+        final_point = cvec_in(obj["final_point"], "final_point")
         final_residual = _parse_f(obj["final_residual"], "final_residual")
         path_id = int(obj.get("path_id", 0))
     except KeyError as e:
@@ -202,13 +186,13 @@ def deserialize(text):
         if mode == MODE_RECT:
             if "center" not in row:
                 raise MalformedCertificate(f"{loc}: rect segment needs center")
-            center = _cvec_in(row["center"], loc + ".center")
+            center = cvec_in(row["center"], loc + ".center")
         else:
             if "shear_x0" not in row or "shear_x1" not in row:
                 raise MalformedCertificate(
                     f"{loc}: tilted segment needs shear endpoints")
-            shear_x0 = _cvec_in(row["shear_x0"], loc + ".shear_x0")
-            shear_x1 = _cvec_in(row["shear_x1"], loc + ".shear_x1")
+            shear_x0 = cvec_in(row["shear_x0"], loc + ".shear_x0")
+            shear_x1 = cvec_in(row["shear_x1"], loc + ".shear_x1")
         segments.append(Segment(t_lo, t_hi, box, y, rn, center=center,
                                 shear_x0=shear_x0, shear_x1=shear_x1))
     return PathCertificate(mode, h, segments, final_point, final_residual,

@@ -70,17 +70,10 @@ class IntervalMatrix:
         return f"IntervalMatrix(shape={self.shape})"
 
 
-def inorm(m):
-    """Row-sum operator norm bound: max over rows of summed entry mags."""
-    return m.norm()
-
-
 def mid_inverse(a):
     """Approximate inverse of a complex point matrix via LU.
 
-    Returns ``(Y, residual)`` where residual is the max-norm of A@Y - I,
-    a plain diagnostic (not certified).  Raises SingularMatrix when a
-    pivot falls below 1e-300.
+    Raises SingularMatrix when a pivot falls below 1e-300.
     """
     a = np.ascontiguousarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
@@ -90,9 +83,7 @@ def mid_inverse(a):
     y, ok = _k.lu_inverse_k(a)
     if not ok:
         raise SingularMatrix("pivot below threshold in LU inverse")
-    eye = np.eye(a.shape[0], dtype=np.complex128)
-    residual = float(np.abs(a @ y - eye).sum(axis=1).max())
-    return y, residual
+    return y
 
 
 def solve_point(a, b):

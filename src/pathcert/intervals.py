@@ -332,13 +332,6 @@ class Box:
         im_ok = (a[:, 2] <= b[:, 3]) & (b[:, 2] <= a[:, 3])
         return bool((re_ok & im_ok).all())
 
-    def shift(self, v):
-        """Minkowski sum with the point vector v, outward rounded."""
-        v = np.asarray(v, dtype=np.complex128)
-        if v.shape[0] != self.n:
-            raise DimensionMismatch("shift vector dimension differs from box")
-        return Box(_k.box_shift(self.data, v), _validate=False)
-
     def __add__(self, other):
         if not isinstance(other, Box):
             return NotImplemented
@@ -352,22 +345,6 @@ class Box:
         if other.n != self.n:
             raise DimensionMismatch("box dimensions differ")
         return Box(_k.box_sub(self.data, other.data), _validate=False)
-
-
-# --- module-level helpers mirroring the class API ---------------------------
-
-def width(x):
-    """Width of a real interval, or max side width of a complex one."""
-    return x.width
-
-
-def mag(c):
-    """Upper bound on |z| over a complex interval."""
-    return c.mag
-
-
-def box_norm(b):
-    return b.norm()
 
 
 def box_centered(x, r):
@@ -388,16 +365,3 @@ def box_centered(x, r):
     data[:, 2] = np.nextafter(x.imag - r, -_INF)
     data[:, 3] = np.nextafter(x.imag + r, _INF)
     return Box(data, _validate=False)
-
-
-def box_contains(outer, inner):
-    """Closed inclusion inner ⊆ outer, componentwise."""
-    return outer.encloses(inner)
-
-
-def midpoint(b):
-    return b.midpoint()
-
-
-def minkowski_shift(b, v):
-    return b.shift(v)

@@ -260,9 +260,6 @@ class Homotopy:
         (t0, x0) and (t1, x1)."""
         return Homotopy(self.system, self.p0, self.p1, shear=(x0, x1, t0, t1))
 
-    def unsheared(self):
-        return Homotopy(self.system, self.p0, self.p1) if self.shear else self
-
     def shear_at(self, t):
         """Point value s(t) of the shear (zero vector when unsheared)."""
         if self.shear is None:
@@ -348,8 +345,8 @@ class Homotopy:
     def to_json(self):
         obj = {
             "system": self.system.to_json(),
-            "p0": _cvec_to_json(self.p0),
-            "p1": _cvec_to_json(self.p1),
+            "p0": cvec_out(self.p0),
+            "p1": cvec_out(self.p1),
         }
         return obj
 
@@ -357,8 +354,8 @@ class Homotopy:
     def from_json(cls, obj):
         try:
             sys_obj = obj["system"]
-            p0 = _cvec_from_json(obj["p0"], "p0")
-            p1 = _cvec_from_json(obj["p1"], "p1")
+            p0 = cvec_in(obj["p0"], "p0")
+            p1 = cvec_in(obj["p1"], "p1")
         except KeyError as e:
             raise ParseError(f"homotopy missing field {e}") from e
         return cls(ParametricSystem.from_json(sys_obj), p0, p1)
@@ -382,22 +379,25 @@ def shear_line(n, x0, x1, t0, t1):
     return x0, x1, x0 - t0 * b, b
 
 
-def apply_shear(h, x0, x1, t0, t1):
-    """Sheared homotopy (x, t) -> H(x + s(t), t), s affine with
-    s(t0) = x0 and s(t1) = x1."""
-    return h.sheared(x0, x1, t0, t1)
+# --- JSON encoding of floats and complex vectors --------------------------
+# Floats are written as shortest round-trip decimal strings, so a file is
+# byte-stable across runs and parses back to identical binary64 values.
+
+def float_out(x):
+    return repr(float(x))
 
 
-def _cvec_to_json(v):
-    return [[repr(float(z.real)), repr(float(z.imag))] for z in v]
+def cvec_out(v):
+    return [[float_out(z.real), float_out(z.imag)]
+            for z in np.asarray(v, dtype=np.complex128)]
 
 
-def _cvec_from_json(obj, name):
+def cvec_in(obj, loc):
     try:
         return np.array([complex(float(a), float(b)) for a, b in obj],
                         dtype=np.complex128)
     except (TypeError, ValueError) as e:
-        raise ParseError(f"{name}: {e}") from e
+        raise ParseError(f"{loc}: bad complex vector") from e
 
 
 def load_system(path):

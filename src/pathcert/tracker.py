@@ -1,24 +1,28 @@
 """Certified path tracking.
 
-Two modes over the parameter segment t in [0, 1]:
+One step-size loop over the parameter segment t in [0, 1].  Each attempt
+tests a box of radius r over T = [t0, t1] with the parametric Krawczyk
+test.  On success dt and r scale up by lambda and t0 advances to t1; on
+failure both scale down and the attempt is retried from the same x and Y,
+the midpoint inverse of the Jacobian at (x, t0).  The mode decides only
+the frame an attempt is tested in and the point the next step starts from:
 
-rect:   test a box centered at the current refined point x over
-        T = [t0, t1].  On success scale dt and r up by lambda, advance,
-        refine the box midpoint at the new t0 and recompute Y.  On failure
-        scale dt and r down and retry with the same x and Y.
+rect:   test H in a box centered at the current refined point x.  On
+        success refine x with Newton at the new t0.
 
 tilted: once per t0, compute the Euler direction J(x, t0)^{-1} dH/dt.
-        Before each test, predict x1 at t1 along it, refine x1 with
+        For each attempt, predict x1 at t1 along it, refine x1 with
         Newton, shear the homotopy along the line through (t0, x) and
         (t1, x1), and test a box centered at 0 for the sheared map.  The
         box then rides along the secant of the path, which keeps it small
-        even when the path moves fast.  On success x1, already refined
-        at the new t0, becomes x.
+        even when the path moves fast.  An attempt whose prediction fails
+        is rejected without a test.  On success x1, already refined at
+        the new t0, becomes x.
 
 In both modes x meets the Newton tolerance at t0 whenever a test runs,
 so a failure leaves x as it is.
 
-Both accept a step only when the Krawczyk test proves existence and
+A step is accepted only when the Krawczyk test proves existence and
 uniqueness over the whole time slice, so the accepted segments assemble
 into a machine-checkable certificate chain tiling [0, 1].
 
@@ -184,26 +188,17 @@ def euler_direction(h, x, t0):
         raise SingularJacobian(f"Jacobian singular at t={t0}") from e
 
 
-def euler_predict(h, x, t0, dt):
-    """One Euler step of the defining ODE: x - dt * J^{-1} dH/dt."""
-    x = np.asarray(x, dtype=np.complex128)
-    return x - dt * euler_direction(h, x, t0)
-
-
-def precondition(h, x0, t0, t1, cfg, direction=None):
+def precondition(h, x0, t0, t1, cfg, direction):
     """Predict x1 at t1, then shear the homotopy through (t0, x0) and
     (t1, x1).  Returns (sheared homotopy, x1).
 
     The prediction is an Euler step along ``direction``, which is
-    ``euler_direction(h, x0, t0)`` and is computed here when not given.
+    ``euler_direction(h, x0, t0)``, refined at t1 with Newton.
     """
     if not (t1 > t0):
         raise DegenerateTimeInterval(f"need t1 > t0, got [{t0}, {t1}]")
-    if direction is None:
-        xp = euler_predict(h, x0, t0, t1 - t0)
-    else:
-        xp = x0 - (t1 - t0) * direction
-    x1, _ = newton_refine(h, xp, t1, cfg.newton_tol, cfg.newton_max_iter)
+    x1, _ = newton_refine(h, x0 - (t1 - t0) * direction, t1, cfg.newton_tol,
+                          cfg.newton_max_iter)
     return h.sheared(x0, x1, t0, t1), x1
 
 
@@ -230,10 +225,9 @@ class TrackResult:
 
 def _mid_inverse_or_raise(h, x, t):
     try:
-        y, _ = mid_inverse(h.jac_x_point(x, t))
+        return mid_inverse(h.jac_x_point(x, t))
     except SingularMatrix as e:
         raise SingularJacobian(f"Jacobian not invertible at t={t}") from e
-    return y
 
 
 def _direction_or_none(h, x, t):
@@ -245,102 +239,73 @@ def _direction_or_none(h, x, t):
         return None
 
 
-def track_rect(h, x0, cfg=None, path_id=0):
-    """Track with axis-aligned boxes around the current point."""
+def _tilted_frame(h, x, direction, state, cfg):
+    """The sheared map, its box center 0 and the segment's shear for one
+    tilted attempt, or None when the prediction fails."""
+    if direction is None:
+        return None
+    try:
+        sheared, x1 = precondition(h, x, state.t0, state.t1, cfg, direction)
+    except (TrackingError, SingularMatrix):
+        return None
+    return (sheared, np.zeros(h.n, dtype=np.complex128),
+            {"shear_x0": x, "shear_x1": x1})
+
+
+def track(h, x0, cfg=None, mode=MODE_TILTED, path_id=0):
+    """Track the path of the unsheared homotopy h from x0 at t = 0 to t = 1.
+
+    The mode picks the frame each attempt is tested in and the point the
+    next step starts from; the step-size loop, its accounting and the
+    certificate are shared.
+    """
+    if mode not in (MODE_RECT, MODE_TILTED):
+        raise ValueError(f"unknown mode {mode!r}")
+    tilted = mode == MODE_TILTED
     cfg = cfg or TrackerConfig()
     if h.shear is not None:
         raise PathcertError("tracking expects an unsheared homotopy")
     x, _ = newton_refine(h, x0, 0.0, cfg.newton_tol, cfg.newton_max_iter)
-    y = _mid_inverse_or_raise(h, x, 0.0)
     state = make_state(x, cfg)
     segments = []
+    y = None
     while state.t0 < 1.0:
+        if y is None:
+            # first attempt at this t0
+            y = _mid_inverse_or_raise(h, x, state.t0)
+            direction = _direction_or_none(h, x, state.t0) if tilted else None
         if len(state.step_log) >= cfg.max_steps:
             raise MaxStepsExceeded(f"{cfg.max_steps} steps at t={state.t0}")
-        box = box_centered(x, state.r)
-        T = RealInterval(state.t0, state.t1)
-        ok = False
-        rn = math.nan
-        try:
-            verdict = parametric_krawczyk_test(h, x, y, box, T)
-            ok = verdict.passed
-            rn = verdict.residual_norm
-        except PathcertError:
-            ok = False
-        state.tests += 1
-        if ok:
-            segments.append(Segment(state.t0, state.t1, box, y, rn,
-                                    center=x.copy()))
-            step_update(state, cfg, True, rn)
-            x, _ = newton_refine(h, x, state.t0, cfg.newton_tol,
-                                 cfg.newton_max_iter)
-            if state.t0 < 1.0:
-                y = _mid_inverse_or_raise(h, x, state.t0)
+        if tilted:
+            frame = _tilted_frame(h, x, direction, state, cfg)
         else:
-            step_update(state, cfg, False, rn)
-    final_res = float(np.abs(h.eval_point(x, 1.0)).max())
-    cert = PathCertificate(MODE_RECT, h, segments, x, final_res,
-                           path_id=path_id)
-    return TrackResult(path_id, MODE_RECT, cert, len(segments), state.tests,
-                       len(segments), len(state.step_log) - len(segments),
-                       state.step_log, x, final_res)
-
-
-def track_tilted(h, x0, cfg=None, path_id=0):
-    """Track with boxes riding on per-step secant shears."""
-    cfg = cfg or TrackerConfig()
-    if h.shear is not None:
-        raise PathcertError("tracking expects an unsheared homotopy")
-    n = h.n
-    zeros = np.zeros(n, dtype=np.complex128)
-    x, _ = newton_refine(h, x0, 0.0, cfg.newton_tol, cfg.newton_max_iter)
-    y = _mid_inverse_or_raise(h, x, 0.0)
-    direction = _direction_or_none(h, x, 0.0)
-    state = make_state(x, cfg)
-    segments = []
-    while state.t0 < 1.0:
-        if len(state.step_log) >= cfg.max_steps:
-            raise MaxStepsExceeded(f"{cfg.max_steps} steps at t={state.t0}")
+            frame = h, x, {"center": x}
         ok = False
         rn = math.nan
-        sheared = None
-        if direction is not None:
-            try:
-                sheared, x1 = precondition(h, x, state.t0, state.t1, cfg,
-                                           direction)
-            except (TrackingError, SingularMatrix):
-                sheared = None
-        if sheared is not None:
-            box = box_centered(zeros, state.r)
+        if frame is not None:
+            g, center, anchor = frame
+            box = box_centered(center, state.r)
             T = RealInterval(state.t0, state.t1)
             try:
-                verdict = parametric_krawczyk_test(sheared, zeros, y, box, T)
+                verdict = parametric_krawczyk_test(g, center, y, box, T)
                 ok = verdict.passed
                 rn = verdict.residual_norm
             except PathcertError:
                 ok = False
             state.tests += 1
         if ok:
-            segments.append(Segment(state.t0, state.t1, box, y, rn,
-                                    shear_x0=x.copy(), shear_x1=x1.copy()))
-            step_update(state, cfg, True, rn)
-            x = x1
-            if state.t0 < 1.0:
-                y = _mid_inverse_or_raise(h, x, state.t0)
-                direction = _direction_or_none(h, x, state.t0)
-        else:
-            step_update(state, cfg, False, rn)
+            segments.append(Segment(state.t0, state.t1, box, y, rn, **{
+                k: v.copy() for k, v in anchor.items()}))
+        step_update(state, cfg, ok, rn)
+        if ok:
+            if tilted:
+                x = anchor["shear_x1"]
+            else:
+                x, _ = newton_refine(h, x, state.t0, cfg.newton_tol,
+                                     cfg.newton_max_iter)
+            y = None
     final_res = float(np.abs(h.eval_point(x, 1.0)).max())
-    cert = PathCertificate(MODE_TILTED, h, segments, x, final_res,
-                           path_id=path_id)
-    return TrackResult(path_id, MODE_TILTED, cert, len(segments), state.tests,
+    cert = PathCertificate(mode, h, segments, x, final_res, path_id=path_id)
+    return TrackResult(path_id, mode, cert, len(segments), state.tests,
                        len(segments), len(state.step_log) - len(segments),
                        state.step_log, x, final_res)
-
-
-def track(h, x0, cfg=None, mode=MODE_TILTED, path_id=0):
-    if mode == MODE_RECT:
-        return track_rect(h, x0, cfg, path_id=path_id)
-    if mode == MODE_TILTED:
-        return track_tilted(h, x0, cfg, path_id=path_id)
-    raise ValueError(f"unknown mode {mode!r}")

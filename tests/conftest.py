@@ -8,8 +8,14 @@ module state inside its own runtime budget.
 import pytest
 
 from pathcert.bench import gen_newton_homotopy
-from pathcert.certificate import serialize, deserialize, verify
-from pathcert.tracker import TrackerConfig, track_rect, track_tilted
+from pathcert.certificate import (
+    MODE_RECT,
+    MODE_TILTED,
+    deserialize,
+    serialize,
+    verify,
+)
+from pathcert.tracker import TrackerConfig, track
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -17,6 +23,6 @@ def warm_up():
     """Exercise the tracking and verification paths once."""
     h, starts = gen_newton_homotopy(2.0)
     cfg = TrackerConfig(dt0=0.25, r0=0.25)
-    res = track_tilted(h, starts[0], cfg)
-    track_rect(h, starts[0], cfg)
+    res = track(h, starts[0], cfg, mode=MODE_TILTED)
+    track(h, starts[0], cfg, mode=MODE_RECT)
     verify(deserialize(serialize(res.certificate)))

@@ -30,17 +30,18 @@ from pathcert.errors import (
 from pathcert.intervals import Box, RealInterval
 from pathcert.krawczyk import parametric_krawczyk_test
 from pathcert.systems import Term
-from pathcert.tracker import TrackerConfig, track_rect, track_tilted
+from pathcert.tracker import TrackerConfig, track
 
 
 @pytest.fixture(scope="module")
 def newton_certs():
     h, starts = gen_newton_homotopy(10.0)
     cfg = TrackerConfig(dt0=0.02, r0=0.1)
-    tilted = track_tilted(h, starts[0], cfg).certificate
-    rect = track_rect(h, starts[0], cfg).certificate
+    tilted = track(h, starts[0], cfg, mode=MODE_TILTED).certificate
+    rect = track(h, starts[0], cfg, mode=MODE_RECT).certificate
     # the homotopy is even in x, so the negated start tracks the mirror path
-    minus = track_tilted(h, -starts[0], cfg, path_id=1).certificate
+    minus = track(h, -starts[0], cfg, mode=MODE_TILTED,
+                  path_id=1).certificate
     return h, tilted, rect, minus
 
 
@@ -224,9 +225,10 @@ class TestTamper:
         # path 1's endpoint solves the t=1 system too, so only binding the
         # endpoint to the region the chain certifies rejects the swap
         h, starts = gen_random_quadratic(1)
-        cert0 = track_tilted(h, starts[0], TrackerConfig()).certificate
-        cert1 = track_tilted(h, starts[1], TrackerConfig(),
-                             path_id=1).certificate
+        cfg = TrackerConfig()
+        cert0 = track(h, starts[0], cfg, mode=MODE_TILTED).certificate
+        cert1 = track(h, starts[1], cfg, mode=MODE_TILTED,
+                      path_id=1).certificate
         assert verify(cert0).ok and verify(cert1).ok
         rep = verify(dataclasses.replace(cert0,
                                          final_point=cert1.final_point))
@@ -240,7 +242,8 @@ def replay_certs(newton_certs):
     """Certificates in both modes, with parameters and without (m = 0)."""
     _, tilted, rect, _ = newton_certs
     h, starts = gen_random_quadratic(2)
-    random2 = track_tilted(h, starts[0], TrackerConfig()).certificate
+    random2 = track(h, starts[0], TrackerConfig(),
+                    mode=MODE_TILTED).certificate
     # x^2 + y^2 = 5, x*y = 2 has no parameters, so its path is constant
     eqs = [[Term(1.0, None, (2, 0)), Term(1.0, None, (0, 2)),
             Term(-5.0, None, (0, 0))],
@@ -252,8 +255,8 @@ def replay_certs(newton_certs):
         "newton tilted": tilted,
         "newton rect": rect,
         "random k=2 tilted": random2,
-        "static tilted": track_tilted(static, x, cfg).certificate,
-        "static rect": track_rect(static, x, cfg).certificate,
+        "static tilted": track(static, x, cfg, mode=MODE_TILTED).certificate,
+        "static rect": track(static, x, cfg, mode=MODE_RECT).certificate,
     }
 
 

@@ -11,25 +11,31 @@ from pathlib import Path
 import pytest
 
 from pathcert.bench import gen_newton_homotopy, gen_random_quadratic
-from pathcert.certificate import deserialize, serialize, verify
-from pathcert.tracker import TrackerConfig, track_rect, track_tilted
+from pathcert.certificate import (
+    MODE_RECT,
+    MODE_TILTED,
+    deserialize,
+    serialize,
+    verify,
+)
+from pathcert.tracker import TrackerConfig, track
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 
-def newton10(track):
+def newton10(mode):
     h, starts = gen_newton_homotopy(10.0)
-    return track(h, starts[0], TrackerConfig(dt0=0.02, r0=0.1))
+    return track(h, starts[0], TrackerConfig(dt0=0.02, r0=0.1), mode=mode)
 
 
 def random2_tilted():
     h, starts = gen_random_quadratic(2)
-    return track_tilted(h, starts[0], TrackerConfig())
+    return track(h, starts[0], TrackerConfig(), mode=MODE_TILTED)
 
 
 CASES = {
-    "newton10_tilted.json": lambda: newton10(track_tilted),
-    "newton10_rect.json": lambda: newton10(track_rect),
+    "newton10_tilted.json": lambda: newton10(MODE_TILTED),
+    "newton10_rect.json": lambda: newton10(MODE_RECT),
     "random2_tilted.json": random2_tilted,
 }
 

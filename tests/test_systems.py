@@ -14,7 +14,6 @@ from pathcert.systems import (
     Homotopy,
     ParametricSystem,
     Term,
-    apply_shear,
     dump_system,
     load_system,
 )
@@ -202,7 +201,7 @@ class TestShear:
     def test_zero_shear_is_identity(self):
         h, _ = gen_newton_homotopy(10.0)
         z = np.zeros(1, dtype=np.complex128)
-        sh = apply_shear(h, z, z, 0.0, 0.5)
+        sh = h.sheared(z, z, 0.0, 0.5)
         rng = np.random.default_rng(48)
         for _ in range(20):
             x = rng.standard_normal(1) + 1j * rng.standard_normal(1)

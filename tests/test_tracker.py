@@ -16,17 +16,21 @@ from pathcert.errors import (
 )
 from pathcert.tracker import (
     TrackerConfig,
-    euler_predict,
+    euler_direction,
     make_state,
     newton_refine,
     precondition,
     step_update,
     track,
-    track_rect,
-    track_tilted,
 )
 
 SQRT2 = math.sqrt(2.0)
+
+
+def euler_predict(h, x, t0, dt):
+    """The Euler step that precondition takes before its Newton
+    refinement: x - dt * J(x, t0)^{-1} dH/dt."""
+    return x - dt * euler_direction(h, x, t0)
 
 
 class TestNewtonRefine:
@@ -46,7 +50,8 @@ class TestNewtonRefine:
 
     def test_newton_family_endpoint(self):
         h, starts = gen_newton_homotopy(10.0)
-        res = track_tilted(h, starts[0], TrackerConfig(dt0=0.02, r0=0.1))
+        res = track(h, starts[0], TrackerConfig(dt0=0.02, r0=0.1),
+                    mode=MODE_TILTED)
         last = res.certificate.segments[-1]
         out, _ = newton_refine(h, last.shear_x1, 1.0, 1e-12)
         assert abs(out[0] - 1.0) <= 1e-10
@@ -88,7 +93,8 @@ class TestPrecondition:
         h = tutil.sqrt2_homotopy()
         x0 = np.array([SQRT2 + 0.0j])
         cfg = TrackerConfig()
-        sheared, x1 = precondition(h, x0, 0.2, 0.4, cfg)
+        sheared, x1 = precondition(h, x0, 0.2, 0.4, cfg,
+                                   euler_direction(h, x0, 0.2))
         assert np.allclose(x1, x0, rtol=0, atol=1e-12)
         z = np.zeros(1, dtype=np.complex128)
         for t in (0.2, 0.3, 0.4, 0.9):
@@ -98,7 +104,8 @@ class TestPrecondition:
         h, starts = gen_newton_homotopy(10.0)
         x0, _ = newton_refine(h, starts[0], 0.0, 1e-12)
         cfg = TrackerConfig()
-        sheared, x1 = precondition(h, x0, 0.0, 0.02, cfg)
+        sheared, x1 = precondition(h, x0, 0.0, 0.02, cfg,
+                                   euler_direction(h, x0, 0.0))
         z = np.zeros(1, dtype=np.complex128)
         assert abs(sheared.eval_point(z, 0.0)[0]) <= 1e-9
         assert abs(sheared.eval_point(z, 0.02)[0]) <= 1e-9
@@ -155,40 +162,34 @@ class TestStepUpdate:
 
 
 class TestTrackEndToEnd:
-    def test_linear_path_rect(self):
-        h = tutil.linear_path_homotopy()          # path x(t) = t
-        res = track_rect(h, np.zeros(1, complex),
-                         TrackerConfig(dt0=0.1, r0=0.2))
+    @pytest.mark.parametrize("mode, r0", [(MODE_RECT, 0.2),
+                                          (MODE_TILTED, 0.1)],
+                             ids=[MODE_RECT, MODE_TILTED])
+    def test_linear_path(self, mode, r0):
+        # path x(t) = t; a rect box must hold the drift dt * |x'|, so it
+        # needs r > dt, while the tilted box rides on the exact secant
+        h = tutil.linear_path_homotopy()
+        res = track(h, np.zeros(1, complex), TrackerConfig(dt0=0.1, r0=r0),
+                    mode=mode)
         assert abs(res.final_point[0] - 1.0) <= 1e-12
         assert 1 <= res.iterations <= 20
         assert res.rejected == 0
-        assert verify(res.certificate).ok
-
-    def test_linear_path_tilted(self):
-        h = tutil.linear_path_homotopy()
-        res = track_tilted(h, np.zeros(1, complex),
-                           TrackerConfig(dt0=0.1, r0=0.1))
-        assert abs(res.final_point[0] - 1.0) <= 1e-12
-        assert res.iterations <= 20
-        # the secant matches the path exactly, so contraction is trivial
+        # the Jacobian is the constant 1, so contraction is trivial
         assert max(s.residual_norm for s in res.certificate.segments) <= 1e-9
         assert verify(res.certificate).ok
 
-    def test_newton_family_both_modes(self):
+    @pytest.mark.parametrize("mode", [MODE_RECT, MODE_TILTED])
+    def test_newton_family_both_modes(self, mode):
         h, starts = gen_newton_homotopy(10.0)
-        cfg = TrackerConfig(dt0=0.02, r0=0.1)
-        rect = track_rect(h, starts[0], cfg)
-        tilt = track_tilted(h, starts[0], cfg)
-        for res in (rect, tilt):
-            assert abs(res.final_point[0] - 1.0) <= 1e-10
-            assert res.final_residual <= 1e-10
-            assert verify(res.certificate).ok
-        # the preconditioned mode is not slower in advancing steps
-        assert tilt.iterations <= rect.iterations * 1.2 + 2
+        res = track(h, starts[0], TrackerConfig(dt0=0.02, r0=0.1), mode=mode)
+        assert abs(res.final_point[0] - 1.0) <= 1e-10
+        assert res.final_residual <= 1e-10
+        assert verify(res.certificate).ok
 
     def test_chain_tiles_unit_interval(self):
         h, starts = gen_newton_homotopy(10.0)
-        res = track_tilted(h, starts[0], TrackerConfig(dt0=0.02, r0=0.1))
+        res = track(h, starts[0], TrackerConfig(dt0=0.02, r0=0.1),
+                    mode=MODE_TILTED)
         segs = res.certificate.segments
         assert segs[0].t_lo == 0.0
         for a, b in zip(segs, segs[1:]):
@@ -199,8 +200,8 @@ class TestTrackEndToEnd:
         m = 10.0
         h, starts = gen_newton_homotopy(m)
         cfg = TrackerConfig(dt0=0.02, r0=0.1)
-        for res in (track_rect(h, starts[0], cfg),
-                    track_tilted(h, starts[0], cfg)):
+        for res in (track(h, starts[0], cfg, mode=MODE_RECT),
+                    track(h, starts[0], cfg, mode=MODE_TILTED)):
             for seg in res.certificate.segments:
                 for t in np.linspace(seg.t_lo, seg.t_hi, 100):
                     xt = newton_path_point(m, float(t))
@@ -212,7 +213,8 @@ class TestTrackEndToEnd:
 
     def test_iterations_equal_segments_and_tests_split(self):
         h, starts = gen_newton_homotopy(40.0)
-        res = track_tilted(h, starts[0], TrackerConfig(dt0=0.02, r0=0.1))
+        res = track(h, starts[0], TrackerConfig(dt0=0.02, r0=0.1),
+                    mode=MODE_TILTED)
         assert res.iterations == len(res.certificate.segments)
         assert res.iterations == res.accepted
         assert res.tests == len(res.step_log)
@@ -222,8 +224,8 @@ class TestTrackEndToEnd:
     def test_determinism_bit_identical(self):
         h, starts = gen_newton_homotopy(10.0)
         cfg = TrackerConfig(dt0=0.02, r0=0.1)
-        a = track_tilted(h, starts[0], cfg)
-        b = track_tilted(h, starts[0], cfg)
+        a = track(h, starts[0], cfg, mode=MODE_TILTED)
+        b = track(h, starts[0], cfg, mode=MODE_TILTED)
         assert serialize(a.certificate) == serialize(b.certificate)
         assert [(r.t0, r.dt, r.r, r.accepted) for r in a.step_log] == \
                [(r.t0, r.dt, r.r, r.accepted) for r in b.step_log]
@@ -239,22 +241,26 @@ class TestTrackEndToEnd:
         h = tutil.Homotopy(sysm, np.array([1.0 + 0.0j]),
                            np.array([0.0 + 0.0j]))
         with pytest.raises(StepUnderflow):
-            track_tilted(h, np.array([1.0 + 0.0j]),
-                         TrackerConfig(min_dt=1e-8))
+            track(h, np.array([1.0 + 0.0j]), TrackerConfig(min_dt=1e-8),
+                  mode=MODE_TILTED)
 
     def test_max_steps_cap(self):
         h, starts = gen_newton_homotopy(10.0)
         with pytest.raises(MaxStepsExceeded):
-            track_tilted(h, starts[0],
-                         TrackerConfig(dt0=0.02, r0=0.1, max_steps=2))
+            track(h, starts[0], TrackerConfig(dt0=0.02, r0=0.1, max_steps=2),
+                  mode=MODE_TILTED)
 
     def test_dispatcher(self):
         # rect mode needs dt/r comfortably below 1/max|x'| (drift must fit
         # the radius); R = 0.2 clears the family's peak slope of 5
         h, starts = gen_newton_homotopy(10.0)
         cfg = TrackerConfig(dt0=0.02, r0=0.1)
-        assert track(h, starts[0], cfg, mode=MODE_RECT).mode == MODE_RECT
-        assert track(h, starts[0], cfg, mode=MODE_TILTED).mode == MODE_TILTED
+        rect = track(h, starts[0], cfg, mode=MODE_RECT)
+        tilt = track(h, starts[0], cfg, mode=MODE_TILTED)
+        assert rect.mode == rect.certificate.mode == MODE_RECT
+        assert tilt.mode == tilt.certificate.mode == MODE_TILTED
+        # the preconditioned mode is not slower in advancing steps
+        assert tilt.iterations <= rect.iterations * 1.2 + 2
         with pytest.raises(ValueError):
             track(h, starts[0], cfg, mode="diagonal")
 
@@ -263,7 +269,7 @@ class TestTrackEndToEnd:
         z = np.zeros(1, dtype=np.complex128)
         sh = h.sheared(z, z + 1.0, 0.0, 1.0)
         with pytest.raises(PathcertError):
-            track_tilted(sh, starts[0])
+            track(sh, starts[0], mode=MODE_TILTED)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -305,9 +311,33 @@ class TestStepWork:
         monkeypatch.setattr(tracker_mod, "newton_refine", newton)
         monkeypatch.setattr(tracker_mod, "parametric_krawczyk_test", test)
         h, starts = gen_newton_homotopy(10.0)
-        res = track_tilted(h, starts[0], TrackerConfig(dt0=0.02, r0=0.1))
+        res = track(h, starts[0], TrackerConfig(dt0=0.02, r0=0.1),
+                    mode=MODE_TILTED)
         contracting = sum(SQRT2 * v.residual_norm < 1.0 for v in verdicts)
         assert len(verdicts) == res.tests
         assert 0 < contracting < res.tests
         assert counts["eval_over_time"] == contracting
         assert counts["newton_refine"] == len(res.step_log) + 1
+
+    def test_failed_prediction_is_rejected_without_a_test(self, monkeypatch):
+        import pathcert.tracker as tracker_mod
+        real_precondition = tracker_mod.precondition
+        calls = []
+
+        def precondition(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise NoConvergence("injected prediction failure")
+            return real_precondition(*args, **kwargs)
+
+        monkeypatch.setattr(tracker_mod, "precondition", precondition)
+        h, starts = gen_newton_homotopy(10.0)
+        res = track(h, starts[0], TrackerConfig(dt0=0.02, r0=0.1),
+                    mode=MODE_TILTED)
+        first, second = res.step_log[:2]
+        assert not first.accepted and math.isnan(first.residual_norm)
+        assert second.t0 == first.t0 == 0.0 and second.dt < first.dt
+        assert res.tests == len(res.step_log) - 1
+        assert res.rejected == len(res.step_log) - res.accepted
+        assert abs(res.final_point[0] - 1.0) <= 1e-10
+        assert verify(res.certificate).ok
