@@ -42,6 +42,7 @@ from .certificate import (
 from .errors import (
     DegenerateStart,
     InvalidM,
+    MalformedCertificate,
     ParseError,
     PathcertError,
     RootCountMismatch,
@@ -49,8 +50,6 @@ from .errors import (
 )
 from .systems import Homotopy, ParametricSystem, Term, cvec_out, float_out
 from .tracker import TrackerConfig, track
-
-WORKERS_ENV_VAR = "PATHCERT_WORKERS"
 
 _log = logging.getLogger("pathcert")
 
@@ -529,14 +528,11 @@ def _track_task(args):
         return pid, None, f"{type(e).__name__}: {e}"
 
 
-def _worker_count():
-    raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
-    if not raw:
-        return 0
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
+def _usable_cores():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_benchmark(spec, out_dir=None):
@@ -547,15 +543,16 @@ def run_benchmark(spec, out_dir=None):
     the total Krawczyk-test tally under ``tests``), certificate file
     names, endpoints, and aggregate min/avg/max.  Wall time is kept on
     the returned object only, so the file is byte-identical across reruns
-    with the same seed.  The environment variable PATHCERT_WORKERS > 1
-    tracks paths in a process pool.
+    with the same seed.  Paths track in a process pool of min(paths,
+    usable cores) workers when that is above 1, else one after another;
+    the outputs are the same bytes either way.
     """
     t_begin = time.perf_counter()
     h, starts = build_family(spec)
     tasks = [(h, starts[i], spec.config, spec.mode, i)
              for i in range(len(starts))]
-    workers = _worker_count()
-    if workers > 1 and len(tasks) > 1:
+    workers = min(len(tasks), _usable_cores())
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_track_task, tasks))
@@ -647,27 +644,27 @@ def verify_run(out_dir):
     """
     out = Path(out_dir)
     report_path = out / "report.json"
-    if not report_path.exists():
-        raise ParseError(f"{report_path}: no report.json in run directory")
-    with open(report_path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(report_path, "r", encoding="utf-8") as fh:
             report = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(
-                f"{report_path}:{e.lineno}:{e.colno}: {e.msg}") from e
+    except (OSError, ValueError) as e:
+        raise ParseError(f"{report_path}: {e}") from e
+    if not (isinstance(report, dict) and isinstance(report.get("paths"), list)
+            and all(isinstance(p, dict) for p in report["paths"])):
+        raise ParseError(f"{report_path}: not a benchmark report")
     lines = []
     all_ok = True
-    for entry in report.get("paths", []):
+    for entry in report["paths"]:
         pid = entry.get("path_id")
         if not entry.get("certified"):
             lines.append(f"path {pid}: not certified "
                          f"({entry.get('error', 'unknown error')})")
             all_ok = False
             continue
-        cert_file = out / entry["cert_file"]
         try:
-            cert = load_certificate(cert_file)
-            rep = verify(cert)
+            if not isinstance(entry.get("cert_file"), str):
+                raise MalformedCertificate("no cert_file for a certified path")
+            rep = verify(load_certificate(out / entry["cert_file"]))
         except PathcertError as e:
             lines.append(f"path {pid}: {type(e).__name__}: {e}")
             all_ok = False

@@ -166,9 +166,12 @@ def deserialize(text):
         raw_segs = obj["segments"]
         final_point = cvec_in(obj["final_point"], "final_point")
         final_residual = _parse_f(obj["final_residual"], "final_residual")
-        path_id = int(obj.get("path_id", 0))
     except KeyError as e:
         raise MalformedCertificate(f"missing field {e}") from e
+    try:
+        path_id = int(obj.get("path_id", 0))
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ParseError(f"path_id: bad integer {obj['path_id']!r}") from e
     if not isinstance(raw_segs, list) or not raw_segs:
         raise MalformedCertificate("certificate has no segments")
     segments = []
@@ -180,8 +183,9 @@ def deserialize(text):
             box = _box_in(row["box"], loc + ".box")
             y = _cmat_in(row["y"], loc + ".y")
             rn = _parse_f(row["residual_norm"], loc + ".residual_norm")
-        except KeyError as e:
-            raise MalformedCertificate(f"{loc} missing field {e}") from e
+        except (KeyError, TypeError) as e:
+            raise MalformedCertificate(
+                f"{loc}: bad or missing field {e}") from e
         center = shear_x0 = shear_x1 = None
         if mode == MODE_RECT:
             if "center" not in row:
@@ -205,8 +209,12 @@ def save_certificate(cert, path):
 
 
 def load_certificate(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return deserialize(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, ValueError) as e:
+        raise ParseError(f"{path}: {e}") from e
+    return deserialize(text)
 
 
 # ---------------------------------------------------------------------------

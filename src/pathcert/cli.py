@@ -5,14 +5,15 @@
     pathcert bench verify results/
     pathcert verify cert_000.json
 
-``verify`` exits 0 only when every check passes.  Worker-pool size for
-``bench run`` comes from the PATHCERT_WORKERS environment variable.
+``verify`` exits 0 only when every check passes.  ``bench run`` tracks a
+family's paths in a process pool when it has more than one path and the
+process may use more than one core.
 """
 
 import argparse
 import sys
 
-from .bench import BenchmarkSpec, run_benchmark, verify_run, WORKERS_ENV_VAR
+from .bench import BenchmarkSpec, run_benchmark, verify_run
 from .certificate import verify_file
 from .errors import PathcertError
 from .tracker import TrackerConfig
@@ -77,8 +78,7 @@ def main(argv=None):
             print(f"iterations min/avg/max: {agg['iterations_min']}/"
                   f"{float(agg['iterations_avg']):.2f}/"
                   f"{agg['iterations_max']}")
-        print(f"wall time: {rep.wall_time:.3f} s (workers: "
-              f"{WORKERS_ENV_VAR} controls the pool)")
+        print(f"wall time: {rep.wall_time:.3f} s")
         print(f"outputs in {rep.out_dir}")
         return 0 if agg["n_certified"] == agg["n_paths"] else 1
 

@@ -201,7 +201,7 @@ class ParametricSystem:
         try:
             n = int(obj["n"])
             m = int(obj["m"])
-            raw = obj["equations"]
+            raw = [list(row) for row in obj["equations"]]
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"system header: {e}") from e
         eqs = []
@@ -356,8 +356,8 @@ class Homotopy:
             sys_obj = obj["system"]
             p0 = cvec_in(obj["p0"], "p0")
             p1 = cvec_in(obj["p1"], "p1")
-        except KeyError as e:
-            raise ParseError(f"homotopy missing field {e}") from e
+        except (KeyError, TypeError) as e:
+            raise ParseError(f"homotopy: bad or missing field {e}") from e
         return cls(ParametricSystem.from_json(sys_obj), p0, p1)
 
 

@@ -53,16 +53,20 @@ from .intervals import RealInterval, box_centered
 from .krawczyk import parametric_krawczyk_test
 
 
+# Limits no caller tunes.  track and step_update read them when called;
+# NEWTON_MAX_ITER is newton_refine's default iteration cap.
+MAX_STEPS = 1_000_000              # step attempts per path
+NEWTON_MAX_ITER = 50               # Newton iterations per refinement
+MIN_DT = 1e-14                     # smallest step size tried
+MAX_CONSECUTIVE_REJECTIONS = 60    # rejections in a row at one t0
+
+
 @dataclass(frozen=True)
 class TrackerConfig:
     dt0: float = 0.1
     r0: float = 0.1
     lam: float = 3.0
     newton_tol: float = 1e-12
-    max_steps: int = 1_000_000
-    newton_max_iter: int = 50
-    min_dt: float = 1e-14
-    max_consecutive_rejections: int = 60
 
     def __post_init__(self):
         if not (self.dt0 > 0 and math.isfinite(self.dt0)):
@@ -73,13 +77,6 @@ class TrackerConfig:
             raise ValueError(f"lambda must exceed 1, got {self.lam}")
         if not (0 < self.newton_tol < 1):
             raise ValueError(f"newton_tol out of range: {self.newton_tol}")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be positive")
-
-    @property
-    def ratio(self):
-        """Initial (and persistent) step-to-radius ratio dt/r."""
-        return self.dt0 / self.r0
 
 
 @dataclass
@@ -99,18 +96,14 @@ class TrackState:
     t1: float
     dt: float
     r: float
-    x0: np.ndarray
-    x1: "np.ndarray | None" = None
     scale_exp: int = 0
     consecutive_rejections: int = 0
     tests: int = 0
     step_log: "list[StepRecord]" = field(default_factory=list)
 
 
-def make_state(x0, cfg):
-    x0 = np.array(x0, dtype=np.complex128)
-    return TrackState(t0=0.0, t1=min(cfg.dt0, 1.0), dt=cfg.dt0, r=cfg.r0,
-                      x0=x0)
+def make_state(cfg):
+    return TrackState(t0=0.0, t1=min(cfg.dt0, 1.0), dt=cfg.dt0, r=cfg.r0)
 
 
 def step_update(state, cfg, accepted, residual_norm=math.nan):
@@ -129,7 +122,7 @@ def step_update(state, cfg, accepted, residual_norm=math.nan):
         state.t0 = state.t1
     else:
         state.consecutive_rejections += 1
-        if state.consecutive_rejections > cfg.max_consecutive_rejections:
+        if state.consecutive_rejections > MAX_CONSECUTIVE_REJECTIONS:
             raise StepUnderflow(
                 f"{state.consecutive_rejections} consecutive rejections "
                 f"at t={state.t0}")
@@ -137,13 +130,13 @@ def step_update(state, cfg, accepted, residual_norm=math.nan):
     scale = cfg.lam ** state.scale_exp
     state.dt = cfg.dt0 * scale
     state.r = cfg.r0 * scale
-    if not accepted and state.dt < cfg.min_dt:
-        raise StepUnderflow(f"dt={state.dt} below {cfg.min_dt} at t={state.t0}")
+    if not accepted and state.dt < MIN_DT:
+        raise StepUnderflow(f"dt={state.dt} below {MIN_DT} at t={state.t0}")
     state.t1 = min(state.t0 + state.dt, 1.0)
     return state
 
 
-def newton_refine(h, x, t, tol, max_iter=50):
+def newton_refine(h, x, t, tol, max_iter=NEWTON_MAX_ITER):
     """Newton-iterate x toward a root of H(., t); returns (point, residual).
 
     Returns immediately when the residual is already at tolerance.  Raises
@@ -197,8 +190,7 @@ def precondition(h, x0, t0, t1, cfg, direction):
     """
     if not (t1 > t0):
         raise DegenerateTimeInterval(f"need t1 > t0, got [{t0}, {t1}]")
-    x1, _ = newton_refine(h, x0 - (t1 - t0) * direction, t1, cfg.newton_tol,
-                          cfg.newton_max_iter)
+    x1, _ = newton_refine(h, x0 - (t1 - t0) * direction, t1, cfg.newton_tol)
     return h.sheared(x0, x1, t0, t1), x1
 
 
@@ -265,8 +257,8 @@ def track(h, x0, cfg=None, mode=MODE_TILTED, path_id=0):
     cfg = cfg or TrackerConfig()
     if h.shear is not None:
         raise PathcertError("tracking expects an unsheared homotopy")
-    x, _ = newton_refine(h, x0, 0.0, cfg.newton_tol, cfg.newton_max_iter)
-    state = make_state(x, cfg)
+    x, _ = newton_refine(h, x0, 0.0, cfg.newton_tol)
+    state = make_state(cfg)
     segments = []
     y = None
     while state.t0 < 1.0:
@@ -274,8 +266,8 @@ def track(h, x0, cfg=None, mode=MODE_TILTED, path_id=0):
             # first attempt at this t0
             y = _mid_inverse_or_raise(h, x, state.t0)
             direction = _direction_or_none(h, x, state.t0) if tilted else None
-        if len(state.step_log) >= cfg.max_steps:
-            raise MaxStepsExceeded(f"{cfg.max_steps} steps at t={state.t0}")
+        if len(state.step_log) >= MAX_STEPS:
+            raise MaxStepsExceeded(f"{MAX_STEPS} steps at t={state.t0}")
         if tilted:
             frame = _tilted_frame(h, x, direction, state, cfg)
         else:
@@ -301,8 +293,7 @@ def track(h, x0, cfg=None, mode=MODE_TILTED, path_id=0):
             if tilted:
                 x = anchor["shear_x1"]
             else:
-                x, _ = newton_refine(h, x, state.t0, cfg.newton_tol,
-                                     cfg.newton_max_iter)
+                x, _ = newton_refine(h, x, state.t0, cfg.newton_tol)
             y = None
     final_res = float(np.abs(h.eval_point(x, 1.0)).max())
     cert = PathCertificate(mode, h, segments, x, final_res, path_id=path_id)

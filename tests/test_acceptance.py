@@ -3,7 +3,8 @@
 One test per shipped guarantee, each printing a single CRITERION line
 (visible with -s or -rA) and enforcing its runtime budget.  Budgets count
 the tracking fixtures a criterion depends on plus its own checking time;
-JIT warmup happens once in conftest and is excluded.  Run with
+the first-use costs of imports and lazily built state are paid once by
+conftest's ``warm_up`` and are excluded.  Run with
 
     pytest tests/test_acceptance.py -v -s
 """

@@ -264,23 +264,28 @@ class TestHarness:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_worker_pool_matches_sequential(self, tmp_path, monkeypatch):
+        import pathcert.bench as bench_mod
         spec = BenchmarkSpec("random", k=1)
         seq, par = tmp_path / "seq", tmp_path / "par"
-        monkeypatch.delenv("PATHCERT_WORKERS", raising=False)
+        monkeypatch.setattr(bench_mod, "_usable_cores", lambda: 1)
         run_benchmark(spec, out_dir=seq)
-        monkeypatch.setenv("PATHCERT_WORKERS", "2")
+        monkeypatch.setattr(bench_mod, "_usable_cores", lambda: 2)
         run_benchmark(spec, out_dir=par)
-        assert (seq / "report.json").read_bytes() == \
-               (par / "report.json").read_bytes()
+        names = sorted(p.name for p in seq.iterdir())
+        assert names == ["cert_000.json", "cert_001.json", "report.json",
+                         "steps.csv"]
+        assert sorted(p.name for p in par.iterdir()) == names
+        for name in names:
+            assert (seq / name).read_bytes() == (par / name).read_bytes()
 
 
 class TestPathFailureIsolation:
     """An exception of any type fails only the path that raised it, in
     the sequential loop and in the process pool alike."""
 
-    @pytest.mark.parametrize("workers", [None, "2"])
+    @pytest.mark.parametrize("cores", [1, 2], ids=["sequential", "pool"])
     def test_unexpected_exception_fails_one_path(self, tmp_path, monkeypatch,
-                                                 caplog, workers):
+                                                 caplog, cores):
         import pathcert.bench as bench_mod
         real_track = bench_mod.track
 
@@ -290,10 +295,7 @@ class TestPathFailureIsolation:
             return real_track(h, x0, cfg, mode=mode, path_id=path_id)
 
         monkeypatch.setattr(bench_mod, "track", track_or_raise)
-        if workers is None:
-            monkeypatch.delenv("PATHCERT_WORKERS", raising=False)
-        else:
-            monkeypatch.setenv("PATHCERT_WORKERS", workers)
+        monkeypatch.setattr(bench_mod, "_usable_cores", lambda: cores)
         out = tmp_path / "run"
         rep = run_benchmark(BenchmarkSpec("random", k=1), out_dir=out).report
         ok, bad = rep["paths"]
@@ -301,6 +303,6 @@ class TestPathFailureIsolation:
         assert not bad["certified"]
         assert bad["error"] == "ZeroDivisionError: injected"
         assert rep["aggregate"]["n_certified"] == 1
-        if workers is None:        # a pool worker logs in its own process
+        if cores == 1:        # a pool worker logs in its own process
             assert "path 1 raised an unexpected error" in caplog.text
             assert "ZeroDivisionError: injected" in caplog.text

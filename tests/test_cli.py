@@ -61,11 +61,43 @@ def test_verify_tampered_certificate_fails(run_dir, tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_verify_unparseable_certificate(tmp_path, capsys):
+@pytest.mark.parametrize("where, value, error", [
+    (None, "{not json", "ParseError"),
+    (None, None, "ParseError"),
+    (("path_id",), "x", "ParseError"),
+    (("segments", 0), ["t_lo", "t_hi"], "MalformedCertificate"),
+    (("homotopy",), [], "ParseError"),
+    (("homotopy", "system", "equations"), 5, "ParseError"),
+], ids=["not-json", "missing-file", "path-id-string", "segment-list",
+        "homotopy-list", "equations-int"])
+def test_verify_unparseable_certificate(run_dir, tmp_path, capsys, where,
+                                        value, error):
     bad = tmp_path / "junk.json"
-    bad.write_text("{not json")
+    if where is None:
+        if value is not None:
+            bad.write_text(value)
+    else:
+        obj = json.loads((run_dir / "cert_000.json").read_text())
+        parent = obj
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = value
+        bad.write_text(json.dumps(obj))
     assert main(["verify", str(bad)]) == 1
-    assert "error" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {error}: ")
+
+
+def test_bench_verify_malformed_report(run_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "report.json").write_text("[]")
+    assert main(["bench", "verify", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ParseError: ")
+    report = json.loads((run_dir / "report.json").read_text())
+    del report["paths"][0]["cert_file"]
+    (out / "report.json").write_text(json.dumps(report))
+    assert main(["bench", "verify", str(out)]) == 1
+    assert "path 0: MalformedCertificate: " in capsys.readouterr().out
 
 
 def test_unknown_family_rejected(tmp_path):

@@ -1,10 +1,12 @@
 """Trackers: refinement, prediction, preconditioning, stepping, end to end."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import pathcert.tracker as tracker_mod
 import tutil
 from pathcert.bench import gen_newton_homotopy, newton_path_point
 from pathcert.certificate import MODE_RECT, MODE_TILTED, serialize, verify
@@ -115,7 +117,7 @@ class TestPrecondition:
 class TestStepUpdate:
     def test_accept_scales_up(self):
         cfg = TrackerConfig(dt0=0.1, r0=0.1, lam=3.0)
-        s = make_state(np.zeros(1, complex), cfg)
+        s = make_state(cfg)
         step_update(s, cfg, True)
         assert s.t0 == 0.1
         assert abs(s.dt - 0.3) <= 1e-16
@@ -123,7 +125,7 @@ class TestStepUpdate:
 
     def test_reject_restores_bit_identical(self):
         cfg = TrackerConfig(dt0=0.1, r0=0.1, lam=3.0)
-        s = make_state(np.zeros(1, complex), cfg)
+        s = make_state(cfg)
         step_update(s, cfg, True)
         assert s.dt != cfg.dt0
         step_update(s, cfg, False)
@@ -134,7 +136,7 @@ class TestStepUpdate:
         rng = np.random.default_rng(60)
         for dt0, r0 in ((0.1, 0.1), (0.02, 0.1), (0.4, 0.2)):
             cfg = TrackerConfig(dt0=dt0, r0=r0, lam=3.0)
-            s = make_state(np.zeros(1, complex), cfg)
+            s = make_state(cfg)
             for _ in range(60):
                 accept = bool(rng.random() < 0.6)
                 try:
@@ -143,20 +145,20 @@ class TestStepUpdate:
                     break
                 if s.t0 >= 1.0:
                     break
-                assert math.isclose(s.dt / s.r, cfg.ratio, rel_tol=1e-14)
+                assert math.isclose(s.dt / s.r, dt0 / r0, rel_tol=1e-14)
                 if dt0 == r0:
                     assert s.dt == s.r
 
     def test_underflow_on_rejection_pileup(self):
         cfg = TrackerConfig(dt0=1e-3, r0=1e-3, lam=3.0)
-        s = make_state(np.zeros(1, complex), cfg)
+        s = make_state(cfg)
         with pytest.raises(StepUnderflow):
             for _ in range(100):
                 step_update(s, cfg, False)
 
     def test_t1_clamped_at_one(self):
         cfg = TrackerConfig(dt0=0.9, r0=0.9, lam=3.0)
-        s = make_state(np.zeros(1, complex), cfg)
+        s = make_state(cfg)
         step_update(s, cfg, True)
         assert s.t1 == 1.0
 
@@ -230,7 +232,7 @@ class TestTrackEndToEnd:
         assert [(r.t0, r.dt, r.r, r.accepted) for r in a.step_log] == \
                [(r.t0, r.dt, r.r, r.accepted) for r in b.step_log]
 
-    def test_step_underflow_at_singular_endpoint(self):
+    def test_step_underflow_at_singular_endpoint(self, monkeypatch):
         # x^2 - (1 - t): the two roots collide at t = 1, so certifiable
         # windows shrink with the distance to the branch point and dt
         # ratchets below the floor before reaching 1
@@ -240,14 +242,16 @@ class TestTrackEndToEnd:
         ]])
         h = tutil.Homotopy(sysm, np.array([1.0 + 0.0j]),
                            np.array([0.0 + 0.0j]))
-        with pytest.raises(StepUnderflow):
-            track(h, np.array([1.0 + 0.0j]), TrackerConfig(min_dt=1e-8),
+        monkeypatch.setattr(tracker_mod, "MIN_DT", 1e-8)
+        with pytest.raises(StepUnderflow, match="below 1e-08"):
+            track(h, np.array([1.0 + 0.0j]), TrackerConfig(),
                   mode=MODE_TILTED)
 
-    def test_max_steps_cap(self):
+    def test_max_steps_cap(self, monkeypatch):
         h, starts = gen_newton_homotopy(10.0)
-        with pytest.raises(MaxStepsExceeded):
-            track(h, starts[0], TrackerConfig(dt0=0.02, r0=0.1, max_steps=2),
+        monkeypatch.setattr(tracker_mod, "MAX_STEPS", 2)
+        with pytest.raises(MaxStepsExceeded, match="2 steps"):
+            track(h, starts[0], TrackerConfig(dt0=0.02, r0=0.1),
                   mode=MODE_TILTED)
 
     def test_dispatcher(self):
@@ -278,7 +282,13 @@ class TestTrackEndToEnd:
             TrackerConfig(r0=-1.0)
         with pytest.raises(ValueError):
             TrackerConfig(lam=1.0)
-        assert TrackerConfig(dt0=0.2, r0=0.4).ratio == 0.5
+        with pytest.raises(ValueError):
+            TrackerConfig(newton_tol=0.0)
+        assert [f.name for f in dataclasses.fields(TrackerConfig)] == \
+               ["dt0", "r0", "lam", "newton_tol"]
+        assert (tracker_mod.MAX_STEPS, tracker_mod.NEWTON_MAX_ITER,
+                tracker_mod.MIN_DT, tracker_mod.MAX_CONSECUTIVE_REJECTIONS) \
+            == (1_000_000, 50, 1e-14, 60)
 
 
 class TestStepWork:
@@ -287,7 +297,6 @@ class TestStepWork:
     of H over T only for tests that pass the contraction bound."""
 
     def test_newton_family_call_counts(self, monkeypatch):
-        import pathcert.tracker as tracker_mod
         from pathcert.systems import Homotopy
         counts = {"eval_over_time": 0, "newton_refine": 0}
         verdicts = []
@@ -320,7 +329,6 @@ class TestStepWork:
         assert counts["newton_refine"] == len(res.step_log) + 1
 
     def test_failed_prediction_is_rejected_without_a_test(self, monkeypatch):
-        import pathcert.tracker as tracker_mod
         real_precondition = tracker_mod.precondition
         calls = []
 
