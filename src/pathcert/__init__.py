@@ -56,6 +56,7 @@ from .errors import (
     SingularMatrix,
     StepUnderflow,
     TrackingError,
+    UnsupportedDegree,
     UnsupportedN,
 )
 from .ilinalg import (

@@ -1,9 +1,12 @@
-"""Segment-batched interval kernels for the certificate verifier.
+"""Segment-batched interval kernels.
 
 The tracker runs one Krawczyk test at a time on the scalar kernels of
 ``_kernels``.  The segments of a certificate are independent claims, so
 ``verify`` replays all of them at once with the array versions here, the
-verifier's throughput layer.  A complex interval array has shape (4, ...)
+verifier's throughput layer.  The tracker also forms its residual
+I - Y*J here, with a segment axis of 1, once a system has
+``ilinalg.WIDE_N`` unknowns or more: there the n^3 products outweigh
+numpy's per-call cost.  A complex interval array has shape (4, ...)
 with re_lo, re_hi, im_lo, im_hi along the first axis; every other axis is
 a batch axis (segments, then terms, equations, matrix entries or
 coefficient slots).
@@ -21,9 +24,13 @@ contraction norm are therefore bit-identical to what
 import numpy as np
 
 _INF = np.inf
+_OUTWARD = np.array([-_INF, _INF, -_INF, _INF])
 
 # segments per block; bounds the temporaries of the widest term arrays
 _BLOCK = 256
+# products per slice of ``residual``; bounds its (2, 4, s, n, n, n)
+# temporaries, which grow with n^3 where the block's others grow with n^2
+_PRODUCTS = 2 ** 14
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +52,11 @@ def _min(a, b):
 
 def _max(a, b):
     return np.where(b > a, b, a)
+
+
+def _outward(x):
+    """Round the rows re_lo, re_hi, im_lo, im_hi of x (4, ...) outward."""
+    return np.nextafter(x, _OUTWARD.reshape((4,) + (1,) * (x.ndim - 1)))
 
 
 def r_add(al, ah, bl, bh):
@@ -90,6 +102,20 @@ def c_mul(a, b):
     return out
 
 
+def cp_mul(a, z):
+    """cp_mul: rectangles a (4, ...) times the complex points z (...).
+
+    Rows of ``lo``/``hi``: Re_a*Re_z, Im_a*Im_z, Re_a*Im_z, Im_a*Re_z.
+    """
+    prod = a * np.stack((z.real, z.imag))[:, None]      # (2, 4, ...)
+    p = prod[[0, 1, 1, 0], [0, 2, 0, 2]]
+    q = prod[[0, 1, 1, 0], [1, 3, 1, 3]]
+    lo = _down(np.where(q < p, q, p))
+    hi = _up(np.where(q > p, q, p))
+    return _outward(np.stack((lo[0] - hi[1], hi[0] - lo[1],
+                              lo[2] + lo[3], hi[2] + hi[3])))
+
+
 def c_mag(a):
     re = _max(np.abs(a[0]), np.abs(a[1]))
     im = _max(np.abs(a[2]), np.abs(a[3]))
@@ -122,11 +148,21 @@ def matvec(mat, vec):
 
 
 def residual(y, mat):
-    """residual_k: I - Y*M with the k-sums in ascending k."""
+    """residual_k: I - Y*M for complex Y (S, n, n) and M (4, S, n, n).
+
+    All n^3 products Y[i, k] * M[k, j] of a slice of segments at once,
+    then the k-sums in ascending k, each addition rounded outward.
+    """
     n = y.shape[2]
-    acc = np.zeros(np.broadcast_shapes(y.shape, mat.shape))
-    for k in range(n):
-        acc = c_add(acc, c_mul(y[..., :, k:k + 1], mat[..., k:k + 1, :]))
+    step = max(1, _PRODUCTS // n ** 3)
+    acc = np.empty(mat.shape)
+    for lo in range(0, y.shape[0], step):
+        sl = slice(lo, lo + step)
+        prod = cp_mul(mat[:, sl, None], y[sl, ..., None])   # (4, s, i, k, j)
+        part = np.zeros(prod.shape[:3] + prod.shape[4:])
+        for k in range(n):
+            part = _outward(part + prod[:, :, :, k])
+        acc[:, sl] = part
     eye = np.eye(n)
     return c_sub(real(eye, eye)[:, None], acc)
 
@@ -348,7 +384,7 @@ def _images_block(h, x, y, box, t_lo, t_hi, sa, sb):
     pv = (np.zeros((4, S, 0)) if h.m == 0
           else param_interval(h.p0, h.p1, t_lo, t_hi))
     jac = eval_interval(h.system._flat_jac, z, pv).reshape(4, S, n, n)
-    resid = residual(ypt, jac)
+    resid = residual(y, jac)
     b = matvec(resid, c_sub(ib, xpt))
     image = c_add(c_sub(xpt, a), b)
     return np.moveaxis(image, 0, -1), inorm(resid)

@@ -15,8 +15,10 @@ widened interval encloses the exact real result.
 
 The endpoint min/max of a product keep Python's ``min``/``max`` semantics
 (keep a unless b < a), which fixes where a NaN ends up.  ``_batch`` holds
-the verifier's array twins of these kernels and performs the same IEEE
-operations in the same order, so the two agree bit for bit.
+the array twins of these kernels and performs the same IEEE operations in
+the same order, so the two agree bit for bit.  The verifier replays with
+them, and the tracker's residual ``residual_k`` gives way to its twin
+once a system has ``ilinalg.WIDE_N`` unknowns or more.
 """
 
 import math

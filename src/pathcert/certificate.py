@@ -20,6 +20,7 @@ certificate file is byte-stable across runs and parses back to identical
 binary64 values.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ from ._batch import krawczyk_images, shear_regions
 from .errors import MalformedCertificate, ParseError, PathcertError
 from .intervals import Box, RealInterval
 from .krawczyk import check_operands, verdict_from
-from .systems import Homotopy, cvec_in, cvec_out, float_out, shear_line
+from .systems import Homotopy, cvec_in, float_out, shear_line
 
 FINAL_RESIDUAL_TOL = 1e-8
 
@@ -87,10 +88,6 @@ def _parse_f(s, loc):
         raise ParseError(f"{loc}: bad float {s!r}") from e
 
 
-def _cmat_out(m):
-    return [cvec_out(row) for row in np.asarray(m, dtype=np.complex128)]
-
-
 def _cmat_in(obj, loc):
     try:
         rows = [cvec_in(r, loc) for r in obj]
@@ -99,10 +96,6 @@ def _cmat_in(obj, loc):
         raise
     except (TypeError, ValueError) as e:
         raise ParseError(f"{loc}: bad complex matrix") from e
-
-
-def _box_out(b):
-    return [[float_out(v) for v in row] for row in b.data]
 
 
 def _box_in(obj, loc):
@@ -119,34 +112,91 @@ def _box_in(obj, loc):
         raise MalformedCertificate(f"{loc}: {e}") from e
 
 
+# The writer builds the text of ``json.dumps(obj, indent=1)`` directly:
+# the pure-Python encoder that ``indent`` selects costs more than all the
+# string work the fixed certificate schema needs.
+
+def _pad(depth):
+    return "\n" + " " * depth
+
+
+def _array(items, depth):
+    """A JSON array at ``depth`` of items already written at depth + 1."""
+    if not items:
+        return "[]"
+    inner = _pad(depth + 1)
+    return "[" + inner + ("," + inner).join(items) + _pad(depth) + "]"
+
+
+def _object(fields, depth):
+    """A JSON object at ``depth`` of (key, value written at depth + 1)."""
+    inner = _pad(depth + 1)
+    return ("{" + inner + ("," + inner).join(f'"{k}": {v}' for k, v in fields)
+            + _pad(depth) + "}")
+
+
+def _value(obj, depth):
+    """Any JSON value at ``depth``, through the json encoder."""
+    return json.dumps(obj, indent=1).replace("\n", _pad(depth))
+
+
+def _float(x):
+    return '"' + float_out(x) + '"'
+
+
+@functools.lru_cache(maxsize=None)
+def _row_format(width, depth):
+    """Format string of an array at ``depth`` of ``width`` float strings
+    (``float_out``: repr of a Python float)."""
+    inner = _pad(depth + 1)
+    return ("[" + inner + '"' + ('",' + inner + '"').join(["{!r}"] * width)
+            + '"' + _pad(depth) + "]")
+
+
+def _floats(rows, depth):
+    """Equal-length rows of Python floats as an array at ``depth``."""
+    if not rows:
+        return "[]"
+    fmt = _row_format(len(rows[0]), depth + 1)
+    return _array([fmt.format(*r) for r in rows], depth)
+
+
+def _cvec(v, depth):
+    """``cvec_out(v)`` written at ``depth``."""
+    return _floats([(z.real, z.imag) for z in
+                    np.asarray(v, dtype=np.complex128).tolist()], depth)
+
+
+def _segment(s, depth):
+    fields = [
+        ("t_lo", _float(s.t_lo)),
+        ("t_hi", _float(s.t_hi)),
+        ("box", _floats(s.box.data.tolist(), depth + 1)),
+        ("y", _array([_cvec(row, depth + 2) for row in s.y], depth + 1)),
+        ("residual_norm", _float(s.residual_norm)),
+    ]
+    if s.center is not None:
+        fields.append(("center", _cvec(s.center, depth + 1)))
+    if s.shear_x0 is not None:
+        fields.append(("shear_x0", _cvec(s.shear_x0, depth + 1)))
+        fields.append(("shear_x1", _cvec(s.shear_x1, depth + 1)))
+    return _object(fields, depth)
+
+
 def serialize(cert):
-    """Certificate as a deterministic JSON string."""
-    segs = []
-    for s in cert.segments:
-        row = {
-            "t_lo": float_out(s.t_lo),
-            "t_hi": float_out(s.t_hi),
-            "box": _box_out(s.box),
-            "y": _cmat_out(s.y),
-            "residual_norm": float_out(s.residual_norm),
-        }
-        if s.center is not None:
-            row["center"] = cvec_out(s.center)
-        if s.shear_x0 is not None:
-            row["shear_x0"] = cvec_out(s.shear_x0)
-            row["shear_x1"] = cvec_out(s.shear_x1)
-        segs.append(row)
-    obj = {
-        "format": "path-certificate",
-        "version": 1,
-        "mode": cert.mode,
-        "path_id": cert.path_id,
-        "homotopy": cert.homotopy.to_json(),
-        "segments": segs,
-        "final_point": cvec_out(cert.final_point),
-        "final_residual": float_out(cert.final_residual),
-    }
-    return json.dumps(obj, indent=1) + "\n"
+    """Certificate as a deterministic JSON string: the bytes of
+    ``json.dumps(obj, indent=1) + "\n"`` for its JSON object."""
+    fields = [
+        ("format", _value("path-certificate", 1)),
+        ("version", _value(1, 1)),
+        ("mode", _value(cert.mode, 1)),
+        ("path_id", _value(cert.path_id, 1)),
+        ("homotopy", _value(cert.homotopy.to_json(), 1)),
+        ("segments", _array([_segment(s, 2) for s in cert.segments], 1)),
+        ("final_point", _cvec(cert.final_point, 1)),
+        ("final_residual", _float(cert.final_residual)),
+    ]
+    return _object(fields, 0) + "\n"
 
 
 def deserialize(text):

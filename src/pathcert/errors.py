@@ -85,3 +85,7 @@ class InvalidM(PathcertError):
 
 class UnsupportedN(PathcertError):
     """Family size outside the supported range."""
+
+
+class UnsupportedDegree(PathcertError):
+    """A term's total degree exceeds ``systems.MAX_DEGREE``."""

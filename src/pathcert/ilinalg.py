@@ -2,14 +2,27 @@
 
 Point matrices are plain ``numpy.complex128`` arrays.  Interval matrices
 wrap a float64 array of shape (rows, cols, 4) with the same rectangle
-layout as ``Box`` rows.
+layout as ``Box`` rows.  The kernels are the scalar ones of ``_kernels``,
+except the residual I - Y*M of a matrix with ``WIDE_N`` rows or more,
+which ``_batch`` forms as one array computation with the same bits.
 """
 
 import numpy as np
 
+from . import _batch
 from . import _kernels as _k
-from .errors import DimensionMismatch, NonFiniteEndpoint, SingularMatrix, EmptyInterval
+from .errors import (
+    DimensionMismatch,
+    EmptyInterval,
+    NonFiniteEndpoint,
+    SingularMatrix,
+)
 from .intervals import Box, ComplexInterval
+
+# Smallest n for which the array residual beats the scalar one: at one
+# matrix per call the n^3 products outweigh numpy's per-call cost from
+# here on (measured crossover, BENCH_7.json).
+WIDE_N = 5
 
 
 class IntervalMatrix:
@@ -97,6 +110,7 @@ def solve_point(a, b):
         raise SingularMatrix("pivot below threshold in LU solve")
     return x
 
+
 def residual_matrix(y, m):
     """Interval matrix I - Y @ M for a point matrix Y and interval M."""
     y = np.ascontiguousarray(y, dtype=np.complex128)
@@ -104,7 +118,11 @@ def residual_matrix(y, m):
     if y.ndim != 2 or y.shape[0] != y.shape[1] or y.shape[1] != r or r != c:
         raise DimensionMismatch(
             f"residual needs square shapes, got {y.shape} and {m.shape}")
-    return IntervalMatrix(_k.residual_k(y, m.data), _validate=False)
+    if r < WIDE_N:
+        return IntervalMatrix(_k.residual_k(y, m.data), _validate=False)
+    with np.errstate(all="ignore"):
+        out = _batch.residual(y[None], np.moveaxis(m.data, -1, 0)[:, None])
+    return IntervalMatrix(np.moveaxis(out[:, 0], 0, -1), _validate=False)
 
 
 def imatvec(m, v):

@@ -23,11 +23,19 @@ from . import _kernels as _k
 from .errors import (
     DegenerateTimeInterval,
     DimensionMismatch,
+    MalformedCertificate,
     NonFiniteEndpoint,
     ParseError,
+    PathcertError,
+    UnsupportedDegree,
 )
 from .ilinalg import IntervalMatrix
 from .intervals import Box, RealInterval
+
+# Largest total degree of a term.  Evaluation allocates powers up to the
+# largest exponent, so a cap keeps a hostile system file or certificate
+# from exhausting memory; every shipped family has degree 3 or less.
+MAX_DEGREE = 32
 
 
 @dataclass(frozen=True)
@@ -110,6 +118,10 @@ class ParametricSystem:
                 if len(expo) != n or any(e < 0 for e in expo):
                     raise DimensionMismatch(
                         f"equation {i} term {j} has bad exponents {t.expo}")
+                if sum(expo) > MAX_DEGREE:
+                    raise UnsupportedDegree(
+                        f"equation {i} term {j} has degree {sum(expo)} "
+                        f"above {MAX_DEGREE}")
                 terms.append(Term(c, t.param, expo))
             eqs.append(tuple(terms))
         self.n = n
@@ -220,7 +232,10 @@ class ParametricSystem:
                     raise ParseError(f"{loc}: {e}") from e
                 terms.append(Term(complex(cre, cim), par, expo))
             eqs.append(terms)
-        return cls(n, m, eqs)
+        try:
+            return cls(n, m, eqs)
+        except PathcertError as e:
+            raise MalformedCertificate(f"system: {e}") from e
 
 
 class Homotopy:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +32,8 @@ from pathcert.intervals import Box, RealInterval
 from pathcert.krawczyk import parametric_krawczyk_test
 from pathcert.systems import Term
 from pathcert.tracker import TrackerConfig, track
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +106,18 @@ class TestSerialization:
         save_certificate(tilted, path)
         assert serialize(load_certificate(path)) == serialize(tilted)
         assert verify_file(path).ok
+
+    def test_text_is_json_indent_1(self, newton_certs):
+        """serialize writes the text itself; it must be exactly what
+        json.dumps(obj, indent=1) writes for the same object."""
+        _, tilted, rect, minus = newton_certs
+        texts = [p.read_text(encoding="utf-8")
+                 for p in sorted(GOLDEN.glob("*.json"))]
+        assert len(texts) == 4
+        texts += [serialize(c) for c in (
+            tilted, rect, minus, dataclasses.replace(rect, segments=[]))]
+        for text in texts:
+            assert json.dumps(json.loads(text), indent=1) + "\n" == text
 
 
 class TestVerify:

@@ -68,8 +68,12 @@ def test_verify_tampered_certificate_fails(run_dir, tmp_path, capsys):
     (("segments", 0), ["t_lo", "t_hi"], "MalformedCertificate"),
     (("homotopy",), [], "ParseError"),
     (("homotopy", "system", "equations"), 5, "ParseError"),
+    (("homotopy", "system", "equations", 0, 0, "exponents"), [2**40],
+     "MalformedCertificate"),
+    (("homotopy", "system", "equations", 0, 0, "exponents"), [2**63],
+     "MalformedCertificate"),
 ], ids=["not-json", "missing-file", "path-id-string", "segment-list",
-        "homotopy-list", "equations-int"])
+        "homotopy-list", "equations-int", "exponent-2**40", "exponent-2**63"])
 def test_verify_unparseable_certificate(run_dir, tmp_path, capsys, where,
                                         value, error):
     bad = tmp_path / "junk.json"

@@ -1,16 +1,24 @@
 """Golden certificates: tracking must reproduce the frozen files byte for byte.
 
-The files in ``data/golden`` were written by ``serialize`` before the
-scalar kernels moved from numpy scalars to Python floats.  Any change to
-the order or rounding of an interval operation on the tracking path shows
-up here as a byte difference.
+The newton and random files in ``data/golden`` were written by
+``serialize`` before the scalar kernels moved from numpy scalars to
+Python floats; the lowrank file (4 unknowns) before the residual of
+wide systems moved to the array kernels.  Any change to the order or
+rounding of an interval operation on the tracking path shows up here as
+a byte difference.  Each case also runs with every residual forced onto
+the array kernels and onto the scalar kernels.
 """
 
 from pathlib import Path
 
 import pytest
 
-from pathcert.bench import gen_newton_homotopy, gen_random_quadratic
+from pathcert import ilinalg
+from pathcert.bench import (
+    gen_lowrank,
+    gen_newton_homotopy,
+    gen_random_quadratic,
+)
 from pathcert.certificate import (
     MODE_RECT,
     MODE_TILTED,
@@ -33,10 +41,17 @@ def random2_tilted():
     return track(h, starts[0], TrackerConfig(), mode=MODE_TILTED)
 
 
+def lowrank2_tilted():
+    h, starts = gen_lowrank(2)
+    return track(h, starts[0], TrackerConfig(dt0=0.2, r0=0.1),
+                 mode=MODE_TILTED)
+
+
 CASES = {
     "newton10_tilted.json": lambda: newton10(MODE_TILTED),
     "newton10_rect.json": lambda: newton10(MODE_RECT),
     "random2_tilted.json": random2_tilted,
+    "lowrank2_tilted.json": lowrank2_tilted,
 }
 
 
@@ -46,3 +61,11 @@ def test_fresh_track_matches_golden_file(name):
     got = serialize(CASES[name]().certificate)
     assert got == want
     assert verify(deserialize(want)).ok
+
+
+@pytest.mark.parametrize("wide_n", [1, 10**6], ids=["array", "scalar"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_both_residual_branches_match_golden_file(name, wide_n, monkeypatch):
+    monkeypatch.setattr(ilinalg, "WIDE_N", wide_n)
+    want = (GOLDEN / name).read_text(encoding="utf-8")
+    assert serialize(CASES[name]().certificate) == want

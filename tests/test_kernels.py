@@ -7,7 +7,9 @@ subnormals and values near overflow, which pins the min/max NaN semantics
 (keep the first operand unless the second compares below/above it) and
 the sign of zero through every ``nextafter``.  ``cp_mul``, the scalar
 shortcut for a rectangle times a complex point, must equal ``c_mul`` with
-the point as a degenerate rectangle on either side.
+the point as a degenerate rectangle on either side.  The residual
+I - Y*M has two twins, ``residual_k`` and ``_batch.residual``, and
+``ilinalg.residual_matrix`` serves it from either side of ``WIDE_N``.
 """
 
 import math
@@ -15,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from pathcert import _batch
+from pathcert import _batch, ilinalg
 from pathcert import _kernels as _k
 
 SPECIAL = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
@@ -75,7 +77,6 @@ def test_r_mul_matches_batch(operands):
     assert same_bits(got, want)
 
 
-
 def test_point_product_matches_c_mul_on_both_sides(operands):
     a, b = operands
     got, left, right = [], [], []
@@ -85,6 +86,38 @@ def test_point_product_matches_c_mul_on_both_sides(operands):
         left.append(_k.c_mul(point, p))
         right.append(_k.c_mul(p, point))
     assert same_bits(got, left) and same_bits(got, right)
+
+
+# ---------------------------------------------------------------------------
+# the residual I - Y*M
+# ---------------------------------------------------------------------------
+
+def residual_operands(rng, count, n):
+    """Complex point matrices (count, n, n) and interval matrices
+    (4, count, n, n), both with special values."""
+    y = complex_operands(rng, count * n * n).reshape(count, n, n)
+    return y, endpoints(rng, (4, count, n, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9])
+def test_residual_matches_batch(n):
+    y, mat = residual_operands(np.random.default_rng(300 + n), 60, n)
+    with np.errstate(all="ignore"):
+        want = _batch.residual(y, mat)
+    got = [_k.residual_k(ys, np.moveaxis(ms, 0, -1))
+           for ys, ms in zip(y, np.moveaxis(mat, 1, 0))]
+    assert same_bits(np.moveaxis(np.array(got), -1, 0), want)
+
+
+@pytest.mark.parametrize("side", [-1, 0], ids=["scalar", "array"])
+def test_residual_matrix_on_both_sides_of_wide_n(side):
+    n = ilinalg.WIDE_N + side
+    y, mat = residual_operands(np.random.default_rng(400 + n), 60, n)
+    for ys, ms in zip(y, np.moveaxis(mat, 1, 0)):
+        data = np.moveaxis(ms, 0, -1)
+        got = ilinalg.residual_matrix(
+            ys, ilinalg.IntervalMatrix(data, _validate=False))
+        assert same_bits(got.data, _k.residual_k(ys, data))
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,15 @@ import pytest
 
 import tutil
 from pathcert.bench import gen_newton_homotopy, gen_random_quadratic
-from pathcert.errors import DimensionMismatch, ParseError
+from pathcert.errors import (
+    DimensionMismatch,
+    MalformedCertificate,
+    ParseError,
+    UnsupportedDegree,
+)
 from pathcert.intervals import Box, RealInterval, box_centered
 from pathcert.systems import (
+    MAX_DEGREE,
     Homotopy,
     ParametricSystem,
     Term,
@@ -295,3 +301,12 @@ class TestSerialization:
             ParametricSystem(1, 1, [[Term(1.0, 3, (1,))]])
         with pytest.raises(DimensionMismatch):
             ParametricSystem(1, 0, [[Term(1.0, None, (1, 2))]])
+
+    def test_degree_cap(self):
+        ParametricSystem(2, 0, [[Term(1.0, None, (MAX_DEGREE - 1, 1))]] * 2)
+        with pytest.raises(UnsupportedDegree):
+            ParametricSystem(2, 0, [[Term(1.0, None, (MAX_DEGREE, 1))]] * 2)
+        obj = ParametricSystem(1, 0, [[Term(1.0, None, (2,))]]).to_json()
+        obj["equations"][0][0]["exponents"] = [2**63]
+        with pytest.raises(MalformedCertificate):
+            ParametricSystem.from_json(obj)
