@@ -49,7 +49,7 @@ from .errors import (
     UnsupportedN,
 )
 from .systems import Homotopy, ParametricSystem, Term, cvec_out, float_out
-from .tracker import TrackerConfig, track
+from .tracker import NEWTON_TOL, TrackerConfig, track
 
 _log = logging.getLogger("pathcert")
 
@@ -58,6 +58,9 @@ _log = logging.getLogger("pathcert")
 # of the discriminant, and the lowrank seed lands the tracked branch on
 # the dominant singular pair of the Hilbert target for every n up to 5.
 FAMILY_SEEDS = {"newton": 42, "random": 42, "katsura": 46, "lowrank": 62}
+
+SVD_MAX_SWEEPS = 60        # Jacobi sweeps of svd_oracle
+BOOTSTRAP_ATTEMPTS = 6     # start phases bootstrap_starts tries
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +292,7 @@ def gen_lowrank(n, seed=62):
     return h, starts
 
 
-def svd_oracle(a, max_sweeps=60):
+def svd_oracle(a):
     """One-sided Jacobi SVD of a real square matrix.
 
     Rotates column pairs until all are mutually orthogonal, then reads off
@@ -302,7 +305,7 @@ def svd_oracle(a, max_sweeps=60):
     n = a.shape[0]
     w = a.copy()
     v = np.eye(n)
-    for _ in range(max_sweeps):
+    for _ in range(SVD_MAX_SWEEPS):
         rotated = False
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -342,7 +345,7 @@ def svd_oracle(a, max_sweeps=60):
 # uncertified start bootstrap (total-degree continuation)
 # ---------------------------------------------------------------------------
 
-def bootstrap_starts(sys, p_start, expected, seed=0, max_attempts=6):
+def bootstrap_starts(sys, p_start, expected, seed=0):
     """All roots of F(.; p_start) via plain-float total-degree continuation.
 
     Start from the decoupled binomial system x_i^{d_i} = c_i with seeded
@@ -354,14 +357,15 @@ def bootstrap_starts(sys, p_start, expected, seed=0, max_attempts=6):
     Raises RootCountMismatch when every attempt fails.
     """
     last_err = None
-    for attempt in range(max_attempts):
+    for attempt in range(BOOTSTRAP_ATTEMPTS):
         try:
             return _bootstrap_attempt(sys, p_start, expected,
                                       np.random.default_rng([seed, attempt]))
         except RootCountMismatch as e:
             last_err = e
     raise RootCountMismatch(
-        f"all {max_attempts} bootstrap attempts failed; last: {last_err}")
+        f"all {BOOTSTRAP_ATTEMPTS} bootstrap attempts failed; "
+        f"last: {last_err}")
 
 
 def _bootstrap_attempt(sys, p_start, expected, rng):
@@ -545,8 +549,11 @@ def run_benchmark(spec, out_dir=None):
     the returned object only, so the file is byte-identical across reruns
     with the same seed.  Paths track in a process pool of min(paths,
     usable cores) workers when that is above 1, else one after another;
-    the outputs are the same bytes either way.
+    the outputs are the same bytes either way.  out_dir is created before
+    any path is tracked, so an unusable one fails first, with OSError.
     """
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     t_begin = time.perf_counter()
     h, starts = build_family(spec)
     tasks = [(h, starts[i], spec.config, spec.mode, i)
@@ -573,7 +580,7 @@ def run_benchmark(spec, out_dir=None):
         if res is not None:
             entry["iterations"] = res.iterations
             entry["tests"] = res.tests
-            entry["accepted"] = res.accepted
+            entry["accepted"] = res.iterations
             entry["rejected"] = res.rejected
             entry["final_point"] = cvec_out(res.final_point)
             entry["final_residual"] = float_out(res.final_residual)
@@ -606,7 +613,7 @@ def run_benchmark(spec, out_dir=None):
             "dt0": float_out(cfg.dt0),
             "r0": float_out(cfg.r0),
             "lambda": float_out(cfg.lam),
-            "newton_tol": float_out(cfg.newton_tol),
+            "newton_tol": float_out(NEWTON_TOL),
         },
         "paths": paths,
         "aggregate": aggregate,
@@ -614,7 +621,6 @@ def run_benchmark(spec, out_dir=None):
 
     if out_dir is not None:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         for pid, cert in sorted(certs.items()):
             save_certificate(cert, out / f"cert_{pid:03d}.json")
         with open(out / "steps.csv", "w", encoding="utf-8", newline="") as fh:

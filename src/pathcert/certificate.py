@@ -208,6 +208,9 @@ def deserialize(text):
         raise ParseError(f"line {e.lineno} column {e.colno}: {e.msg}") from e
     if not isinstance(obj, dict) or obj.get("format") != "path-certificate":
         raise MalformedCertificate("not a path certificate")
+    version = obj.get("version")
+    if type(version) is not int or version != 1:
+        raise MalformedCertificate(f"unsupported version {version!r}")
     mode = obj.get("mode")
     if mode not in (MODE_RECT, MODE_TILTED):
         raise MalformedCertificate(f"unknown mode {mode!r}")

@@ -19,6 +19,18 @@ from .errors import PathcertError
 from .tracker import TrackerConfig
 
 
+def _non_negative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
+def _fail(e):
+    print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+    return 1
+
+
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="pathcert",
@@ -44,7 +56,7 @@ def _build_parser():
     run.add_argument("--r0", type=float, default=0.1)
     run.add_argument("--lambda", dest="lam", type=float, default=3.0,
                      help="step scaling factor")
-    run.add_argument("--seed", type=int, default=None,
+    run.add_argument("--seed", type=_non_negative_int, default=None,
                      help="instance seed (default: per-family shipped seed)")
     run.add_argument("--out", required=True, help="run output directory")
 
@@ -62,15 +74,17 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
 
     if args.command == "bench" and args.bench_command == "run":
+        try:
+            config = TrackerConfig(dt0=args.dt0, r0=args.r0, lam=args.lam)
+        except ValueError as e:
+            return _fail(e)
         spec = BenchmarkSpec(
             family=args.family, mode=args.mode, seed=args.seed,
-            config=TrackerConfig(dt0=args.dt0, r0=args.r0, lam=args.lam),
-            m=args.m, k=args.k, n=args.n)
+            config=config, m=args.m, k=args.k, n=args.n)
         try:
             rep = run_benchmark(spec, out_dir=args.out)
-        except PathcertError as e:
-            print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-            return 1
+        except (PathcertError, OSError) as e:
+            return _fail(e)
         agg = rep.report["aggregate"]
         print(f"{spec.label()} mode={spec.mode}: "
               f"{agg['n_certified']}/{agg['n_paths']} paths certified")
@@ -86,8 +100,7 @@ def main(argv=None):
         try:
             ok, lines = verify_run(args.out_dir)
         except PathcertError as e:
-            print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-            return 1
+            return _fail(e)
         for line in lines:
             print(line)
         print("all certificates verified" if ok else "verification FAILED")
@@ -97,8 +110,7 @@ def main(argv=None):
         try:
             rep = verify_file(args.certificate)
         except PathcertError as e:
-            print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-            return 1
+            return _fail(e)
         print(rep.summary())
         return 0 if rep.ok else 1
 

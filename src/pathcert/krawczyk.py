@@ -15,12 +15,13 @@ discs; it is always applied.
 ``parametric_krawczyk_test`` checks contraction first: it encloses the
 Jacobian and bounds |Id - Y * encl(dH/dx(I, T))| before anything else.
 A test whose finite norm fails the bound is rejected whatever its image,
-so its verdict computes the image (the enclosure of H over T and the two
-mat-vecs) only when ``existence`` or ``operator_image`` is first read.
-A tracker that reads ``passed`` never pays for it.
+so it skips the image (the enclosure of H over T and the two mat-vecs)
+and reports ``existence`` and ``operator_image`` as None.
+``krawczyk_operator`` still computes that image for anyone who wants it.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,47 +32,19 @@ from .intervals import Box, RealInterval
 _SQRT2_UP = math.nextafter(math.sqrt(2.0), math.inf)
 
 
+@dataclass(frozen=True)
 class KrawczykVerdict:
     """Outcome of one test: the two flags, the contraction norm that
     witnessed uniqueness, and the operator image box.
 
-    A verdict made by ``deferred`` fails uniqueness.  It holds a function
-    that returns the full verdict, and calls it on the first read of
-    ``existence`` or ``operator_image``; that read raises what the
-    function raises.
+    ``existence`` and ``operator_image`` are None when a finite
+    contraction norm fails the bound, as the image was not computed.
     """
 
-    __slots__ = ("uniqueness", "residual_norm", "_existence", "_image",
-                 "_pending")
-
-    def __init__(self, existence, uniqueness, residual_norm, operator_image):
-        self.uniqueness = uniqueness
-        self.residual_norm = residual_norm
-        self._existence = existence
-        self._image = operator_image
-        self._pending = None
-
-    @classmethod
-    def deferred(cls, residual_norm, full_verdict):
-        verdict = cls(None, False, residual_norm, None)
-        verdict._pending = full_verdict
-        return verdict
-
-    def _resolve(self):
-        if self._pending is not None:
-            full = self._pending()
-            self._existence, self._image = full.existence, full.operator_image
-            self._pending = None
-
-    @property
-    def existence(self):
-        self._resolve()
-        return self._existence
-
-    @property
-    def operator_image(self):
-        self._resolve()
-        return self._image
+    existence: "bool | None"
+    uniqueness: bool
+    residual_norm: float
+    operator_image: "Box | None"
 
     @property
     def passed(self):
@@ -128,22 +101,16 @@ def parametric_krawczyk_test(h, x, y, box, T):
     reported failure, never the other way.
 
     The contraction norm comes first.  When it is finite and fails the
-    bound, the verdict defers the image: ``existence`` and
-    ``operator_image`` are computed on first read, with the same bits as
-    an eager test, and that read raises NonFiniteEndpoint if the image
-    overflows.  Otherwise the verdict is complete, and a non-finite image
-    or norm raises NonFiniteEndpoint here.
+    bound, the test is rejected without its image: ``existence`` and
+    ``operator_image`` are None.  Otherwise a non-finite image or norm
+    raises NonFiniteEndpoint.
     """
     x, y, T = check_operands(h.n, x, y, box, T)
     resid = _contraction(h, y, box, T)
     rn = resid.norm()
-
-    def full_verdict():
-        return verdict_from(box, _image(h, x, y, box, T, resid), rn)
-
     if math.isfinite(rn) and not _contracts(rn):
-        return KrawczykVerdict.deferred(rn, full_verdict)
-    return full_verdict()
+        return KrawczykVerdict(None, False, rn, None)
+    return verdict_from(box, _image(h, x, y, box, T, resid), rn)
 
 
 def _contracts(rn):

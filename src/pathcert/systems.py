@@ -296,11 +296,9 @@ class Homotopy:
         z = x + self.shear_at(t) if self.shear is not None else x
         return self.system.jac_x_point(z, self.params_at(t))
 
-    def f1_eval(self, x, dp=None):
+    def f1_eval(self, x):
         """t-derivative of the unsheared homotopy at x (constant in t)."""
-        if dp is None:
-            dp = self.p1 - self.p0
-        return self.system.f1_eval(x, dp)
+        return self.system.f1_eval(x, self.p1 - self.p0)
 
     # -- interval evaluation (certified enclosures) --------------------------
 

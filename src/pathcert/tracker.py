@@ -19,8 +19,9 @@ tilted: once per t0, compute the Euler direction J(x, t0)^{-1} dH/dt.
         is rejected without a test.  On success x1, already refined at
         the new t0, becomes x.
 
-In both modes x meets the Newton tolerance at t0 whenever a test runs,
-so a failure leaves x as it is.
+In both modes x meets the Newton tolerance NEWTON_TOL at t0 whenever a
+test runs, so a failure leaves x as it is.  Every Newton refinement stops
+at that absolute residual or fails after NEWTON_MAX_ITER iterations.
 
 A step is accepted only when the Krawczyk test proves existence and
 uniqueness over the whole time slice, so the accepted segments assemble
@@ -53,9 +54,10 @@ from .intervals import RealInterval, box_centered
 from .krawczyk import parametric_krawczyk_test
 
 
-# Limits no caller tunes.  track and step_update read them when called;
-# NEWTON_MAX_ITER is newton_refine's default iteration cap.
+# Limits no caller tunes.  track, step_update and newton_refine read them
+# when called.
 MAX_STEPS = 1_000_000              # step attempts per path
+NEWTON_TOL = 1e-12                 # absolute residual a refinement stops at
 NEWTON_MAX_ITER = 50               # Newton iterations per refinement
 MIN_DT = 1e-14                     # smallest step size tried
 MAX_CONSECUTIVE_REJECTIONS = 60    # rejections in a row at one t0
@@ -66,7 +68,6 @@ class TrackerConfig:
     dt0: float = 0.1
     r0: float = 0.1
     lam: float = 3.0
-    newton_tol: float = 1e-12
 
     def __post_init__(self):
         if not (self.dt0 > 0 and math.isfinite(self.dt0)):
@@ -75,8 +76,6 @@ class TrackerConfig:
             raise ValueError(f"r0 must be positive, got {self.r0}")
         if not (self.lam > 1 and math.isfinite(self.lam)):
             raise ValueError(f"lambda must exceed 1, got {self.lam}")
-        if not (0 < self.newton_tol < 1):
-            raise ValueError(f"newton_tol out of range: {self.newton_tol}")
 
 
 @dataclass
@@ -136,19 +135,19 @@ def step_update(state, cfg, accepted, residual_norm=math.nan):
     return state
 
 
-def newton_refine(h, x, t, tol, max_iter=NEWTON_MAX_ITER):
+def newton_refine(h, x, t):
     """Newton-iterate x toward a root of H(., t); returns (point, residual).
 
-    Returns immediately when the residual is already at tolerance.  Raises
-    SingularJacobian or NoConvergence; never returns a point whose
-    residual exceeds tol.
+    Returns immediately when the residual is already at NEWTON_TOL.
+    Raises SingularJacobian or NoConvergence; never returns a point whose
+    residual exceeds NEWTON_TOL.
     """
     x = np.array(x, dtype=np.complex128)
     fx = h.eval_point(x, t)
     res = float(np.abs(fx).max())
-    if res <= tol:
+    if res <= NEWTON_TOL:
         return x, res
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         jac = h.jac_x_point(x, t)
         try:
             dx = solve_point(jac, fx)
@@ -159,11 +158,11 @@ def newton_refine(h, x, t, tol, max_iter=NEWTON_MAX_ITER):
         res = float(np.abs(fx).max())
         if not math.isfinite(res):
             raise NoConvergence(f"Newton diverged at t={t}")
-        if res <= tol:
+        if res <= NEWTON_TOL:
             return x, res
     raise NoConvergence(
-        f"Newton residual {res:.3e} above {tol:.1e} after {max_iter} "
-        f"iterations at t={t}")
+        f"Newton residual {res:.3e} above {NEWTON_TOL:.1e} after "
+        f"{NEWTON_MAX_ITER} iterations at t={t}")
 
 
 def euler_direction(h, x, t0):
@@ -181,7 +180,7 @@ def euler_direction(h, x, t0):
         raise SingularJacobian(f"Jacobian singular at t={t0}") from e
 
 
-def precondition(h, x0, t0, t1, cfg, direction):
+def precondition(h, x0, t0, t1, direction):
     """Predict x1 at t1, then shear the homotopy through (t0, x0) and
     (t1, x1).  Returns (sheared homotopy, x1).
 
@@ -190,7 +189,7 @@ def precondition(h, x0, t0, t1, cfg, direction):
     """
     if not (t1 > t0):
         raise DegenerateTimeInterval(f"need t1 > t0, got [{t0}, {t1}]")
-    x1, _ = newton_refine(h, x0 - (t1 - t0) * direction, t1, cfg.newton_tol)
+    x1, _ = newton_refine(h, x0 - (t1 - t0) * direction, t1)
     return h.sheared(x0, x1, t0, t1), x1
 
 
@@ -208,7 +207,6 @@ class TrackResult:
     certificate: PathCertificate
     iterations: int
     tests: int
-    accepted: int
     rejected: int
     step_log: "list[StepRecord]"
     final_point: np.ndarray
@@ -231,13 +229,13 @@ def _direction_or_none(h, x, t):
         return None
 
 
-def _tilted_frame(h, x, direction, state, cfg):
+def _tilted_frame(h, x, direction, state):
     """The sheared map, its box center 0 and the segment's shear for one
     tilted attempt, or None when the prediction fails."""
     if direction is None:
         return None
     try:
-        sheared, x1 = precondition(h, x, state.t0, state.t1, cfg, direction)
+        sheared, x1 = precondition(h, x, state.t0, state.t1, direction)
     except (TrackingError, SingularMatrix):
         return None
     return (sheared, np.zeros(h.n, dtype=np.complex128),
@@ -257,7 +255,7 @@ def track(h, x0, cfg=None, mode=MODE_TILTED, path_id=0):
     cfg = cfg or TrackerConfig()
     if h.shear is not None:
         raise PathcertError("tracking expects an unsheared homotopy")
-    x, _ = newton_refine(h, x0, 0.0, cfg.newton_tol)
+    x, _ = newton_refine(h, x0, 0.0)
     state = make_state(cfg)
     segments = []
     y = None
@@ -269,7 +267,7 @@ def track(h, x0, cfg=None, mode=MODE_TILTED, path_id=0):
         if len(state.step_log) >= MAX_STEPS:
             raise MaxStepsExceeded(f"{MAX_STEPS} steps at t={state.t0}")
         if tilted:
-            frame = _tilted_frame(h, x, direction, state, cfg)
+            frame = _tilted_frame(h, x, direction, state)
         else:
             frame = h, x, {"center": x}
         ok = False
@@ -293,10 +291,10 @@ def track(h, x0, cfg=None, mode=MODE_TILTED, path_id=0):
             if tilted:
                 x = anchor["shear_x1"]
             else:
-                x, _ = newton_refine(h, x, state.t0, cfg.newton_tol)
+                x, _ = newton_refine(h, x, state.t0)
             y = None
     final_res = float(np.abs(h.eval_point(x, 1.0)).max())
     cert = PathCertificate(mode, h, segments, x, final_res, path_id=path_id)
     return TrackResult(path_id, mode, cert, len(segments), state.tests,
-                       len(segments), len(state.step_log) - len(segments),
+                       len(state.step_log) - len(segments),
                        state.step_log, x, final_res)

@@ -29,7 +29,11 @@ from pathcert.errors import (
     PathcertError,
 )
 from pathcert.intervals import Box, RealInterval
-from pathcert.krawczyk import parametric_krawczyk_test
+from pathcert.krawczyk import (
+    krawczyk_operator,
+    parametric_krawczyk_test,
+    verdict_from,
+)
 from pathcert.systems import Term
 from pathcert.tracker import TrackerConfig, track
 
@@ -236,14 +240,16 @@ class TestTamper:
         assert not rep.ok
         assert any("final residual" in f for f in rep.failures)
 
-    def test_swapped_endpoint_fails(self):
+    @pytest.mark.parametrize("mode, cfg", [
+        (MODE_TILTED, TrackerConfig()),
+        (MODE_RECT, TrackerConfig(dt0=0.02, r0=0.1)),
+    ], ids=[MODE_TILTED, MODE_RECT])
+    def test_swapped_endpoint_fails(self, mode, cfg):
         # path 1's endpoint solves the t=1 system too, so only binding the
         # endpoint to the region the chain certifies rejects the swap
         h, starts = gen_random_quadratic(1)
-        cfg = TrackerConfig()
-        cert0 = track(h, starts[0], cfg, mode=MODE_TILTED).certificate
-        cert1 = track(h, starts[1], cfg, mode=MODE_TILTED,
-                      path_id=1).certificate
+        cert0 = track(h, starts[0], cfg, mode=mode).certificate
+        cert1 = track(h, starts[1], cfg, mode=mode, path_id=1).certificate
         assert verify(cert0).ok and verify(cert1).ok
         rep = verify(dataclasses.replace(cert0,
                                          final_point=cert1.final_point))
@@ -276,16 +282,22 @@ def replay_certs(newton_certs):
 
 
 def scalar_replay(cert, i):
-    """Segment i's test through the per-test path the tracker uses."""
+    """Segment i's test through the per-test path the tracker uses.  A
+    test that skips its image for failing contraction gets the image
+    from krawczyk_operator."""
     s = cert.segments[i]
     if cert.mode == MODE_TILTED:
         h = cert.homotopy.sheared(s.shear_x0, s.shear_x1, s.t_lo, s.t_hi)
         x = np.zeros(h.n, dtype=complex)
     else:
         h, x = cert.homotopy, s.center
+    T = RealInterval(s.t_lo, s.t_hi)
     try:
-        return parametric_krawczyk_test(h, x, s.y, s.box,
-                                        RealInterval(s.t_lo, s.t_hi))
+        v = parametric_krawczyk_test(h, x, s.y, s.box, T)
+        if v.operator_image is None:
+            v = verdict_from(s.box, krawczyk_operator(h, x, s.y, s.box, T),
+                             v.residual_norm)
+        return v
     except PathcertError as e:
         return e
 

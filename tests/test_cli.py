@@ -31,6 +31,44 @@ def test_bench_run_reports_progress(tmp_path, capsys):
     rep = json.loads((out / "report.json").read_text())
     assert rep["config"]["dt0"] == "0.05"
 
+
+@pytest.mark.parametrize("flags", [
+    ["--dt0", "0"], ["--dt0", "nan"], ["--r0", "inf"], ["--lambda", "1"],
+], ids=["dt0-0", "dt0-nan", "r0-inf", "lambda-1"])
+def test_bench_run_bad_config(tmp_path, capsys, flags):
+    out = tmp_path / "run"
+    assert main(["bench", "run", "--family", "newton", "--out", str(out)]
+                + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_bench_run_negative_seed(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "run", "--family", "random", "--k", "1",
+              "--seed", "-1", "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    assert "argument --seed: must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target, error", [
+    ("file", "FileExistsError"), ("file/sub", "NotADirectoryError"),
+], ids=["existing-file", "below-a-file"])
+def test_bench_run_bad_out_fails_before_tracking(tmp_path, capsys,
+                                                  monkeypatch, target, error):
+    import pathcert.bench as bench_mod
+    tracked = []
+    monkeypatch.setattr(bench_mod, "track",
+                        lambda *a, **k: tracked.append(a))
+    (tmp_path / "file").write_text("")
+    assert main(["bench", "run", "--family", "newton",
+                 "--out", str(tmp_path / target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}: ") and err.count("\n") == 1
+    assert tracked == []
+
+
 def test_bench_verify_ok(run_dir, capsys):
     assert main(["bench", "verify", str(run_dir)]) == 0
     assert "all certificates verified" in capsys.readouterr().out
@@ -61,6 +99,9 @@ def test_verify_tampered_certificate_fails(run_dir, tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+_MISSING = object()
+
+
 @pytest.mark.parametrize("where, value, error", [
     (None, "{not json", "ParseError"),
     (None, None, "ParseError"),
@@ -72,8 +113,15 @@ def test_verify_tampered_certificate_fails(run_dir, tmp_path, capsys):
      "MalformedCertificate"),
     (("homotopy", "system", "equations", 0, 0, "exponents"), [2**63],
      "MalformedCertificate"),
+    (("version",), 99, "MalformedCertificate"),
+    (("version",), "one", "MalformedCertificate"),
+    (("version",), None, "MalformedCertificate"),
+    (("version",), True, "MalformedCertificate"),
+    (("version",), _MISSING, "MalformedCertificate"),
 ], ids=["not-json", "missing-file", "path-id-string", "segment-list",
-        "homotopy-list", "equations-int", "exponent-2**40", "exponent-2**63"])
+        "homotopy-list", "equations-int", "exponent-2**40", "exponent-2**63",
+        "version-99", "version-string", "version-null", "version-true",
+        "version-missing"])
 def test_verify_unparseable_certificate(run_dir, tmp_path, capsys, where,
                                         value, error):
     bad = tmp_path / "junk.json"
@@ -85,7 +133,10 @@ def test_verify_unparseable_certificate(run_dir, tmp_path, capsys, where,
         parent = obj
         for key in where[:-1]:
             parent = parent[key]
-        parent[where[-1]] = value
+        if value is _MISSING:
+            del parent[where[-1]]
+        else:
+            parent[where[-1]] = value
         bad.write_text(json.dumps(obj))
     assert main(["verify", str(bad)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {error}: ")

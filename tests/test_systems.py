@@ -23,7 +23,6 @@ from pathcert.systems import (
     dump_system,
     load_system,
 )
-from pathcert.tracker import newton_refine
 
 
 def own_eval(system, x, p):
@@ -100,7 +99,7 @@ class TestParameterDerivative:
     def test_zero_displacement(self):
         h, _ = gen_random_quadratic(2, seed=8)
         x = np.array([0.3 + 0.1j, -0.2j])
-        v = h.f1_eval(x, np.zeros(h.m, dtype=np.complex128))
+        v = h.system.f1_eval(x, np.zeros(h.m, dtype=np.complex128))
         assert float(np.abs(v).max()) == 0.0
 
     def test_linearity(self):
@@ -110,8 +109,8 @@ class TestParameterDerivative:
         dp = rng.standard_normal(h.m) + 1j * rng.standard_normal(h.m)
         dq = rng.standard_normal(h.m) + 1j * rng.standard_normal(h.m)
         a, b = 0.7 - 0.2j, 1.3 + 0.5j
-        lhs = h.f1_eval(x, a * dp + b * dq)
-        rhs = a * h.f1_eval(x, dp) + b * h.f1_eval(x, dq)
+        lhs = h.system.f1_eval(x, a * dp + b * dq)
+        rhs = a * h.system.f1_eval(x, dp) + b * h.system.f1_eval(x, dq)
         scale = float(np.abs(rhs).max()) + 1.0
         assert float(np.abs(lhs - rhs).max()) <= 1e-12 * scale
 
@@ -124,7 +123,7 @@ class TestParameterDerivative:
             t0 = float(rng.uniform(0, 0.9))
             d = float(rng.uniform(0, 0.1))
             lhs = h.eval_point(x, t0 + d) - h.eval_point(x, t0)
-            rhs = h.f1_eval(x, d * (h.p1 - h.p0))
+            rhs = h.system.f1_eval(x, d * (h.p1 - h.p0))
             scale = float(np.abs(h.eval_point(x, t0)).max()) + 1.0
             assert float(np.abs(lhs - rhs).max()) <= 1e-10 * scale
 
@@ -133,7 +132,7 @@ class TestIntervalEval:
     def test_drift_bound_at_root(self):
         m, dt = 10.0, 0.02
         h, starts = gen_newton_homotopy(m)
-        x, _ = newton_refine(h, starts[0], 0.0, 1e-14)
+        x = tutil.plain_newton_solve(h, starts[0], 0.0, tol=1e-14)
         box = Box.degenerate(x)
         r = h.eval_interval(box, RealInterval(0.0, dt))
         assert r.norm() <= m * dt * (1 + 1e-9) + 1e-9
@@ -170,8 +169,8 @@ class TestIntervalEval:
         # origin collapses to the secant sag, far below the raw drift m*dt
         m, dt = 10.0, 0.02
         h, starts = gen_newton_homotopy(m)
-        x0, _ = newton_refine(h, starts[0], 0.0, 1e-14)
-        x1, _ = newton_refine(h, starts[0], dt, 1e-14)
+        x0 = tutil.plain_newton_solve(h, starts[0], 0.0, tol=1e-14)
+        x1 = tutil.plain_newton_solve(h, starts[0], dt, tol=1e-14)
         sh = h.sheared(x0, x1, 0.0, dt)
         T = RealInterval(0.0, dt)
         zeros = np.zeros(1, dtype=np.complex128)
@@ -218,8 +217,8 @@ class TestShear:
     def test_origin_tracks_endpoints(self):
         m, dt = 10.0, 0.02
         h, starts = gen_newton_homotopy(m)
-        x0, _ = newton_refine(h, starts[0], 0.0, 1e-13)
-        x1, _ = newton_refine(h, starts[0], dt, 1e-13)
+        x0 = tutil.plain_newton_solve(h, starts[0], 0.0, tol=1e-13)
+        x1 = tutil.plain_newton_solve(h, starts[0], dt, tol=1e-13)
         sh = h.sheared(x0, x1, 0.0, dt)
         z = np.zeros(1, dtype=np.complex128)
         assert float(np.abs(sh.eval_point(z, 0.0)).max()) <= 1e-9
