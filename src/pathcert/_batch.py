@@ -3,9 +3,10 @@
 The tracker runs one Krawczyk test at a time on the scalar kernels of
 ``_kernels``.  The segments of a certificate are independent claims, so
 ``verify`` replays all of them at once with the array versions here, the
-verifier's throughput layer.  The tracker also forms its residual
-I - Y*J here, with a segment axis of 1, once a system has
-``ilinalg.WIDE_N`` unknowns or more: there the n^3 products outweigh
+verifier's throughput layer, in blocks of ``_BLOCK`` segments that
+``_pool.pool_map`` spreads over the usable cores.  The tracker also
+forms its residual I - Y*J here, with a segment axis of 1, once a system
+has ``ilinalg.WIDE_N`` unknowns or more: there the n^3 products outweigh
 numpy's per-call cost.  A complex interval array has shape (4, ...)
 with re_lo, re_hi, im_lo, im_hi along the first axis; every other axis is
 a batch axis (segments, then terms, equations, matrix entries or
@@ -22,6 +23,8 @@ contraction norm are therefore bit-identical to what
 """
 
 import numpy as np
+
+from ._pool import pool_map
 
 _INF = np.inf
 _OUTWARD = np.array([-_INF, _INF, -_INF, _INF])
@@ -390,6 +393,11 @@ def _images_block(h, x, y, box, t_lo, t_hi, sa, sb):
     return np.moveaxis(image, 0, -1), inorm(resid)
 
 
+def _images_task(args):
+    with np.errstate(all="ignore"):
+        return _images_block(*args)
+
+
 def krawczyk_images(h, x, y, box, t_lo, t_hi, sa=None, sb=None):
     """Krawczyk images and contraction norms of S stacked tests.
 
@@ -398,17 +406,22 @@ def krawczyk_images(h, x, y, box, t_lo, t_hi, sa=None, sb=None):
     matrix y[s] over box[s] and time [t_lo[s], t_hi[s]].  Shapes: x, sa,
     sb (S, n) complex; y (S, n, n) complex; box (S, n, 4); t_lo, t_hi
     (S,).  Returns the images (S, n, 4) and the norms |I - Y*J| (S,).
+    The blocks of ``_BLOCK`` segments are independent tasks for
+    ``pool_map``, so a certificate of two or more blocks replays on
+    several cores.
     """
     S = x.shape[0]
+    starts = range(0, S, _BLOCK)
+    blocks = []
+    for lo in starts:
+        sl = slice(lo, lo + _BLOCK)
+        blocks.append((h, x[sl], y[sl], box[sl], t_lo[sl], t_hi[sl],
+                       None if sa is None else sa[sl],
+                       None if sb is None else sb[sl]))
     image = np.empty((S, h.n, 4))
     norm = np.empty(S)
-    with np.errstate(all="ignore"):
-        for lo in range(0, S, _BLOCK):
-            sl = slice(lo, lo + _BLOCK)
-            image[sl], norm[sl] = _images_block(
-                h, x[sl], y[sl], box[sl], t_lo[sl], t_hi[sl],
-                None if sa is None else sa[sl],
-                None if sb is None else sb[sl])
+    for lo, (im, nm) in zip(starts, pool_map(_images_task, blocks)):
+        image[lo:lo + _BLOCK], norm[lo:lo + _BLOCK] = im, nm
     return image, norm
 
 

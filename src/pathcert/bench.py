@@ -25,7 +25,6 @@ import csv
 import json
 import logging
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from itertools import product
@@ -33,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._pool import pool_map
 from .certificate import (
     MODE_TILTED,
     load_certificate,
@@ -532,13 +532,6 @@ def _track_task(args):
         return pid, None, f"{type(e).__name__}: {e}"
 
 
-def _usable_cores():
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def run_benchmark(spec, out_dir=None):
     """Track every start of a family; write certs, trace CSV and report.
 
@@ -547,10 +540,10 @@ def run_benchmark(spec, out_dir=None):
     the total Krawczyk-test tally under ``tests``), certificate file
     names, endpoints, and aggregate min/avg/max.  Wall time is kept on
     the returned object only, so the file is byte-identical across reruns
-    with the same seed.  Paths track in a process pool of min(paths,
-    usable cores) workers when that is above 1, else one after another;
-    the outputs are the same bytes either way.  out_dir is created before
-    any path is tracked, so an unusable one fails first, with OSError.
+    with the same seed.  Paths track through ``pool_map``, on min(paths,
+    usable cores) processes; the outputs are the same bytes either way.
+    out_dir is created before any path is tracked, so an unusable one
+    fails first, with OSError.
     """
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
@@ -558,13 +551,7 @@ def run_benchmark(spec, out_dir=None):
     h, starts = build_family(spec)
     tasks = [(h, starts[i], spec.config, spec.mode, i)
              for i in range(len(starts))]
-    workers = min(len(tasks), _usable_cores())
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_track_task, tasks))
-    else:
-        results = [_track_task(t) for t in tasks]
+    results = pool_map(_track_task, tasks)
     wall = time.perf_counter() - t_begin
 
     paths = []
@@ -643,10 +630,44 @@ def run_benchmark(spec, out_dir=None):
                            out_dir=None if out_dir is None else str(out_dir))
 
 
+def _verify_task(args):
+    """Verify one report entry against its certificate: (ok, line)."""
+    out, index, entry = args
+    pid = entry.get("path_id")
+    name = entry.get("cert_file")
+    try:
+        if pid != index:
+            raise MalformedCertificate(
+                f"report entry {index} is for path {pid!r}")
+        if not entry.get("certified"):
+            return False, (f"path {pid}: not certified "
+                           f"({entry.get('error', 'unknown error')})")
+        if not (isinstance(name, str) and name not in ("", "..")
+                and Path(name).name == name):
+            raise MalformedCertificate(
+                f"cert_file {name!r} is not a file name in the run directory")
+        cert = load_certificate(out / name)
+        if cert.path_id != pid:
+            raise MalformedCertificate(
+                f"{name} certifies path {cert.path_id}, not path {pid}")
+        if entry.get("final_point") != cvec_out(cert.final_point):
+            raise MalformedCertificate(
+                f"the report's final_point is not the one {name} certifies")
+        rep = verify(cert)
+    except PathcertError as e:
+        return False, f"path {pid}: {type(e).__name__}: {e}"
+    return rep.ok, f"path {pid}: {rep.summary()}"
+
+
 def verify_run(out_dir):
     """Re-verify every certificate of a benchmark run directory.
 
-    Returns (all_ok, lines) where lines are printable per-path results.
+    Entry i of report.json must be for path i.  Each certified entry must
+    name, as a bare file name in the run directory, a certificate of the
+    same path id and the same final point, and that certificate must
+    verify.  The entries are independent tasks for ``pool_map``, so
+    several certificates verify at once on a multi-core machine.  Returns
+    (all_ok, lines), one printable line per entry in report order.
     """
     out = Path(out_dir)
     report_path = out / "report.json"
@@ -658,23 +679,6 @@ def verify_run(out_dir):
     if not (isinstance(report, dict) and isinstance(report.get("paths"), list)
             and all(isinstance(p, dict) for p in report["paths"])):
         raise ParseError(f"{report_path}: not a benchmark report")
-    lines = []
-    all_ok = True
-    for entry in report["paths"]:
-        pid = entry.get("path_id")
-        if not entry.get("certified"):
-            lines.append(f"path {pid}: not certified "
-                         f"({entry.get('error', 'unknown error')})")
-            all_ok = False
-            continue
-        try:
-            if not isinstance(entry.get("cert_file"), str):
-                raise MalformedCertificate("no cert_file for a certified path")
-            rep = verify(load_certificate(out / entry["cert_file"]))
-        except PathcertError as e:
-            lines.append(f"path {pid}: {type(e).__name__}: {e}")
-            all_ok = False
-            continue
-        lines.append(f"path {pid}: {rep.summary()}")
-        all_ok = all_ok and rep.ok
-    return all_ok, lines
+    results = pool_map(_verify_task,
+                       [(out, i, e) for i, e in enumerate(report["paths"])])
+    return all(ok for ok, _ in results), [line for _, line in results]

@@ -5,9 +5,12 @@
     pathcert bench verify results/
     pathcert verify cert_000.json
 
-``verify`` exits 0 only when every check passes.  ``bench run`` tracks a
-family's paths in a process pool when it has more than one path and the
-process may use more than one core.
+``verify`` exits 0 only when every check passes.  When the process may
+use more than one core, ``bench run`` tracks a family's paths and
+``bench verify`` checks a run's certificates in a process pool, and a
+certificate of more than 256 segments that is verified outside a pool
+worker replays its segment blocks in one.  The output is the same as on
+one core.
 """
 
 import argparse

@@ -2,10 +2,12 @@
 
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
 
+from pathcert import _pool
 from pathcert.bench import (
     FAMILY_SEEDS,
     BenchmarkSpec,
@@ -264,12 +266,11 @@ class TestHarness:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_worker_pool_matches_sequential(self, tmp_path, monkeypatch):
-        import pathcert.bench as bench_mod
         spec = BenchmarkSpec("random", k=1)
         seq, par = tmp_path / "seq", tmp_path / "par"
-        monkeypatch.setattr(bench_mod, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(_pool, "_usable_cores", lambda: 1)
         run_benchmark(spec, out_dir=seq)
-        monkeypatch.setattr(bench_mod, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(_pool, "_usable_cores", lambda: 2)
         run_benchmark(spec, out_dir=par)
         names = sorted(p.name for p in seq.iterdir())
         assert names == ["cert_000.json", "cert_001.json", "report.json",
@@ -295,7 +296,7 @@ class TestPathFailureIsolation:
             return real_track(h, x0, cfg, mode=mode, path_id=path_id)
 
         monkeypatch.setattr(bench_mod, "track", track_or_raise)
-        monkeypatch.setattr(bench_mod, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(_pool, "_usable_cores", lambda: cores)
         out = tmp_path / "run"
         rep = run_benchmark(BenchmarkSpec("random", k=1), out_dir=out).report
         ok, bad = rep["paths"]
@@ -306,3 +307,94 @@ class TestPathFailureIsolation:
         if cores == 1:        # a pool worker logs in its own process
             assert "path 1 raised an unexpected error" in caplog.text
             assert "ZeroDivisionError: injected" in caplog.text
+
+
+@pytest.fixture(scope="module")
+def random1_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("verify") / "run"
+    run_benchmark(BenchmarkSpec("random", k=1), out_dir=out)
+    return out
+
+
+def edited_run(src, dst, edit):
+    """A copy of run directory src at dst, its report's path entries
+    passed through edit(paths)."""
+    shutil.copytree(src, dst)
+    report = json.loads((dst / "report.json").read_text())
+    edit(report["paths"])
+    (dst / "report.json").write_text(json.dumps(report))
+    return dst
+
+
+class TestVerifyRunBindsEntries:
+    """Report entry i verifies only as path i, with path i's certificate,
+    named as a file in the run directory, and with that certificate's
+    final point."""
+
+    def check_path_1_rejected(self, run, reason):
+        ok, lines = verify_run(run)
+        assert not ok
+        assert lines[0].startswith("path 0: OK")
+        assert lines[1] == f"path 1: MalformedCertificate: {reason}"
+
+    def test_other_paths_certificate(self, random1_run, tmp_path):
+        def edit(paths):
+            paths[1]["cert_file"] = "cert_000.json"
+        self.check_path_1_rejected(
+            edited_run(random1_run, tmp_path / "run", edit),
+            "cert_000.json certifies path 0, not path 1")
+
+    @pytest.mark.parametrize("where", ["absolute", "parent"])
+    def test_certificate_outside_the_run(self, random1_run, tmp_path, where):
+        (tmp_path / "elsewhere").mkdir()
+        outside = tmp_path / "elsewhere" / "cert_001.json"
+        shutil.copy(random1_run / "cert_001.json", outside)
+        name = (str(outside) if where == "absolute"
+                else "../elsewhere/cert_001.json")
+
+        def edit(paths):
+            paths[1]["cert_file"] = name
+        self.check_path_1_rejected(
+            edited_run(random1_run, tmp_path / "run", edit),
+            f"cert_file {name!r} is not a file name in the run directory")
+
+    def test_final_point_of_another_path(self, random1_run, tmp_path):
+        def edit(paths):
+            paths[1]["final_point"] = paths[0]["final_point"]
+        self.check_path_1_rejected(
+            edited_run(random1_run, tmp_path / "run", edit),
+            "the report's final_point is not the one cert_001.json "
+            "certifies")
+
+    def test_entry_for_another_path(self, random1_run, tmp_path):
+        def edit(paths):
+            paths[1] = dict(paths[0])
+        ok, lines = verify_run(edited_run(random1_run, tmp_path / "run", edit))
+        assert not ok
+        assert lines[1] == ("path 0: MalformedCertificate: report entry 1 "
+                            "is for path 0")
+
+    def test_pool_matches_sequential(self, random1_run, tmp_path,
+                                     monkeypatch):
+        def edit(paths):
+            paths.append({"path_id": 2, "certified": False,
+                          "error": "StepUnderflow: injected"})
+            paths.append(dict(paths[0], path_id=3,
+                              cert_file="../run/cert_000.json"))
+        run = edited_run(random1_run, tmp_path / "run", edit)
+        cert = json.loads((run / "cert_001.json").read_text())
+        seg = cert["segments"][len(cert["segments"]) // 2]
+        seg["y"] = [[[repr(2.0 * float(v)) for v in z] for z in row]
+                    for row in seg["y"]]
+        (run / "cert_001.json").write_text(json.dumps(cert))
+        results = []
+        for cores in (1, 2):
+            monkeypatch.setattr(_pool, "_usable_cores", lambda c=cores: c)
+            results.append(verify_run(run))
+        assert results[0] == results[1]
+        ok, lines = results[0]
+        assert not ok and len(lines) == 4
+        assert lines[0].startswith("path 0: OK")
+        assert lines[1].startswith("path 1: FAIL")
+        assert lines[2] == "path 2: not certified (StepUnderflow: injected)"
+        assert lines[3].startswith("path 3: MalformedCertificate: cert_file")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import tutil
+from pathcert import _batch, _pool
 from pathcert.bench import gen_newton_homotopy, gen_random_quadratic
 from pathcert.certificate import (
     MODE_RECT,
@@ -302,6 +303,17 @@ def scalar_replay(cert, i):
         return e
 
 
+def verdict_bits(verdicts):
+    """Each replay entry as exact bits: an error's type and text, or a
+    verdict's flags, norm and image."""
+    return [(type(v).__name__, str(v)) if isinstance(v, PathcertError)
+            else (v.existence, v.uniqueness,
+                  np.float64(v.residual_norm).tobytes(),
+                  None if v.operator_image is None
+                  else v.operator_image.data.tobytes())
+            for v in verdicts]
+
+
 def with_segment(cert, i, **changes):
     segs = list(cert.segments)
     segs[i] = dataclasses.replace(segs[i], **changes)
@@ -358,6 +370,25 @@ class TestBatchedReplay:
                 assert v.passed
                 assert np.array_equal(v.operator_image.data,
                                       scalar_replay(cert, j).operator_image.data)
+
+    @pytest.mark.parametrize("mode", ["rect", "tilted"])
+    def test_blocks_on_one_and_two_cores(self, newton_certs, monkeypatch,
+                                         mode):
+        # segment i's operands raise (rect) or its test fails (tilted)
+        _, tilted, rect, _ = newton_certs
+        cert = rect if mode == "rect" else tilted
+        i = len(cert.segments) // 2
+        s = cert.segments[i]
+        cert = with_segment(cert, i, **({"center": s.center + 1.0}
+                                        if mode == "rect" else {"y": s.y * 2}))
+        whole = replay(cert)
+        assert (isinstance(whole[i], PathcertError) if mode == "rect"
+                else not whole[i].passed)
+        monkeypatch.setattr(_batch, "_BLOCK", 3)
+        assert len(cert.segments) > 3 * 3
+        for cores in (1, 2):
+            monkeypatch.setattr(_pool, "_usable_cores", lambda c=cores: c)
+            assert verdict_bits(replay(cert)) == verdict_bits(whole)
 
     def test_overflow_is_that_segments_replay_error(self, newton_certs):
         _, tilted, _, _ = newton_certs
