@@ -1,4 +1,5 @@
-"""One process pool for independent tasks.
+"""The one place that starts processes: a pool for independent tasks and
+a helper process for work that overlaps this process's own.
 
 Tracking a family's paths, verifying a run's certificates and replaying
 a long certificate's segment blocks are each a list of independent
@@ -6,11 +7,19 @@ tasks whose results do not depend on where they run.  ``pool_map`` runs
 such a list on every usable core, or in this process when there is one
 core or one task.  A pool worker always runs its tasks in-process, so
 pools never nest.
+
+``helper`` starts one child process that answers requests one at a time
+while this process works on something else, under the same conditions
+as a pool: never inside a pool worker or the helper itself, and only on
+two or more usable cores.  It only moves where a request is computed,
+never what: a caller must get the same result whether the helper answers
+or the caller computes the request itself after losing it.
 """
 
 import os
+from contextlib import contextmanager
 
-# True in a pool worker, set by the pool's initializer
+# True in a pool worker or a helper, set when the process starts
 _in_worker = False
 
 
@@ -45,3 +54,91 @@ def pool_map(fn, tasks):
                                  initializer=_enter_worker) as pool:
             return list(pool.map(fn, tasks))
     return [fn(task) for task in tasks]
+
+
+def _serve(conn, parent_end, serve, args):
+    """The helper's loop: answer each request until None or a closed pipe."""
+    # a forked child holds a copy of the parent's end; closing it lets
+    # recv see the pipe close when the parent goes away
+    parent_end.close()
+    _enter_worker()
+    with conn:
+        try:
+            while (request := conn.recv()) is not None:
+                conn.send(serve(*args, request))
+        except Exception:
+            # a request that raises, or a parent that is gone: stop.  The
+            # parent sees the pipe close and computes the request itself,
+            # which raises the error there, with its traceback.
+            return
+
+
+class Helper:
+    """A child process answering ``serve(*args, request)`` for one
+    request at a time.  Requests and replies must be picklable, and with
+    a start method other than fork also ``serve``, a module-level
+    function, and its args.
+    """
+
+    def __init__(self, serve, args):
+        # the default start method, as in pool_map: a helper lives for
+        # one tracked path, which a spawned child's imports would outlast
+        import multiprocessing
+        ctx = multiprocessing.get_context()
+        self._conn, theirs = ctx.Pipe()
+        self._proc = ctx.Process(target=_serve,
+                                 args=(theirs, self._conn, serve, args),
+                                 daemon=True)
+        self._proc.start()
+        theirs.close()
+
+    @property
+    def alive(self):
+        return self._conn is not None
+
+    def send(self, request):
+        """Hand a request to the child; a lost child shows in ``recv``."""
+        try:
+            self._conn.send(request)
+        except OSError:
+            self.close()
+
+    def recv(self):
+        """The reply to the last request, or None when the child is lost."""
+        if self._conn is None:
+            return None
+        try:
+            return self._conn.recv()
+        except (EOFError, OSError):
+            self.close()
+            return None
+
+    def close(self):
+        """Stop the child and wait for it; idempotent."""
+        if self._conn is None:
+            return
+        try:
+            self._conn.send(None)
+        except OSError:
+            pass
+        self._conn.close()
+        self._conn = None
+        self._proc.join(timeout=1.0)
+        if self._proc.is_alive():
+            self._proc.kill()
+            self._proc.join()
+
+
+@contextmanager
+def helper(serve, *args):
+    """A ``Helper`` for the duration of the with-block, closed at its end
+    however it ends; None in a pool worker or helper and on one usable
+    core, where the caller does the work itself."""
+    if _in_worker or _usable_cores() < 2:
+        yield None
+        return
+    child = Helper(serve, args)
+    try:
+        yield child
+    finally:
+        child.close()

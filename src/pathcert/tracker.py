@@ -31,13 +31,32 @@ Step scheduling keeps dt and r locked to a common power of lambda:
 dt = dt0 * lambda^k and r = r0 * lambda^k with one shared integer k, so a
 success followed by a failure restores bit-identical values and the ratio
 dt/r never drifts by more than rounding.
+
+Where attempts run.  An attempt depends only on x, Y, the Euler direction
+and its own (t1, r), so the attempt one scale down, which runs next when
+the current one fails, can run beside it.  For a path with two or more
+unknowns tracked outside a pool worker on two or more usable cores,
+``track`` keeps one helper process (``_pool.helper``) for the whole path.
+Each round the helper runs attempt A at exponent k while this process
+runs its sibling B at k - 1, and the two are consumed in serial order
+through ``step_update``: B is discarded when A passes, when A's
+rejection ends the path, or when B raised.  After a failed A the helper
+also computes the point, Y and direction B would start the next step
+from; they are used only when this process's own next x equals that
+point bit for bit.  Every other path, and a path whose helper is lost,
+runs one attempt per round here.  The helper moves only where an attempt
+runs, never what it computes: certificates and step logs are the same
+bytes either way.
 """
 
 import math
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
+from . import _pool
 from .certificate import MODE_RECT, MODE_TILTED, PathCertificate, Segment
 from .errors import (
     DegenerateTimeInterval,
@@ -180,16 +199,19 @@ def euler_direction(h, x, t0):
         raise SingularJacobian(f"Jacobian singular at t={t0}") from e
 
 
+def predict(h, x0, t0, t1, direction):
+    """The point x1 at t1: an Euler step along ``direction``, which is
+    ``euler_direction(h, x0, t0)``, refined at t1 with Newton."""
+    x1, _ = newton_refine(h, x0 - (t1 - t0) * direction, t1)
+    return x1
+
+
 def precondition(h, x0, t0, t1, direction):
     """Predict x1 at t1, then shear the homotopy through (t0, x0) and
-    (t1, x1).  Returns (sheared homotopy, x1).
-
-    The prediction is an Euler step along ``direction``, which is
-    ``euler_direction(h, x0, t0)``, refined at t1 with Newton.
-    """
+    (t1, x1).  Returns (sheared homotopy, x1)."""
     if not (t1 > t0):
         raise DegenerateTimeInterval(f"need t1 > t0, got [{t0}, {t1}]")
-    x1, _ = newton_refine(h, x0 - (t1 - t0) * direction, t1)
+    x1 = predict(h, x0, t0, t1, direction)
     return h.sheared(x0, x1, t0, t1), x1
 
 
@@ -229,17 +251,89 @@ def _direction_or_none(h, x, t):
         return None
 
 
-def _tilted_frame(h, x, direction, state):
+def _tilted_frame(h, x, direction, t0, t1):
     """The sheared map, its box center 0 and the segment's shear for one
     tilted attempt, or None when the prediction fails."""
     if direction is None:
         return None
     try:
-        sheared, x1 = precondition(h, x, state.t0, state.t1, direction)
+        sheared, x1 = precondition(h, x, t0, t1, direction)
     except (TrackingError, SingularMatrix):
         return None
     return (sheared, np.zeros(h.n, dtype=np.complex128),
             {"shear_x0": x, "shear_x1": x1})
+
+
+class _Attempt(NamedTuple):
+    tested: bool            # a Krawczyk test ran
+    passed: bool
+    residual_norm: float
+    segment: "Segment | None"   # the certified segment when passed
+
+
+def _attempt(h, tilted, x, y, direction, t0, t1, r):
+    """One Krawczyk test over [t0, t1] with box radius r, from x with Y
+    and the Euler direction at (x, t0)."""
+    if tilted:
+        frame = _tilted_frame(h, x, direction, t0, t1)
+    else:
+        frame = h, x, {"center": x}
+    if frame is None:
+        return _Attempt(False, False, math.nan, None)
+    g, center, anchor = frame
+    box = box_centered(center, r)
+    try:
+        verdict = parametric_krawczyk_test(g, center, y, box,
+                                           RealInterval(t0, t1))
+    except PathcertError:
+        return _Attempt(True, False, math.nan, None)
+    rn = verdict.residual_norm
+    if not verdict.passed:
+        return _Attempt(True, False, rn, None)
+    return _Attempt(True, True, rn, Segment(t0, t1, box, y, rn, **{
+        k: v.copy() for k, v in anchor.items()}))
+
+
+def _start_data(h, tilted, x, t):
+    """Y and the Euler direction (None in rect mode) at the start (x, t)
+    of a step."""
+    return (_mid_inverse_or_raise(h, x, t),
+            _direction_or_none(h, x, t) if tilted else None)
+
+
+def _sibling(state, cfg):
+    """(t1, r) of the attempt that follows a rejection of the current
+    one, or None when that rejection would end the path."""
+    if len(state.step_log) + 1 >= MAX_STEPS:
+        return None
+    after = replace(state, step_log=[])
+    try:
+        step_update(after, cfg, False)
+    except StepUnderflow:
+        return None
+    return after.t1, after.r
+
+
+def _helper_round(h, tilted, request):
+    """The helper's half of a round: attempt A, and when it fails, the
+    start data of the step sibling B would begin if it passed.
+
+    The start point is computed as the caller computes it, so it has the
+    same bits whenever nothing differs between the processes; the caller
+    checks that before it uses the prefetched data.
+    """
+    x, y, direction, t0, t1, r, t1_b = request
+    a = _attempt(h, tilted, x, y, direction, t0, t1, r)
+    if a.passed or (tilted and direction is None):
+        return a, None
+    try:
+        if tilted:
+            x1 = predict(h, x, t0, t1_b, direction)
+        else:
+            x1, _ = newton_refine(h, x, t1_b)
+        return a, (x1, *_start_data(h, tilted, x1, t1_b))
+    except PathcertError:
+        return a, None
 
 
 def track(h, x0, cfg=None, mode=MODE_TILTED, path_id=0):
@@ -259,40 +353,51 @@ def track(h, x0, cfg=None, mode=MODE_TILTED, path_id=0):
     state = make_state(cfg)
     segments = []
     y = None
-    while state.t0 < 1.0:
-        if y is None:
-            # first attempt at this t0
-            y = _mid_inverse_or_raise(h, x, state.t0)
-            direction = _direction_or_none(h, x, state.t0) if tilted else None
-        if len(state.step_log) >= MAX_STEPS:
-            raise MaxStepsExceeded(f"{MAX_STEPS} steps at t={state.t0}")
-        if tilted:
-            frame = _tilted_frame(h, x, direction, state)
-        else:
-            frame = h, x, {"center": x}
-        ok = False
-        rn = math.nan
-        if frame is not None:
-            g, center, anchor = frame
-            box = box_centered(center, state.r)
-            T = RealInterval(state.t0, state.t1)
-            try:
-                verdict = parametric_krawczyk_test(g, center, y, box, T)
-                ok = verdict.passed
-                rn = verdict.residual_norm
-            except PathcertError:
-                ok = False
-            state.tests += 1
-        if ok:
-            segments.append(Segment(state.t0, state.t1, box, y, rn, **{
-                k: v.copy() for k, v in anchor.items()}))
-        step_update(state, cfg, ok, rn)
-        if ok:
-            if tilted:
-                x = anchor["shear_x1"]
+    ahead = None      # (x1, Y, direction) the helper computed for B's x1
+    with (_pool.helper(_helper_round, h, tilted) if h.n >= 2
+          else nullcontext()) as helper:
+        while state.t0 < 1.0:
+            if y is None:
+                # first attempt at this t0
+                if ahead is not None and np.array_equal(ahead[0], x):
+                    y, direction = ahead[1:]
+                else:
+                    y, direction = _start_data(h, tilted, x, state.t0)
+            ahead = None
+            if len(state.step_log) >= MAX_STEPS:
+                raise MaxStepsExceeded(f"{MAX_STEPS} steps at t={state.t0}")
+            start = (x, y, direction, state.t0)
+            sib = _sibling(state, cfg) if helper and helper.alive else None
+            if sib is None:
+                attempts = [_attempt(h, tilted, *start, state.t1, state.r)]
             else:
-                x, _ = newton_refine(h, x, state.t0)
-            y = None
+                # attempt A on the helper while its sibling B runs here;
+                # both are consumed below in serial order
+                helper.send((*start, state.t1, state.r, sib[0]))
+                try:
+                    b = _attempt(h, tilted, *start, *sib)
+                except Exception:
+                    # dropped: the next round runs B again as its A, and
+                    # raises there if the serial order reaches it
+                    b = None
+                reply = helper.recv()
+                if reply is None:      # helper lost: run A here
+                    reply = _attempt(h, tilted, *start, state.t1,
+                                     state.r), None
+                attempts = [reply[0]] if b is None else [reply[0], b]
+                ahead = reply[1]
+            for att in attempts:
+                state.tests += att.tested
+                if att.passed:
+                    segments.append(att.segment)
+                step_update(state, cfg, att.passed, att.residual_norm)
+                if att.passed:
+                    if tilted:
+                        x = att.segment.shear_x1.copy()
+                    else:
+                        x, _ = newton_refine(h, x, state.t0)
+                    y = None
+                    break
     final_res = float(np.abs(h.eval_point(x, 1.0)).max())
     cert = PathCertificate(mode, h, segments, x, final_res, path_id=path_id)
     return TrackResult(path_id, mode, cert, len(segments), state.tests,

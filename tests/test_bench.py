@@ -279,6 +279,20 @@ class TestHarness:
         for name in names:
             assert (seq / name).read_bytes() == (par / name).read_bytes()
 
+    def test_helper_matches_one_core(self, tmp_path, monkeypatch,
+                                     helper_starts):
+        spec = BenchmarkSpec("lowrank", "tilted",
+                             TrackerConfig(dt0=0.2, r0=0.1), n=3)
+        off, on = tmp_path / "off", tmp_path / "on"
+        monkeypatch.setattr(_pool, "_usable_cores", lambda: 1)
+        run_benchmark(spec, out_dir=off)
+        assert not helper_starts
+        monkeypatch.setattr(_pool, "_usable_cores", lambda: 2)
+        run_benchmark(spec, out_dir=on)
+        assert len(helper_starts) == 1
+        for name in ("cert_000.json", "report.json", "steps.csv"):
+            assert (off / name).read_bytes() == (on / name).read_bytes()
+
 
 class TestPathFailureIsolation:
     """An exception of any type fails only the path that raised it, in

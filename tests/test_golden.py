@@ -6,14 +6,16 @@ Python floats; the lowrank file (4 unknowns) before the residual of
 wide systems moved to the array kernels.  Any change to the order or
 rounding of an interval operation on the tracking path shows up here as
 a byte difference.  Each case also runs with every residual forced onto
-the array kernels and onto the scalar kernels.
+the array kernels and onto the scalar kernels, and on one and two usable
+cores: on two, the cases with two or more unknowns track with a helper
+process.
 """
 
 from pathlib import Path
 
 import pytest
 
-from pathcert import ilinalg
+from pathcert import _pool, ilinalg
 from pathcert.bench import (
     gen_lowrank,
     gen_newton_homotopy,
@@ -69,3 +71,13 @@ def test_both_residual_branches_match_golden_file(name, wide_n, monkeypatch):
     monkeypatch.setattr(ilinalg, "WIDE_N", wide_n)
     want = (GOLDEN / name).read_text(encoding="utf-8")
     assert serialize(CASES[name]().certificate) == want
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_one_and_two_cores_match_golden_file(name, cores, monkeypatch,
+                                             helper_starts):
+    monkeypatch.setattr(_pool, "_usable_cores", lambda: cores)
+    want = (GOLDEN / name).read_text(encoding="utf-8")
+    assert serialize(CASES[name]().certificate) == want
+    assert len(helper_starts) == (cores == 2 and not name.startswith("newton"))

@@ -2,13 +2,19 @@
 
 import dataclasses
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
 import pathcert.tracker as tracker_mod
 import tutil
-from pathcert.bench import gen_newton_homotopy, newton_path_point
+from pathcert import _pool
+from pathcert.bench import (
+    gen_newton_homotopy,
+    gen_random_quadratic,
+    newton_path_point,
+)
 from pathcert.certificate import MODE_RECT, MODE_TILTED, serialize, verify
 from pathcert.errors import (
     MaxStepsExceeded,
@@ -291,7 +297,15 @@ class TestTrackEndToEnd:
 class TestStepWork:
     """Each piece of a tilted step runs at most once: Newton once per
     attempt (in the prediction) plus once at the start, and the enclosure
-    of H over T only for tests that pass the contraction bound."""
+    of H over T only for tests that pass the contraction bound.
+
+    These counts are those of the serial loop, one attempt per round,
+    which runs every path with one unknown, as here.  With two or more
+    unknowns on two usable cores a helper process runs each round's first
+    attempt and this process its sibling one step size down, so calls
+    split between the processes and a discarded sibling adds calls; the
+    results consumed are the same (TestSiblingAttempts).
+    """
 
     def test_newton_family_call_counts(self, monkeypatch):
         from pathcert.systems import Homotopy
@@ -346,3 +360,228 @@ class TestStepWork:
         assert res.rejected == len(res.step_log) - res.iterations
         assert abs(res.final_point[0] - 1.0) <= 1e-10
         assert verify(res.certificate).ok
+
+
+def singular_end2():
+    """x^2 - (1 - t), y - x: both unknowns run into the double root 0 at
+    t = 1, so certifiable steps shrink toward the end."""
+    sysm = tutil.ParametricSystem(2, 1, [
+        [tutil.Term(1.0, None, (2, 0)), tutil.Term(-1.0, 0, (0, 0))],
+        [tutil.Term(1.0, None, (0, 1)), tutil.Term(-1.0, None, (1, 0))],
+    ])
+    h = tutil.Homotopy(sysm, np.array([1.0 + 0.0j]), np.array([0.0 + 0.0j]))
+    return h, np.array([1.0 + 0.0j, 1.0 + 0.0j])
+
+
+def random2(mode=MODE_TILTED):
+    h, starts = gen_random_quadratic(2)
+    cfg = TrackerConfig() if mode == MODE_TILTED else \
+        TrackerConfig(dt0=0.001, r0=0.1)
+    return track(h, starts[0], cfg, mode=mode)
+
+
+def on_cores(monkeypatch, cores, run):
+    """What run() gives with the usable cores forced: the certificate's
+    text or the error's type and message, and the step log up to then,
+    as reprs (exact for floats, and NaN equals NaN)."""
+    monkeypatch.setattr(_pool, "_usable_cores", lambda: cores)
+    states = []
+    real_make_state = tracker_mod.make_state
+
+    def make_state(cfg):
+        states.append(real_make_state(cfg))
+        return states[-1]
+
+    monkeypatch.setattr(tracker_mod, "make_state", make_state)
+    try:
+        got = serialize(run().certificate)
+    except PathcertError as e:
+        got = (type(e), str(e))
+    assert multiprocessing.active_children() == []
+    return got, [repr(r) for r in states[-1].step_log]
+
+
+def helper_on_and_off(monkeypatch, run, started):
+    """run()'s outcome on one usable core, which must equal its outcome on
+    two, where a helper process must have run."""
+    before = len(started)
+    off = on_cores(monkeypatch, 1, run)
+    assert len(started) == before
+    on = on_cores(monkeypatch, 2, run)
+    assert len(started) == before + 1
+    assert on == off
+    return off
+
+
+def fail_precondition_at(monkeypatch, hit, error):
+    """Make precondition raise error for every (t0, t1) with hit(t0, t1);
+    a forked helper inherits the patch."""
+    real = tracker_mod.precondition
+
+    def precondition(h, x0, t0, t1, direction):
+        if hit(t0, t1):
+            raise error
+        return real(h, x0, t0, t1, direction)
+
+    monkeypatch.setattr(tracker_mod, "precondition", precondition)
+
+
+_real_helper_round = tracker_mod._helper_round
+
+
+def _skewed_helper_round(h, tilted, request):
+    """The helper's round with its prefetched start point one ulp off and
+    a zero Y: data this process must not use."""
+    a, ahead = _real_helper_round(h, tilted, request)
+    if ahead is not None:
+        x1, y, direction = ahead
+        ahead = (np.nextafter(x1.real, np.inf) + 1j * x1.imag,
+                 np.zeros_like(y), direction)
+    return a, ahead
+
+
+def _starts_in_worker(_):
+    """Helpers started while tracking a 2-unknown path in this process."""
+    before = len(_pool.Helper.started)
+    random2()
+    return len(_pool.Helper.started) - before
+
+
+class TestSiblingAttempts:
+    """With two or more unknowns on two usable cores, each round runs its
+    attempt on a helper process and the attempt one step size down here,
+    then consumes them in serial order.  Where the attempts run must not
+    change a bit of what a path gives: certificate, step log, or the error
+    it ends with and the steps logged before it."""
+
+    @pytest.mark.parametrize("mode", [MODE_TILTED, MODE_RECT])
+    def test_success_identical(self, monkeypatch, helper_starts, mode):
+        cert, log = helper_on_and_off(monkeypatch, lambda: random2(mode),
+                                      helper_starts)
+        assert isinstance(cert, str) and len(log) > 100
+
+    def test_step_underflow_at_singular_endpoint(self, monkeypatch,
+                                                 helper_starts):
+        monkeypatch.setattr(tracker_mod, "MIN_DT", 1e-8)
+        h, x0 = singular_end2()
+        (kind, msg), log = helper_on_and_off(
+            monkeypatch, lambda: track(h, x0, TrackerConfig()), helper_starts)
+        assert kind is StepUnderflow and "below 1e-08" in msg
+        assert "t0=0.9" in log[-1]
+
+    def test_rejection_limit(self, monkeypatch, helper_starts):
+        monkeypatch.setattr(tracker_mod, "MAX_CONSECUTIVE_REJECTIONS", 3)
+        h, x0 = singular_end2()
+        (kind, msg), log = helper_on_and_off(
+            monkeypatch, lambda: track(h, x0, TrackerConfig()), helper_starts)
+        assert kind is StepUnderflow and "4 consecutive rejections" in msg
+        assert all("accepted=False" in r for r in log[-4:])
+
+    @pytest.mark.parametrize("max_steps", [2, 3])
+    def test_max_steps(self, monkeypatch, helper_starts, max_steps):
+        monkeypatch.setattr(tracker_mod, "MAX_STEPS", max_steps)
+        (kind, msg), log = helper_on_and_off(monkeypatch, random2,
+                                             helper_starts)
+        assert kind is MaxStepsExceeded and f"{max_steps} steps" in msg
+        assert len(log) == max_steps
+
+    @pytest.mark.parametrize("which", ["first", "sibling"])
+    def test_prediction_error_raises_in_serial_order(
+            self, monkeypatch, helper_starts, which):
+        # a rejected first attempt at some t0 followed by an accepted
+        # retry: the helper runs the first, this process the retry
+        log = random2().step_log
+        i = next(i for i in range(1, len(log) - 1)
+                 if log[i - 1].accepted and not log[i].accepted
+                 and log[i + 1].accepted)
+        target = log[i] if which == "first" else log[i + 1]
+        fail_precondition_at(
+            monkeypatch,
+            lambda t0, t1: (t0, t1 - t0) == (target.t0, target.dt),
+            PathcertError("injected prediction failure"))
+        (kind, msg), got = helper_on_and_off(monkeypatch, random2,
+                                             helper_starts)
+        assert (kind, msg) == (PathcertError, "injected prediction failure")
+        assert got == [repr(r) for r in log[:i if which == "first" else i + 1]]
+
+    def test_prediction_failure_rejects_identically(self, monkeypatch,
+                                                    helper_starts):
+        # steps above 0.02, and above 0.002 for t0 in [0.3, 0.4), fail
+        # their prediction and are rejected without a test
+        fail_precondition_at(
+            monkeypatch,
+            lambda t0, t1: t1 - t0 > (0.002 if 0.3 <= t0 < 0.4 else 0.02),
+            NoConvergence("injected prediction failure"))
+        cert, log = helper_on_and_off(monkeypatch, random2, helper_starts)
+        assert isinstance(cert, str)
+        assert sum("residual_norm=nan" in r for r in log) > 10
+
+    def test_error_in_discarded_sibling_is_dropped(self, monkeypatch,
+                                                   helper_starts):
+        # the sibling of an attempt that passes at once never runs in the
+        # serial order, so its error must not surface
+        log = random2().step_log
+        i = next(i for i in range(1, len(log))
+                 if log[i - 1].accepted and log[i].accepted)
+        target = log[i]
+        fail_precondition_at(
+            monkeypatch,
+            lambda t0, t1: t0 == target.t0 and t1 - t0 < target.dt,
+            PathcertError("injected prediction failure"))
+        cert, got = helper_on_and_off(monkeypatch, random2, helper_starts)
+        assert cert == serialize(random2().certificate)
+        assert got == [repr(r) for r in log]
+
+    def test_prefetch_only_for_the_same_point(self, monkeypatch,
+                                              helper_starts):
+        want = on_cores(monkeypatch, 1, random2)
+        monkeypatch.setattr(tracker_mod, "_helper_round",
+                            _skewed_helper_round)
+        assert on_cores(monkeypatch, 2, random2) == want
+        assert helper_starts
+
+    @pytest.mark.parametrize("when", ["after reply", "after request"])
+    def test_lost_helper_finishes_in_process(self, monkeypatch,
+                                             helper_starts, when):
+        want = on_cores(monkeypatch, 1, random2)
+        killed = []
+
+        def kill(child):
+            if not killed:
+                child._proc.kill()
+                child._proc.join()
+                killed.append(child)
+
+        real_send, real_recv = _pool.Helper.send, _pool.Helper.recv
+
+        def send(self, request):
+            real_send(self, request)
+            if when == "after request":
+                kill(self)
+
+        def recv(self):
+            reply = real_recv(self)
+            if when == "after reply":
+                kill(self)
+            return reply
+
+        monkeypatch.setattr(_pool.Helper, "send", send)
+        monkeypatch.setattr(_pool.Helper, "recv", recv)
+        assert on_cores(monkeypatch, 2, random2) == want
+        assert killed and not killed[0].alive
+
+    def test_no_helper_for_one_unknown(self, monkeypatch, helper_starts):
+        monkeypatch.setattr(_pool, "_usable_cores", lambda: 2)
+        h, starts = gen_newton_homotopy(10.0)
+        track(h, starts[0], TrackerConfig(dt0=0.02, r0=0.1))
+        assert not helper_starts
+
+    def test_no_helper_on_one_core(self, monkeypatch, helper_starts):
+        monkeypatch.setattr(_pool, "_usable_cores", lambda: 1)
+        random2()
+        assert not helper_starts
+
+    def test_no_helper_in_pool_worker(self, monkeypatch, helper_starts):
+        monkeypatch.setattr(_pool, "_usable_cores", lambda: 2)
+        assert _pool.pool_map(_starts_in_worker, [0, 1]) == [0, 0]
+        assert _starts_in_worker(0) == 1
