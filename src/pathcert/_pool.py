@@ -9,11 +9,14 @@ core or one task.  A pool worker always runs its tasks in-process, so
 pools never nest.
 
 ``helper`` starts one child process that answers requests one at a time
-while this process works on something else, under the same conditions
-as a pool: never inside a pool worker or the helper itself, and only on
-two or more usable cores.  It only moves where a request is computed,
-never what: a caller must get the same result whether the helper answers
-or the caller computes the request itself after losing it.
+while this process works on something else: only on two or more usable
+cores, only where processes start by fork, and never inside a pool
+worker, the helper itself or any daemonic process (a caller's
+``multiprocessing.Pool`` worker may not have children).  A helper that
+cannot be started, or is lost later, leaves the work to the caller.  It
+only moves where a request is computed, never what: a caller must get
+the same result whether the helper answers or the caller computes the
+request itself.
 """
 
 import os
@@ -74,23 +77,26 @@ def _serve(conn, parent_end, serve, args):
 
 
 class Helper:
-    """A child process answering ``serve(*args, request)`` for one
-    request at a time.  Requests and replies must be picklable, and with
-    a start method other than fork also ``serve``, a module-level
-    function, and its args.
+    """A forked child process answering ``serve(*args, request)`` for one
+    request at a time.  Requests and replies must be picklable.  Raises
+    OSError, with both pipe ends closed, when the child cannot start.
     """
 
     def __init__(self, serve, args):
-        # the default start method, as in pool_map: a helper lives for
-        # one tracked path, which a spawned child's imports would outlast
         import multiprocessing
-        ctx = multiprocessing.get_context()
+        ctx = multiprocessing.get_context("fork")
         self._conn, theirs = ctx.Pipe()
         self._proc = ctx.Process(target=_serve,
                                  args=(theirs, self._conn, serve, args),
                                  daemon=True)
-        self._proc.start()
-        theirs.close()
+        try:
+            self._proc.start()
+        except OSError:
+            self._conn.close()
+            self._conn = None
+            raise
+        finally:
+            theirs.close()
 
     @property
     def alive(self):
@@ -129,15 +135,37 @@ class Helper:
             self._proc.join()
 
 
+def _may_fork_helper():
+    """Whether this process may start a helper: not a worker, helper or
+    daemonic process, on two or more usable cores, and processes start by
+    fork.  A helper lives for one tracked path, often shorter than the
+    imports a spawned or forkserver child pays (see pool_map), and only
+    the forked helper was measured, so other start methods run serially.
+    """
+    if _in_worker or _usable_cores() < 2:
+        return False
+    import multiprocessing as mp
+    # the method set for this program, else the platform's default, which
+    # get_all_start_methods lists first; asked without fixing the choice
+    method = mp.get_start_method(allow_none=True) or \
+        mp.get_all_start_methods()[0]
+    return not mp.current_process().daemon and method == "fork"
+
+
 @contextmanager
 def helper(serve, *args):
     """A ``Helper`` for the duration of the with-block, closed at its end
-    however it ends; None in a pool worker or helper and on one usable
-    core, where the caller does the work itself."""
-    if _in_worker or _usable_cores() < 2:
+    however it ends; None where ``_may_fork_helper`` says no or the child
+    cannot start, and the caller then does the work itself."""
+    child = None
+    if _may_fork_helper():
+        try:
+            child = Helper(serve, args)
+        except OSError:
+            pass
+    if child is None:
         yield None
         return
-    child = Helper(serve, args)
     try:
         yield child
     finally:

@@ -35,18 +35,20 @@ dt/r never drifts by more than rounding.
 Where attempts run.  An attempt depends only on x, Y, the Euler direction
 and its own (t1, r), so the attempt one scale down, which runs next when
 the current one fails, can run beside it.  For a path with two or more
-unknowns tracked outside a pool worker on two or more usable cores,
-``track`` keeps one helper process (``_pool.helper``) for the whole path.
-Each round the helper runs attempt A at exponent k while this process
-runs its sibling B at k - 1, and the two are consumed in serial order
-through ``step_update``: B is discarded when A passes, when A's
-rejection ends the path, or when B raised.  After a failed A the helper
-also computes the point, Y and direction B would start the next step
-from; they are used only when this process's own next x equals that
-point bit for bit.  Every other path, and a path whose helper is lost,
-runs one attempt per round here.  The helper moves only where an attempt
-runs, never what it computes: certificates and step logs are the same
-bytes either way.
+unknowns, wherever ``_pool.helper`` may fork a child (two or more usable
+cores, fork start method, not in a pool worker or daemonic process),
+``track`` keeps one helper process for the whole path.  Each round the
+helper runs attempt A at exponent k while this process runs its sibling
+B at k - 1, and the two are consumed in serial order through
+``step_update``: B is discarded when A passes, when A's rejection ends
+the path, or when B raised.  After a failed A the helper also computes
+the point, Y and direction B would start the next step from; they are
+used only when this process's own next x equals that point bit for bit.
+Every other path, and a path whose helper cannot start or is lost, runs
+one attempt per round here.  A path with one unknown is too short for a
+helper: one made the newton sweep about twice as slow.  The helper moves
+only where an attempt runs, never what it computes: certificates and
+step logs are the same bytes either way.
 """
 
 import math

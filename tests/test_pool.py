@@ -1,7 +1,9 @@
 """The shared process pool and the helper process: task order, when they
-run in-process, and neither inside a pool worker."""
+run in-process, neither inside a pool worker, and no helper without fork
+or when it cannot start."""
 
 import multiprocessing
+import multiprocessing.connection
 import os
 
 import pytest
@@ -71,6 +73,42 @@ def test_no_helper_on_one_core_or_in_worker(monkeypatch):
     monkeypatch.setattr(_pool, "_in_worker", True)
     with _pool.helper(_plus, 0) as child:
         assert child is None
+    assert multiprocessing.active_children() == []
+
+
+def _helper_here(_):
+    """Whether a helper starts in this process."""
+    with _pool.helper(_plus, 0) as child:
+        return child is not None
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_no_helper_without_fork(monkeypatch, method):
+    monkeypatch.setattr(_pool, "_usable_cores", lambda: 2)
+    assert _helper_here(0)
+    monkeypatch.setattr(multiprocessing, "get_start_method",
+                        lambda allow_none=False: method)
+    assert not _helper_here(0)
+    assert multiprocessing.active_children() == []
+
+
+def test_failed_start_gives_none_and_closes_the_pipe(monkeypatch):
+    monkeypatch.setattr(_pool, "_usable_cores", lambda: 2)
+    pipes = []
+    real_pipe = multiprocessing.connection.Pipe
+
+    def pipe(*args, **kwargs):
+        pipes.append(real_pipe(*args, **kwargs))
+        return pipes[-1]
+
+    def start(self):
+        raise OSError(12, "Cannot allocate memory")
+
+    monkeypatch.setattr(multiprocessing.connection, "Pipe", pipe)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+    with _pool.helper(_plus, 0) as child:
+        assert child is None
+    assert len(pipes) == 1 and all(end.closed for end in pipes[0])
     assert multiprocessing.active_children() == []
 
 

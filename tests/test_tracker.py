@@ -301,10 +301,12 @@ class TestStepWork:
 
     These counts are those of the serial loop, one attempt per round,
     which runs every path with one unknown, as here.  With two or more
-    unknowns on two usable cores a helper process runs each round's first
-    attempt and this process its sibling one step size down, so calls
-    split between the processes and a discarded sibling adds calls; the
-    results consumed are the same (TestSiblingAttempts).
+    unknowns on two usable cores, where processes start by fork and
+    outside pool workers and daemonic processes, a helper process runs
+    each round's first attempt and this process its sibling one step
+    size down, so calls split between the processes and a discarded
+    sibling adds calls; the results consumed are the same
+    (TestSiblingAttempts).
     """
 
     def test_newton_family_call_counts(self, monkeypatch):
@@ -447,6 +449,15 @@ def _starts_in_worker(_):
     return len(_pool.Helper.started) - before
 
 
+def _random2_in_daemon(_):
+    """random2's certificate text and the helpers started for it, in a
+    daemonic process, which may not have children."""
+    before = len(_pool.Helper.started)
+    cert = serialize(random2().certificate)
+    return (cert, multiprocessing.current_process().daemon,
+            len(_pool.Helper.started) - before)
+
+
 class TestSiblingAttempts:
     """With two or more unknowns on two usable cores, each round runs its
     attempt on a helper process and the attempt one step size down here,
@@ -585,3 +596,24 @@ class TestSiblingAttempts:
         monkeypatch.setattr(_pool, "_usable_cores", lambda: 2)
         assert _pool.pool_map(_starts_in_worker, [0, 1]) == [0, 0]
         assert _starts_in_worker(0) == 1
+
+    def test_callers_pool_worker_tracks_serially(self, monkeypatch,
+                                                 helper_starts):
+        # a multiprocessing.Pool worker is daemonic: starting a child there
+        # fails, so the path must run the serial loop and give its bytes
+        want, _ = on_cores(monkeypatch, 1, lambda: random2())
+        monkeypatch.setattr(_pool, "_usable_cores", lambda: 2)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            got = pool.map(_random2_in_daemon, [0])
+        assert got == [(want, True, 0)]
+
+    def test_failed_start_tracks_serially(self, monkeypatch, helper_starts):
+        want = on_cores(monkeypatch, 1, random2)
+
+        def start(self):
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            start)
+        assert on_cores(monkeypatch, 2, random2) == want
+        assert not helper_starts
