@@ -10,7 +10,6 @@ that an independent verifier replays from scratch.
 from .bench import (
     BenchmarkReport,
     BenchmarkSpec,
-    bootstrap_starts,
     build_family,
     gen_katsura,
     gen_lowrank,
@@ -51,7 +50,6 @@ from .errors import (
     NonPositiveRadius,
     ParseError,
     PathcertError,
-    RootCountMismatch,
     SingularJacobian,
     SingularMatrix,
     StepUnderflow,

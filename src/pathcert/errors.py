@@ -57,10 +57,6 @@ class SingularJacobian(TrackingError):
     """Jacobian not invertible at a refinement or preconditioning point."""
 
 
-class RootCountMismatch(PathcertError):
-    """Start-system bootstrap found a wrong number of distinct solutions."""
-
-
 class DegenerateStart(PathcertError):
     """Start data violates a non-degeneracy requirement (e.g. tied top
     singular values)."""

@@ -414,12 +414,17 @@ def cvec_in(obj, loc):
 
 
 def load_system(path):
-    """Read a ParametricSystem from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
+    """Read a ParametricSystem from a JSON file; ParseError if the file is
+    missing, unreadable, not UTF-8 or not JSON."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, ValueError) as e:
+        raise ParseError(f"{path}: {e}") from e
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
     return ParametricSystem.from_json(obj)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -292,6 +293,11 @@ class TestSerialization:
         path.write_text("{ this is not json", encoding="utf-8")
         with pytest.raises(ParseError):
             load_system(path)
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes(b'{"n": 1, "name": "\xe9"}')
+        for bad in (tmp_path / "missing.json", tmp_path, latin1):
+            with pytest.raises(ParseError, match=re.escape(str(bad))):
+                load_system(bad)
 
     def test_bad_shapes_rejected(self):
         with pytest.raises(DimensionMismatch):
