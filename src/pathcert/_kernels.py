@@ -30,6 +30,10 @@ _next = math.nextafter
 
 ZERO = (0.0, 0.0, 0.0, 0.0)
 ONE = (1.0, 1.0, 0.0, 0.0)
+# c_mul(ZERO, a) for every rectangle a with finite endpoints: each real
+# product is a signed zero, rounded out to -+5e-324, and the sum and
+# difference of two such bounds round out once more
+_ZERO_TIMES_FINITE = (-1.5e-323, 1.5e-323, -1.5e-323, 1.5e-323)
 
 
 def _rects(rows, shape):
@@ -158,6 +162,15 @@ def cp_mul(a, z):
     irh = _next(q if q > p else p, _INF)
     return (_next(rrl - iih, -_INF), _next(rrh - iil, _INF),
             _next(ril + irl, -_INF), _next(rih + irh, _INF))
+
+
+def zero_times(a):
+    """``c_mul(ZERO, a)``, bit for bit, without the products when every
+    endpoint of a is finite."""
+    if math.isfinite(a[0]) and math.isfinite(a[1]) and \
+            math.isfinite(a[2]) and math.isfinite(a[3]):
+        return _ZERO_TIMES_FINITE
+    return c_mul(ZERO, a)
 
 
 def c_den(b):
@@ -296,11 +309,12 @@ def eval_terms_interval(flat, z, pv):
     """Interval evaluation of a flattened term list.
 
     Equation i is the sum, in term order, of
-      coef * fac * pv[par] * prod_j z[j]^e_j
+      coef * pv[par] * prod_j z[j]^e_j
     over ``flat.terms[i]``, with the parameter factor skipped when
-    par < 0.  ``fac`` carries exact small-integer multiplicities (from
-    differentiation); it is applied with interval semantics so no rounding
-    is silently dropped.  z is (n, 4), pv (m, 4).
+    par < 0.  ``coef`` is the term's coefficient times its exact
+    small-integer multiplicity ``fac`` (from differentiation), a rectangle
+    that ``systems._Flat`` forms once with interval semantics, so no
+    rounding is silently dropped.  z is (n, 4), pv (m, 4).
     """
     zpow = []
     for zj in z.tolist():
@@ -312,10 +326,7 @@ def eval_terms_interval(flat, z, pv):
     out = []
     for terms in flat.terms:
         acc = ZERO
-        for cre, cim, fac, par, factors, _ in terms:
-            v = (cre, cre, cim, cim)
-            if fac != 1.0:
-                v = c_mul(v, (fac, fac, 0.0, 0.0))
+        for v, par, factors, _ in terms:
             if par >= 0:
                 v = c_mul(v, pv[par])
             for j, e in factors:
@@ -377,7 +388,7 @@ def eval_terms_tpoly(flat, x, sa, sb, p0, p1, t_lo, t_hi):
             rl, rh = r_add(rl, rh, xj.real, xj.real)
             il, ih = r_add(il, ih, xj.imag, xj.imag)
             z0 = (rl, rh, il, ih)
-            lin.append((z0, c_mul(ZERO, z0), b, cp_mul))
+            lin.append((z0, zero_times(z0), b, cp_mul))
     # parameter drift p1 - p0 as an interval (the float difference rounds)
     # and the path point p(tc) = p0 + tc*(p1 - p0)
     plin = []
@@ -389,7 +400,7 @@ def eval_terms_tpoly(flat, x, sa, sb, p0, p1, t_lo, t_hi):
         rl, rh = r_add(rl, rh, a.real, a.real)
         il, ih = r_add(il, ih, a.imag, a.imag)
         q0 = (rl, rh, il, ih)
-        plin.append((q0, c_mul(ZERO, q0), (drl, drh, dil, dih), c_mul))
+        plin.append((q0, zero_times(q0), (drl, drh, dil, dih), c_mul))
     # the symmetric tau interval [tau_lo, tau_hi] straddles 0: odd powers
     # are monotone, even powers have range [0, max-magnitude^d], each
     # magnitude power rounded up
@@ -407,10 +418,8 @@ def eval_terms_tpoly(flat, x, sa, sb, p0, p1, t_lo, t_hi):
     out = []
     for terms in flat.terms:
         acc = [ZERO] * nd
-        for cre, cim, fac, par, factors, _ in terms:
-            w = [(cre, cre, cim, cim)]
-            if fac != 1.0:
-                w[0] = c_mul(w[0], (fac, fac, 0.0, 0.0))
+        for coef, par, factors, _ in terms:
+            w = [coef]
             if par >= 0:
                 w = tpoly_linmul(w, plin[par])
             for j, e in factors:
@@ -445,7 +454,7 @@ def eval_terms_point(flat, z, pv):
     out = []
     for terms in flat.terms:
         acc = 0.0 + 0.0j
-        for _, _, _, par, factors, coef in terms:
+        for _, par, factors, coef in terms:
             v = coef
             if par >= 0:
                 v = v * pv[par]

@@ -50,8 +50,9 @@ class _Flat:
     """Flattened term arrays in the layouts the kernels consume.
 
     The arrays feed ``_batch``.  ``terms[i]`` lists equation i's terms for
-    the scalar kernels as Python values: (coef_re, coef_im, fac, par,
-    factors, coef_point), with ``factors`` the (j, e) pairs with e > 0.
+    the scalar kernels as Python values: (coef, par, factors, coef_point),
+    with ``coef`` the rectangle coef * fac (the coefficient itself when
+    fac is 1) and ``factors`` the (j, e) pairs with e > 0.
     """
 
     __slots__ = ("coef_re", "coef_im", "coef_point", "fac", "par", "expo",
@@ -81,9 +82,15 @@ class _Flat:
         # degree in t after substituting a time-affine shear and path
         deg = self.expo.sum(axis=1) + (self.par >= 0)
         self.tdeg = int(deg.max()) if nt else 0
+        coefs = []
+        for cre, cim, fac in zip(self.coef_re.tolist(),
+                                 self.coef_im.tolist(), self.fac.tolist()):
+            coef = (cre, cre, cim, cim)
+            if fac != 1.0:
+                coef = _k.c_mul(coef, (fac, fac, 0.0, 0.0))
+            coefs.append(coef)
         terms = list(zip(
-            self.coef_re.tolist(), self.coef_im.tolist(), self.fac.tolist(),
-            self.par.tolist(),
+            coefs, self.par.tolist(),
             [tuple((j, e) for j, e in enumerate(row) if e > 0)
              for row in self.expo.tolist()],
             self.coef_point.tolist()))

@@ -7,7 +7,10 @@ subnormals and values near overflow, which pins the min/max NaN semantics
 (keep the first operand unless the second compares below/above it) and
 the sign of zero through every ``nextafter``.  ``cp_mul``, the scalar
 shortcut for a rectangle times a complex point, must equal ``c_mul`` with
-the point as a degenerate rectangle on either side.  The residual
+the point as a degenerate rectangle on either side; ``zero_times`` must
+equal ``c_mul(ZERO, a)``; and the coefficient rectangle ``systems._Flat``
+holds per term must equal the coefficient times its multiplicity.  The
+residual
 I - Y*M has two twins, ``residual_k`` and ``_batch.residual``, and
 ``ilinalg.residual_matrix`` serves it from either side of ``WIDE_N``.
 """
@@ -19,6 +22,7 @@ import pytest
 
 from pathcert import _batch, ilinalg
 from pathcert import _kernels as _k
+from pathcert.systems import _Flat
 
 SPECIAL = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
                     -5e-324, 2.2e-308, 1e308, -1e308, 1.0, -1.0])
@@ -86,6 +90,29 @@ def test_point_product_matches_c_mul_on_both_sides(operands):
         left.append(_k.c_mul(point, p))
         right.append(_k.c_mul(p, point))
     assert same_bits(got, left) and same_bits(got, right)
+
+
+def test_zero_times_matches_c_mul(operands):
+    a, _ = operands
+    rows = a.T.tolist() + [[x] * 4 for x in SPECIAL.tolist()]
+    got = [_k.zero_times(p) for p in rows]
+    assert same_bits(got, [_k.c_mul(_k.ZERO, p) for p in rows])
+    # both branches run: finite rows take the fixed tuple
+    assert sum(all(map(math.isfinite, p)) for p in rows) > 1000
+
+
+def test_flat_coefficient_is_coef_times_fac():
+    values = SPECIAL.tolist() + [0.3, -2.5e-300]
+    coefs = [complex(re, im) for re in values for im in values]
+    facs = [1, 2, 3, 7]
+    rows = [[(c, fac, None, (1,)) for c in coefs] for fac in facs]
+    flat = _Flat(rows, 1)
+    for fac, terms in zip(facs, flat.terms):
+        for c, (got, _, _, _) in zip(coefs, terms):
+            want = (c.real, c.real, c.imag, c.imag)
+            if fac != 1:
+                want = _k.c_mul(want, (fac, fac, 0.0, 0.0))
+            assert same_bits(got, want)
 
 
 # ---------------------------------------------------------------------------
