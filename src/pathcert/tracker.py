@@ -2,10 +2,11 @@
 
 One step-size loop over the parameter segment t in [0, 1].  Each attempt
 tests a box of radius r over T = [t0, t1] with the parametric Krawczyk
-test.  On success dt and r scale up by lambda and t0 advances to t1; on
-failure both scale down and the attempt is retried from the same x and Y,
-the midpoint inverse of the Jacobian at (x, t0).  The mode decides only
-the frame an attempt is tested in and the point the next step starts from:
+test.  On success t0 advances to t1 and dt and r scale up by lambda when
+the test left room for it; on failure both scale down and the attempt is
+retried from the same x and Y, the midpoint inverse of the Jacobian at
+(x, t0).  The mode decides only the frame an attempt is tested in and the
+point the next step starts from:
 
 rect:   test H in a box centered at the current refined point x.  On
         success refine x with Newton at the new t0.
@@ -30,35 +31,21 @@ into a machine-checkable certificate chain tiling [0, 1].
 Step scheduling keeps dt and r locked to a common power of lambda:
 dt = dt0 * lambda^k and r = r0 * lambda^k with one shared integer k, so a
 success followed by a failure restores bit-identical values and the ratio
-dt/r never drifts by more than rounding.
-
-Where attempts run.  An attempt depends only on x, Y, the Euler direction
-and its own (t1, r), so the attempt one scale down, which runs next when
-the current one fails, can run beside it.  For a path with two or more
-unknowns, wherever ``_pool.helper`` may fork a child (two or more usable
-cores, fork start method, not in a pool worker or daemonic process),
-``track`` keeps one helper process for the whole path.  Each round the
-helper runs attempt A at exponent k while this process runs its sibling
-B at k - 1, and the two are consumed in serial order through
-``step_update``: B is discarded when A passes, when A's rejection ends
-the path, or when B raised.  After a failed A the helper also computes
-the point, Y and direction B would start the next step from; they are
-used only when this process's own next x equals that point bit for bit.
-Every other path, and a path whose helper cannot start or is lost, runs
-one attempt per round here.  A path with one unknown is too short for a
-helper: one made the newton sweep about twice as slow.  The helper moves
-only where an attempt runs, never what it computes: certificates and
-step logs are the same bytes either way.
+dt/r never drifts by more than rounding.  A failure lowers k by one.  A
+success raises it only when the accepted test's contraction norm leaves
+room for the larger box, sqrt(2) * lambda * ||I - YJ|| < 1; otherwise k
+stays.  The norm scales about linearly with the box and the step, so a
+grown attempt past that margin would almost always fail uniqueness
+(Kearfott & Xing 1994 drive the step from the same margin).  The rule
+only picks which attempts run; every accepted step still passes the full
+test.
 """
 
 import math
-from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _pool
 from .certificate import MODE_RECT, MODE_TILTED, PathCertificate, Segment
 from .errors import (
     DegenerateTimeInterval,
@@ -129,7 +116,9 @@ def make_state(cfg):
 def step_update(state, cfg, accepted, residual_norm=math.nan):
     """Log the step just tested and move the (t0, t1, dt, r) frame.
 
-    Accepted: scale dt and r up by lambda, advance t0 to t1.  Rejected:
+    Accepted: advance t0 to t1, and scale dt and r up by lambda unless
+    the test's contraction norm says the larger step would fail,
+    sqrt(2) * lambda * residual_norm >= 1 (a NaN norm grows).  Rejected:
     scale both down, keep t0.  Either way t1 = min(t0 + dt, 1).  Raises
     StepUnderflow when dt collapses or rejections pile up.
     """
@@ -138,7 +127,8 @@ def step_update(state, cfg, accepted, residual_norm=math.nan):
         r=state.r, accepted=bool(accepted), residual_norm=residual_norm))
     if accepted:
         state.consecutive_rejections = 0
-        state.scale_exp += 1
+        if not math.sqrt(2.0) * cfg.lam * residual_norm >= 1.0:
+            state.scale_exp += 1
         state.t0 = state.t1
     else:
         state.consecutive_rejections += 1
@@ -201,19 +191,16 @@ def euler_direction(h, x, t0):
         raise SingularJacobian(f"Jacobian singular at t={t0}") from e
 
 
-def predict(h, x0, t0, t1, direction):
-    """The point x1 at t1: an Euler step along ``direction``, which is
-    ``euler_direction(h, x0, t0)``, refined at t1 with Newton."""
-    x1, _ = newton_refine(h, x0 - (t1 - t0) * direction, t1)
-    return x1
-
-
 def precondition(h, x0, t0, t1, direction):
     """Predict x1 at t1, then shear the homotopy through (t0, x0) and
-    (t1, x1).  Returns (sheared homotopy, x1)."""
+    (t1, x1).  Returns (sheared homotopy, x1).
+
+    The prediction is an Euler step along ``direction``, which is
+    ``euler_direction(h, x0, t0)``, refined at t1 with Newton.
+    """
     if not (t1 > t0):
         raise DegenerateTimeInterval(f"need t1 > t0, got [{t0}, {t1}]")
-    x1 = predict(h, x0, t0, t1, direction)
+    x1, _ = newton_refine(h, x0 - (t1 - t0) * direction, t1)
     return h.sheared(x0, x1, t0, t1), x1
 
 
@@ -266,78 +253,6 @@ def _tilted_frame(h, x, direction, t0, t1):
             {"shear_x0": x, "shear_x1": x1})
 
 
-class _Attempt(NamedTuple):
-    tested: bool            # a Krawczyk test ran
-    passed: bool
-    residual_norm: float
-    segment: "Segment | None"   # the certified segment when passed
-
-
-def _attempt(h, tilted, x, y, direction, t0, t1, r):
-    """One Krawczyk test over [t0, t1] with box radius r, from x with Y
-    and the Euler direction at (x, t0)."""
-    if tilted:
-        frame = _tilted_frame(h, x, direction, t0, t1)
-    else:
-        frame = h, x, {"center": x}
-    if frame is None:
-        return _Attempt(False, False, math.nan, None)
-    g, center, anchor = frame
-    box = box_centered(center, r)
-    try:
-        verdict = parametric_krawczyk_test(g, center, y, box,
-                                           RealInterval(t0, t1))
-    except PathcertError:
-        return _Attempt(True, False, math.nan, None)
-    rn = verdict.residual_norm
-    if not verdict.passed:
-        return _Attempt(True, False, rn, None)
-    return _Attempt(True, True, rn, Segment(t0, t1, box, y, rn, **{
-        k: v.copy() for k, v in anchor.items()}))
-
-
-def _start_data(h, tilted, x, t):
-    """Y and the Euler direction (None in rect mode) at the start (x, t)
-    of a step."""
-    return (_mid_inverse_or_raise(h, x, t),
-            _direction_or_none(h, x, t) if tilted else None)
-
-
-def _sibling(state, cfg):
-    """(t1, r) of the attempt that follows a rejection of the current
-    one, or None when that rejection would end the path."""
-    if len(state.step_log) + 1 >= MAX_STEPS:
-        return None
-    after = replace(state, step_log=[])
-    try:
-        step_update(after, cfg, False)
-    except StepUnderflow:
-        return None
-    return after.t1, after.r
-
-
-def _helper_round(h, tilted, request):
-    """The helper's half of a round: attempt A, and when it fails, the
-    start data of the step sibling B would begin if it passed.
-
-    The start point is computed as the caller computes it, so it has the
-    same bits whenever nothing differs between the processes; the caller
-    checks that before it uses the prefetched data.
-    """
-    x, y, direction, t0, t1, r, t1_b = request
-    a = _attempt(h, tilted, x, y, direction, t0, t1, r)
-    if a.passed or (tilted and direction is None):
-        return a, None
-    try:
-        if tilted:
-            x1 = predict(h, x, t0, t1_b, direction)
-        else:
-            x1, _ = newton_refine(h, x, t1_b)
-        return a, (x1, *_start_data(h, tilted, x1, t1_b))
-    except PathcertError:
-        return a, None
-
-
 def track(h, x0, cfg=None, mode=MODE_TILTED, path_id=0):
     """Track the path of the unsheared homotopy h from x0 at t = 0 to t = 1.
 
@@ -355,51 +270,40 @@ def track(h, x0, cfg=None, mode=MODE_TILTED, path_id=0):
     state = make_state(cfg)
     segments = []
     y = None
-    ahead = None      # (x1, Y, direction) the helper computed for B's x1
-    with (_pool.helper(_helper_round, h, tilted) if h.n >= 2
-          else nullcontext()) as helper:
-        while state.t0 < 1.0:
-            if y is None:
-                # first attempt at this t0
-                if ahead is not None and np.array_equal(ahead[0], x):
-                    y, direction = ahead[1:]
-                else:
-                    y, direction = _start_data(h, tilted, x, state.t0)
-            ahead = None
-            if len(state.step_log) >= MAX_STEPS:
-                raise MaxStepsExceeded(f"{MAX_STEPS} steps at t={state.t0}")
-            start = (x, y, direction, state.t0)
-            sib = _sibling(state, cfg) if helper and helper.alive else None
-            if sib is None:
-                attempts = [_attempt(h, tilted, *start, state.t1, state.r)]
+    while state.t0 < 1.0:
+        if y is None:
+            # first attempt at this t0
+            y = _mid_inverse_or_raise(h, x, state.t0)
+            direction = _direction_or_none(h, x, state.t0) if tilted else None
+        if len(state.step_log) >= MAX_STEPS:
+            raise MaxStepsExceeded(f"{MAX_STEPS} steps at t={state.t0}")
+        if tilted:
+            frame = _tilted_frame(h, x, direction, state.t0, state.t1)
+        else:
+            frame = h, x, {"center": x}
+        ok = False
+        rn = math.nan
+        if frame is not None:
+            g, center, anchor = frame
+            box = box_centered(center, state.r)
+            T = RealInterval(state.t0, state.t1)
+            try:
+                verdict = parametric_krawczyk_test(g, center, y, box, T)
+                ok = verdict.passed
+                rn = verdict.residual_norm
+            except PathcertError:
+                pass            # a test that raises rejects the step
+            state.tests += 1
+        if ok:
+            segments.append(Segment(state.t0, state.t1, box, y, rn, **{
+                k: v.copy() for k, v in anchor.items()}))
+        step_update(state, cfg, ok, rn)
+        if ok:
+            if tilted:
+                x = anchor["shear_x1"]
             else:
-                # attempt A on the helper while its sibling B runs here;
-                # both are consumed below in serial order
-                helper.send((*start, state.t1, state.r, sib[0]))
-                try:
-                    b = _attempt(h, tilted, *start, *sib)
-                except Exception:
-                    # dropped: the next round runs B again as its A, and
-                    # raises there if the serial order reaches it
-                    b = None
-                reply = helper.recv()
-                if reply is None:      # helper lost: run A here
-                    reply = _attempt(h, tilted, *start, state.t1,
-                                     state.r), None
-                attempts = [reply[0]] if b is None else [reply[0], b]
-                ahead = reply[1]
-            for att in attempts:
-                state.tests += att.tested
-                if att.passed:
-                    segments.append(att.segment)
-                step_update(state, cfg, att.passed, att.residual_norm)
-                if att.passed:
-                    if tilted:
-                        x = att.segment.shear_x1.copy()
-                    else:
-                        x, _ = newton_refine(h, x, state.t0)
-                    y = None
-                    break
+                x, _ = newton_refine(h, x, state.t0)
+            y = None
     final_res = float(np.abs(h.eval_point(x, 1.0)).max())
     cert = PathCertificate(mode, h, segments, x, final_res, path_id=path_id)
     return TrackResult(path_id, mode, cert, len(segments), state.tests,

@@ -27,19 +27,3 @@ def warm_up():
     track(h, starts[0], cfg, mode=MODE_RECT)
     verify(deserialize(serialize(res.certificate)))
 
-
-@pytest.fixture
-def helper_starts(monkeypatch):
-    """The helper processes ``pathcert._pool`` starts during the test, also
-    kept as ``_pool.Helper.started`` for code that runs in a pool worker."""
-    from pathcert import _pool
-    started = []
-
-    class Recorded(_pool.Helper):
-        def __init__(self, *args):
-            super().__init__(*args)
-            started.append(self)
-
-    Recorded.started = started
-    monkeypatch.setattr(_pool, "Helper", Recorded)
-    return started

@@ -2,14 +2,12 @@
 
 import dataclasses
 import math
-import multiprocessing
 
 import numpy as np
 import pytest
 
 import pathcert.tracker as tracker_mod
 import tutil
-from pathcert import _pool
 from pathcert.bench import (
     gen_newton_homotopy,
     gen_random_quadratic,
@@ -161,6 +159,28 @@ class TestStepUpdate:
             for _ in range(100):
                 step_update(s, cfg, False)
 
+    @pytest.mark.parametrize("rn", [0.0, 0.2, 0.3, 1.0, math.inf])
+    def test_accept_grows_only_with_margin(self, rn):
+        # sqrt(2) * 3 * rn is 0.85 at rn = 0.2 and 1.27 at rn = 0.3
+        cfg = TrackerConfig(dt0=0.1, r0=0.1, lam=3.0)
+        s = make_state(cfg)
+        step_update(s, cfg, True, rn)
+        assert s.t0 == 0.1
+        if rn <= 0.2:
+            assert (s.scale_exp, s.dt, s.r) == (1, 0.1 * 3.0, 0.1 * 3.0)
+        else:
+            assert (s.scale_exp, s.dt, s.r) == (0, cfg.dt0, cfg.r0)
+            assert s.t1 == s.t0 + cfg.dt0
+
+    def test_reject_after_kept_scale_shrinks_one_power(self):
+        cfg = TrackerConfig(dt0=0.1, r0=0.2, lam=3.0)
+        s = make_state(cfg)
+        step_update(s, cfg, True, 0.5)
+        step_update(s, cfg, False)
+        assert s.scale_exp == -1 and s.t0 == 0.1
+        assert s.dt == cfg.dt0 * cfg.lam ** -1
+        assert s.r == cfg.r0 * cfg.lam ** -1
+
     def test_t1_clamped_at_one(self):
         cfg = TrackerConfig(dt0=0.9, r0=0.9, lam=3.0)
         s = make_state(cfg)
@@ -297,17 +317,7 @@ class TestTrackEndToEnd:
 class TestStepWork:
     """Each piece of a tilted step runs at most once: Newton once per
     attempt (in the prediction) plus once at the start, and the enclosure
-    of H over T only for tests that pass the contraction bound.
-
-    These counts are those of the serial loop, one attempt per round,
-    which runs every path with one unknown, as here.  With two or more
-    unknowns on two usable cores, where processes start by fork and
-    outside pool workers and daemonic processes, a helper process runs
-    each round's first attempt and this process its sibling one step
-    size down, so calls split between the processes and a discarded
-    sibling adds calls; the results consumed are the same
-    (TestSiblingAttempts).
-    """
+    of H over T only for tests that pass the contraction bound."""
 
     def test_newton_family_call_counts(self, monkeypatch):
         from pathcert.systems import Homotopy
@@ -375,18 +385,15 @@ def singular_end2():
     return h, np.array([1.0 + 0.0j, 1.0 + 0.0j])
 
 
-def random2(mode=MODE_TILTED):
+def random2():
     h, starts = gen_random_quadratic(2)
-    cfg = TrackerConfig() if mode == MODE_TILTED else \
-        TrackerConfig(dt0=0.001, r0=0.1)
-    return track(h, starts[0], cfg, mode=mode)
+    return track(h, starts[0], TrackerConfig(), mode=MODE_TILTED)
 
 
-def on_cores(monkeypatch, cores, run):
-    """What run() gives with the usable cores forced: the certificate's
-    text or the error's type and message, and the step log up to then,
-    as reprs (exact for floats, and NaN equals NaN)."""
-    monkeypatch.setattr(_pool, "_usable_cores", lambda: cores)
+def outcome(monkeypatch, run):
+    """What run() gives: the certificate's text or the error's type and
+    message, and the step log up to then, as reprs (exact for floats, and
+    NaN equals NaN)."""
     states = []
     real_make_state = tracker_mod.make_state
 
@@ -399,25 +406,11 @@ def on_cores(monkeypatch, cores, run):
         got = serialize(run().certificate)
     except PathcertError as e:
         got = (type(e), str(e))
-    assert multiprocessing.active_children() == []
     return got, [repr(r) for r in states[-1].step_log]
 
 
-def helper_on_and_off(monkeypatch, run, started):
-    """run()'s outcome on one usable core, which must equal its outcome on
-    two, where a helper process must have run."""
-    before = len(started)
-    off = on_cores(monkeypatch, 1, run)
-    assert len(started) == before
-    on = on_cores(monkeypatch, 2, run)
-    assert len(started) == before + 1
-    assert on == off
-    return off
-
-
 def fail_precondition_at(monkeypatch, hit, error):
-    """Make precondition raise error for every (t0, t1) with hit(t0, t1);
-    a forked helper inherits the patch."""
+    """Make precondition raise error for every (t0, t1) with hit(t0, t1)."""
     real = tracker_mod.precondition
 
     def precondition(h, x0, t0, t1, direction):
@@ -428,79 +421,30 @@ def fail_precondition_at(monkeypatch, hit, error):
     monkeypatch.setattr(tracker_mod, "precondition", precondition)
 
 
-_real_helper_round = tracker_mod._helper_round
+class TestStepLoop:
+    """How the step loop ends a path with two unknowns, and how it treats
+    a prediction that fails or raises."""
 
-
-def _skewed_helper_round(h, tilted, request):
-    """The helper's round with its prefetched start point one ulp off and
-    a zero Y: data this process must not use."""
-    a, ahead = _real_helper_round(h, tilted, request)
-    if ahead is not None:
-        x1, y, direction = ahead
-        ahead = (np.nextafter(x1.real, np.inf) + 1j * x1.imag,
-                 np.zeros_like(y), direction)
-    return a, ahead
-
-
-def _starts_in_worker(_):
-    """Helpers started while tracking a 2-unknown path in this process."""
-    before = len(_pool.Helper.started)
-    random2()
-    return len(_pool.Helper.started) - before
-
-
-def _random2_in_daemon(_):
-    """random2's certificate text and the helpers started for it, in a
-    daemonic process, which may not have children."""
-    before = len(_pool.Helper.started)
-    cert = serialize(random2().certificate)
-    return (cert, multiprocessing.current_process().daemon,
-            len(_pool.Helper.started) - before)
-
-
-class TestSiblingAttempts:
-    """With two or more unknowns on two usable cores, each round runs its
-    attempt on a helper process and the attempt one step size down here,
-    then consumes them in serial order.  Where the attempts run must not
-    change a bit of what a path gives: certificate, step log, or the error
-    it ends with and the steps logged before it."""
-
-    @pytest.mark.parametrize("mode", [MODE_TILTED, MODE_RECT])
-    def test_success_identical(self, monkeypatch, helper_starts, mode):
-        cert, log = helper_on_and_off(monkeypatch, lambda: random2(mode),
-                                      helper_starts)
-        assert isinstance(cert, str) and len(log) > 100
-
-    def test_step_underflow_at_singular_endpoint(self, monkeypatch,
-                                                 helper_starts):
-        monkeypatch.setattr(tracker_mod, "MIN_DT", 1e-8)
-        h, x0 = singular_end2()
-        (kind, msg), log = helper_on_and_off(
-            monkeypatch, lambda: track(h, x0, TrackerConfig()), helper_starts)
-        assert kind is StepUnderflow and "below 1e-08" in msg
-        assert "t0=0.9" in log[-1]
-
-    def test_rejection_limit(self, monkeypatch, helper_starts):
+    def test_rejection_limit(self, monkeypatch):
         monkeypatch.setattr(tracker_mod, "MAX_CONSECUTIVE_REJECTIONS", 3)
         h, x0 = singular_end2()
-        (kind, msg), log = helper_on_and_off(
-            monkeypatch, lambda: track(h, x0, TrackerConfig()), helper_starts)
+        (kind, msg), log = outcome(monkeypatch,
+                                   lambda: track(h, x0, TrackerConfig()))
         assert kind is StepUnderflow and "4 consecutive rejections" in msg
         assert all("accepted=False" in r for r in log[-4:])
 
     @pytest.mark.parametrize("max_steps", [2, 3])
-    def test_max_steps(self, monkeypatch, helper_starts, max_steps):
+    def test_max_steps(self, monkeypatch, max_steps):
         monkeypatch.setattr(tracker_mod, "MAX_STEPS", max_steps)
-        (kind, msg), log = helper_on_and_off(monkeypatch, random2,
-                                             helper_starts)
+        (kind, msg), log = outcome(monkeypatch, random2)
         assert kind is MaxStepsExceeded and f"{max_steps} steps" in msg
         assert len(log) == max_steps
 
-    @pytest.mark.parametrize("which", ["first", "sibling"])
-    def test_prediction_error_raises_in_serial_order(
-            self, monkeypatch, helper_starts, which):
-        # a rejected first attempt at some t0 followed by an accepted
-        # retry: the helper runs the first, this process the retry
+    @pytest.mark.parametrize("which", ["first", "retry"])
+    def test_prediction_error_raises(self, monkeypatch, which):
+        # an error that is no tracking failure ends the path at the
+        # attempt that raised it: a rejected first attempt at some t0, or
+        # the accepted retry after it
         log = random2().step_log
         i = next(i for i in range(1, len(log) - 1)
                  if log[i - 1].accepted and not log[i].accepted
@@ -510,110 +454,17 @@ class TestSiblingAttempts:
             monkeypatch,
             lambda t0, t1: (t0, t1 - t0) == (target.t0, target.dt),
             PathcertError("injected prediction failure"))
-        (kind, msg), got = helper_on_and_off(monkeypatch, random2,
-                                             helper_starts)
+        (kind, msg), got = outcome(monkeypatch, random2)
         assert (kind, msg) == (PathcertError, "injected prediction failure")
         assert got == [repr(r) for r in log[:i if which == "first" else i + 1]]
 
-    def test_prediction_failure_rejects_identically(self, monkeypatch,
-                                                    helper_starts):
+    def test_prediction_failure_rejects(self, monkeypatch):
         # steps above 0.02, and above 0.002 for t0 in [0.3, 0.4), fail
         # their prediction and are rejected without a test
         fail_precondition_at(
             monkeypatch,
             lambda t0, t1: t1 - t0 > (0.002 if 0.3 <= t0 < 0.4 else 0.02),
             NoConvergence("injected prediction failure"))
-        cert, log = helper_on_and_off(monkeypatch, random2, helper_starts)
+        cert, log = outcome(monkeypatch, random2)
         assert isinstance(cert, str)
         assert sum("residual_norm=nan" in r for r in log) > 10
-
-    def test_error_in_discarded_sibling_is_dropped(self, monkeypatch,
-                                                   helper_starts):
-        # the sibling of an attempt that passes at once never runs in the
-        # serial order, so its error must not surface
-        log = random2().step_log
-        i = next(i for i in range(1, len(log))
-                 if log[i - 1].accepted and log[i].accepted)
-        target = log[i]
-        fail_precondition_at(
-            monkeypatch,
-            lambda t0, t1: t0 == target.t0 and t1 - t0 < target.dt,
-            PathcertError("injected prediction failure"))
-        cert, got = helper_on_and_off(monkeypatch, random2, helper_starts)
-        assert cert == serialize(random2().certificate)
-        assert got == [repr(r) for r in log]
-
-    def test_prefetch_only_for_the_same_point(self, monkeypatch,
-                                              helper_starts):
-        want = on_cores(monkeypatch, 1, random2)
-        monkeypatch.setattr(tracker_mod, "_helper_round",
-                            _skewed_helper_round)
-        assert on_cores(monkeypatch, 2, random2) == want
-        assert helper_starts
-
-    @pytest.mark.parametrize("when", ["after reply", "after request"])
-    def test_lost_helper_finishes_in_process(self, monkeypatch,
-                                             helper_starts, when):
-        want = on_cores(monkeypatch, 1, random2)
-        killed = []
-
-        def kill(child):
-            if not killed:
-                child._proc.kill()
-                child._proc.join()
-                killed.append(child)
-
-        real_send, real_recv = _pool.Helper.send, _pool.Helper.recv
-
-        def send(self, request):
-            real_send(self, request)
-            if when == "after request":
-                kill(self)
-
-        def recv(self):
-            reply = real_recv(self)
-            if when == "after reply":
-                kill(self)
-            return reply
-
-        monkeypatch.setattr(_pool.Helper, "send", send)
-        monkeypatch.setattr(_pool.Helper, "recv", recv)
-        assert on_cores(monkeypatch, 2, random2) == want
-        assert killed and not killed[0].alive
-
-    def test_no_helper_for_one_unknown(self, monkeypatch, helper_starts):
-        monkeypatch.setattr(_pool, "_usable_cores", lambda: 2)
-        h, starts = gen_newton_homotopy(10.0)
-        track(h, starts[0], TrackerConfig(dt0=0.02, r0=0.1))
-        assert not helper_starts
-
-    def test_no_helper_on_one_core(self, monkeypatch, helper_starts):
-        monkeypatch.setattr(_pool, "_usable_cores", lambda: 1)
-        random2()
-        assert not helper_starts
-
-    def test_no_helper_in_pool_worker(self, monkeypatch, helper_starts):
-        monkeypatch.setattr(_pool, "_usable_cores", lambda: 2)
-        assert _pool.pool_map(_starts_in_worker, [0, 1]) == [0, 0]
-        assert _starts_in_worker(0) == 1
-
-    def test_callers_pool_worker_tracks_serially(self, monkeypatch,
-                                                 helper_starts):
-        # a multiprocessing.Pool worker is daemonic: starting a child there
-        # fails, so the path must run the serial loop and give its bytes
-        want, _ = on_cores(monkeypatch, 1, lambda: random2())
-        monkeypatch.setattr(_pool, "_usable_cores", lambda: 2)
-        with multiprocessing.get_context("fork").Pool(1) as pool:
-            got = pool.map(_random2_in_daemon, [0])
-        assert got == [(want, True, 0)]
-
-    def test_failed_start_tracks_serially(self, monkeypatch, helper_starts):
-        want = on_cores(monkeypatch, 1, random2)
-
-        def start(self):
-            raise OSError(11, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
-                            start)
-        assert on_cores(monkeypatch, 2, random2) == want
-        assert not helper_starts
