@@ -2,6 +2,7 @@
 
 import json
 import math
+import multiprocessing
 import shutil
 
 import numpy as np
@@ -30,6 +31,7 @@ from pathcert.errors import (
     SingularMatrix,
     UnsupportedN,
 )
+from pathcert.tracker import TrackerConfig
 
 
 class TestNewtonFamily:
@@ -294,6 +296,31 @@ class TestHarness:
         for name in names:
             assert (seq / name).read_bytes() == (par / name).read_bytes()
 
+
+    def test_helper_matches_one_core(self, tmp_path, monkeypatch):
+        # one path with three unknowns tracks in this process on two
+        # usable cores, with no helper process, and gives one core's bytes
+        spec = BenchmarkSpec("lowrank", "tilted",
+                             TrackerConfig(dt0=0.2, r0=0.1), n=3)
+        off, on = tmp_path / "off", tmp_path / "on"
+        started = []
+        real_start = multiprocessing.process.BaseProcess.start
+
+        def start(self):
+            started.append(self)
+            real_start(self)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            start)
+        monkeypatch.setattr(_pool, "_usable_cores", lambda: 1)
+        run_benchmark(spec, out_dir=off)
+        monkeypatch.setattr(_pool, "_usable_cores", lambda: 2)
+        run_benchmark(spec, out_dir=on)
+        assert not started
+        names = sorted(p.name for p in off.iterdir())
+        assert names == ["cert_000.json", "report.json", "steps.csv"]
+        for name in names:
+            assert (off / name).read_bytes() == (on / name).read_bytes()
 
 class TestPathFailureIsolation:
     """An exception of any type fails only the path that raised it, in
