@@ -14,9 +14,11 @@ coefficient slots).
 
 Each array function performs, element by element, the same IEEE
 operations in the same order as its scalar twin: the same term order,
-the same k-order sums, ``nextafter`` on every endpoint, and Python's
-``min``/``max`` semantics for NaN (keep the first operand unless the
-second compares below/above it).  A replayed Krawczyk image and
+the same k-order sums, ``nextafter`` where the twin rounds outward, the
+real operations of CPython's complex ``*`` and ``+`` where it computes
+in plain complex floats (``eval_tpoly``), and Python's ``min``/``max``
+semantics for NaN (keep the first operand unless the second compares
+below/above it).  A replayed Krawczyk image and
 contraction norm are therefore bit-identical to what
 ``krawczyk.parametric_krawczyk_test`` computes for the same segment;
 ``tests/test_kernels.py`` checks the arithmetic twins on special values.
@@ -24,9 +26,13 @@ contraction norm are therefore bit-identical to what
 
 import numpy as np
 
+from . import _kernels
 from ._pool import pool_map
 
 _INF = np.inf
+# the smallest subnormal, and the constant of ``_kernels._factor``
+_TINY = _kernels._TINY
+_EPS3 = _kernels._EPS3
 _OUTWARD = np.array([-_INF, _INF, -_INF, _INF])
 
 # segments per block; bounds the temporaries of the widest term arrays
@@ -205,11 +211,12 @@ def shear_box(box, sa, sb, t_lo, t_hi):
 # polynomial evaluation
 # ---------------------------------------------------------------------------
 
-def _accumulate(flat, vals, mask=None):
-    """Sum each equation's term values in term order.
+def _accumulate(flat, vals, add=c_add, mask=None):
+    """Sum each equation's term values in term order with ``add``.
 
-    ``vals`` is (4, S, nterms, ...); ``mask`` (nterms, ...) marks the
-    entries the scalar kernel adds.  Returns (4, S, neq, ...).
+    ``vals`` is (k, S, nterms, ...), complex intervals (k = 4) for the
+    default ``c_add``; ``mask`` (nterms, ...) marks the entries the scalar
+    kernel adds.  Returns (k, S, neq, ...).
     """
     ptr = flat.ptr
     first, stop = ptr[:-1], ptr[1:]
@@ -221,7 +228,7 @@ def _accumulate(flat, vals, mask=None):
         take = live.reshape(live.shape + (1,) * (vals.ndim - 3))
         if mask is not None:
             take = take & mask[tid]
-        acc = np.where(take, c_add(acc, vals[:, :, tid]), acc)
+        acc = np.where(take, add(acc, vals[:, :, tid]), acc)
     return acc
 
 
@@ -264,99 +271,141 @@ def eval_interval(flat, z, pv):
     return _accumulate(flat, v)
 
 
-def _linmul(w, a, b):
-    """tpoly_linmul on every slot: w*(A + B*tau), w (4, S, nterms, nd)."""
-    hi = c_mul(w, a[..., None])
-    lo = c_mul(w[..., :-1], b[..., None])
-    return np.concatenate((hi[..., :1], c_add(hi[..., 1:], lo)), axis=-1)
+def _cmul(ar, ai, br, bi):
+    """(ar + i*ai) * (br + i*bi) as CPython's complex ``*`` computes it."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _factor(ar, ai, br, bi, bm, g, tmax):
+    """``_kernels._factor`` on arrays: A, B, h, h + eps, eps."""
+    h = (np.abs(ar) + np.abs(ai)) + bm * tmax
+    eps = _up(_up(_EPS3 * g) + 2 * _TINY)
+    return ar, ai, br, bi, h, h + eps, eps
+
+
+def _complex(re, im):
+    z = np.empty(re.shape, dtype=np.complex128)
+    z.real = re
+    z.imag = im
+    return z
 
 
 def eval_tpoly(flat, x, sa, sb, p0, p1, t_lo, t_hi):
     """eval_terms_tpoly for each segment.
 
     x, sa, sb are (S, n) complex (sa = sb = None when unsheared), t_lo
-    and t_hi are (S,).  Returns (4, S, neq).
+    and t_hi are (S,).  Returns (4, S, neq).  The scalar kernel's complex
+    float products are written out as the real operations of CPython's
+    complex ``*``, not left to numpy's complex loops.
     """
     S, n = x.shape
     m = p0.shape[0]
     nterms = flat.par.shape[0]
-    nd = flat.tdeg + 2
+    nd = flat.tdeg + 1
     sheared = sa is not None
     tc = 0.5 * (t_lo + t_hi)
     tc = np.where(tc < t_lo, t_lo, np.where(tc > t_hi, t_hi, tc))
-    tcol = tc[:, None]
-    if sheared:
-        rl, rh = r_mul(sb.real, sb.real, tcol, tcol)
-        il, ih = r_mul(sb.imag, sb.imag, tcol, tcol)
-        rl, rh = r_add(rl, rh, sa.real, sa.real)
-        il, ih = r_add(il, ih, sa.imag, sa.imag)
-        rl, rh = r_add(rl, rh, x.real, x.real)
-        il, ih = r_add(il, ih, x.imag, x.imag)
-        z0 = np.stack((rl, rh, il, ih))
-        slope = point(sb.real, sb.imag)
-    else:
-        z0 = point(x.real, x.imag)
-        slope = np.zeros((4, S, n))
-    drl, drh = r_sub(p1.real, p1.real, p0.real, p0.real)
-    dil, dih = r_sub(p1.imag, p1.imag, p0.imag, p0.imag)
-    rl, rh = r_mul(drl, drh, tcol, tcol)
-    il, ih = r_mul(dil, dih, tcol, tcol)
-    rl, rh = r_add(rl, rh, p0.real, p0.real)
-    il, ih = r_add(il, ih, p0.imag, p0.imag)
-    q0 = np.stack((rl, rh, il, ih))
-    dq = np.broadcast_to(np.stack((drl, drh, dil, dih))[:, None], (4, S, m))
     tau_lo, _ = r_sub(t_lo, t_lo, tc, tc)
     _, tau_hi = r_sub(t_hi, t_hi, tc, tc)
+    tmax = np.where(tau_hi > -tau_lo, tau_hi, -tau_lo)
+    tcol = tc[:, None]
+    atc = np.abs(tcol)
+    tm = tmax[:, None]
 
-    # each term multiplies its coefficient polynomial by (A + B*tau) for
-    # the parameter and, sheared, for every variable factor; unsheared
-    # variable factors scale the slots in place (kind 2)
-    ta = np.concatenate((q0, z0), axis=2)
-    tb = np.concatenate((dq, slope), axis=2)
-    rows, kinds = [], []
-    for t in range(nterms):
-        row = [] if flat.par[t] < 0 else [flat.par[t]]
-        kind = [1] * len(row)
-        for j, e in enumerate(flat.expo[t]):
-            row += [m + j] * e
-            kind += [1 if sheared else 2] * e
-        rows.append(row)
-        kinds.append(kind)
+    # the factor table (S, n + m), variables then parameters: A, B, h,
+    # h + eps and eps (``_kernels._factor``)
+    xm = np.abs(x.real) + np.abs(x.imag)
+    if sheared:
+        mb = np.abs(sb.real) + np.abs(sb.imag)
+        g = ((atc * mb + (np.abs(sa.real) + np.abs(sa.imag))) + xm) + mb * tm
+        var = _factor((tcol * sb.real + sa.real) + x.real,
+                      (tcol * sb.imag + sa.imag) + x.imag,
+                      sb.real, sb.imag, mb, g, tm)
+    else:
+        zero = np.zeros((S, n))
+        var = (x.real, x.imag, zero, zero, xm, xm, zero)
+    br = p1.real - p0.real
+    bi = p1.imag - p0.imag
+    a0 = np.abs(p0.real) + np.abs(p0.imag)
+    mb = a0 + (np.abs(p1.real) + np.abs(p1.imag))
+    par = _factor(p0.real + tcol * br, p0.imag + tcol * bi, br, bi,
+                  np.abs(br) + np.abs(bi), (a0 + atc * mb) + mb * tm, tm)
+    fa_re, fa_im, fb_re, fb_im, h, he, eps = (
+        np.concatenate((v, np.broadcast_to(p, (S, m))), axis=1)
+        for v, p in zip(var, par))
+    gmax = np.where(tmax > 1.0, tmax, 1.0)
+    for col in he.T:
+        gmax = np.where(col > gmax, col, gmax)
+    big = 2.0 * gmax
+    gpow = [np.ones(S)]
+    for _ in range(flat.tdeg):
+        gpow.append(gpow[-1] * big)
+    gpow = np.stack(gpow, axis=1)
+    # each term multiplies its coefficient polynomial by A + B*tau for
+    # its parameter and, sheared, for every variable factor (slot 0 takes
+    # w_0*A, slots 1..deg w_d*A + w_(d-1)*B, slot deg + 1 w_deg*B);
+    # unsheared variable factors scale slots 0..deg by A
+    terms = [t for eq in flat.tpoly for t in eq[4]]
+    rows = [list(fs) for *_, fs in terms]
     idx = _schedule(rows, nterms)
     slot = np.arange(nd)
-    lin = np.zeros(idx.shape + (nd,), dtype=bool)
-    scale = np.zeros_like(lin)
+    only_a = np.zeros(idx.shape + (nd,), dtype=bool)
+    both = np.zeros_like(only_a)
+    only_b = np.zeros_like(only_a)
     wdeg = np.zeros(nterms, dtype=np.int64)
-    for t, kind in enumerate(kinds):
-        for k, kd in enumerate(kind):
-            if kd == 1:
-                lin[k, t] = slot <= wdeg[t] + 1
+    for t, row in enumerate(rows):
+        for k, f in enumerate(row):
+            d = wdeg[t]
+            if sheared or f >= n:
+                only_a[k, t] = slot == 0
+                both[k, t] = (slot >= 1) & (slot <= d)
+                only_b[k, t] = slot == d + 1
                 wdeg[t] += 1
             else:
-                scale[k, t] = slot <= wdeg[t]
+                only_a[k, t] = slot <= d
 
-    w = np.zeros((4, S, nterms, nd))
-    w[..., 0] = point(flat.coef_re, flat.coef_im)[:, None]
-    fac = np.flatnonzero(flat.fac != 1.0)
-    w[:, :, fac, 0] = c_mul(w[:, :, fac, 0],
-                            real(flat.fac[fac], flat.fac[fac])[:, None])
+    w_re = np.zeros((S, nterms, nd))
+    w_im = np.zeros((S, nterms, nd))
+    w_re[..., 0] = flat.coef_point.real
+    w_im[..., 0] = flat.coef_point.imag
+    mag = np.empty((S, nterms))
+    mag[:] = [t[1] for t in terms]
+    dev = np.empty((S, nterms))
+    dev[:] = [t[2] for t in terms]
     for k in range(idx.shape[0]):
         # step k reaches the terms with a k-th factor, slots 0..k+1 only
         act = np.flatnonzero(idx[k] >= 0)
-        lin_k, scale_k = lin[k, act, :k + 2], scale[k, act, :k + 2]
-        sub = w[:, :, act, :k + 2]
-        a = ta[..., idx[k, act]]
-        new = sub
-        if lin_k.any():
-            new = np.where(lin_k, _linmul(sub, a, tb[..., idx[k, act]]), new)
-        if scale_k.any():
-            new = np.where(scale_k, c_mul(sub, a[..., None]), new)
-        w[:, :, act, :k + 2] = new
-    acc = _accumulate(flat, w, slot <= wdeg[:, None])
+        f = idx[k, act]
+        dev[:, act] = dev[:, act] * he[:, f] + mag[:, act] * eps[:, f]
+        mag[:, act] = mag[:, act] * h[:, f]
+        wr = w_re[:, act, :k + 2]
+        wi = w_im[:, act, :k + 2]
+        pr, pi = _cmul(wr, wi, fa_re[:, f, None], fa_im[:, f, None])
+        vr = np.zeros_like(wr)
+        vi = np.zeros_like(wi)
+        vr[..., 1:] = wr[..., :-1]
+        vi[..., 1:] = wi[..., :-1]
+        qr, qi = _cmul(vr, vi, fb_re[:, f, None], fb_im[:, f, None])
+        a_k = only_a[k, act, :k + 2]
+        ab_k = both[k, act, :k + 2]
+        b_k = only_b[k, act, :k + 2]
+        w_re[:, act, :k + 2] = np.where(
+            a_k, pr, np.where(ab_k, pr + qr, np.where(b_k, qr, wr)))
+        w_im[:, act, :k + 2] = np.where(
+            a_k, pi, np.where(ab_k, pi + qi, np.where(b_k, qi, wi)))
+    re, im = _accumulate(flat, np.stack((w_re, w_im)), np.add,
+                         slot <= wdeg[:, None])
+    msum, dsum = _accumulate(flat, np.stack((mag, dev)), np.add)
+
+    # the rounding bound rho of each equation widens its constant slot
+    g_rel, h_rel, kappa, deg = np.array([eq[:4] for eq in flat.tpoly]).T
+    rho = _up(_up(_up(g_rel * msum) + _up(h_rel * dsum))
+              + _up(gpow[:, deg.astype(np.int64)] * kappa * _TINY))
+    out = np.stack((_down(re[..., 0] - rho), _up(re[..., 0] + rho),
+                    _down(im[..., 0] - rho), _up(im[..., 0] + rho)))
 
     # substitute tau in [tau_lo, tau_hi]: odd powers are monotone, even
     # powers range over [0, max-magnitude^d]
-    out = acc[..., 0]
     pl = np.ones(S)
     ph = np.ones(S)
     zero = np.zeros(S)
@@ -367,7 +416,8 @@ def eval_tpoly(flat, x, sa, sb, p0, p1, t_lo, t_hi):
             pw = real(-pl, ph)
         else:
             pw = real(zero, np.where(pl > ph, pl, ph))
-        out = c_add(out, c_mul(acc[..., d], pw[..., None]))
+        z = _complex(re[..., d], im[..., d])
+        out = c_add(out, cp_mul(pw[..., None], z))
     return out
 
 

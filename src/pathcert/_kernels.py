@@ -7,11 +7,23 @@ and returns float64 arrays: a box over C^n has shape (n, 4), an interval
 matrix (r, c, 4).  Python floats are IEEE binary64 like numpy's, but their
 arithmetic skips numpy's scalar dispatch and never warns on overflow.
 
-Interval soundness convention: every arithmetic result is widened outward
-by one ulp per endpoint (``math.nextafter`` toward the respective
-infinity) AFTER the rounded-to-nearest float computation.  Since IEEE-754
-round-to-nearest never strays past the neighbouring representable, the
-widened interval encloses the exact real result.
+Two soundness conventions, both for IEEE-754 round-to-nearest with
+gradual underflow:
+
+- Per-operation outward rounding, for boxes and Jacobians (every kernel
+  but ``eval_terms_tpoly``): each arithmetic result is widened outward by
+  one ulp per endpoint (``math.nextafter`` toward the respective
+  infinity) AFTER the rounded-to-nearest float computation.  Round to
+  nearest never strays past the neighbouring representable, so the
+  widened interval encloses the exact real result.
+- An a priori rounding bound, for the time enclosure of H at a point
+  (``eval_terms_tpoly``): its operands are points, so it computes the
+  polynomial's coefficients in plain complex floats and widens them by a
+  bound on their accumulated rounding error (Higham, *Accuracy and
+  Stability of Numerical Algorithms*, 2002, sections 3.1 and 3.6), a
+  midpoint-radius enclosure (Rump, BIT 1999).  Only the substitution of
+  the time range is outward-rounded per operation.  Its docstring proves
+  the bound.
 
 The endpoint min/max of a product keep Python's ``min``/``max`` semantics
 (keep a unless b < a), which fixes where a NaN ends up.  ``_batch`` holds
@@ -30,10 +42,6 @@ _next = math.nextafter
 
 ZERO = (0.0, 0.0, 0.0, 0.0)
 ONE = (1.0, 1.0, 0.0, 0.0)
-# c_mul(ZERO, a) for every rectangle a with finite endpoints: each real
-# product is a signed zero, rounded out to -+5e-324, and the sum and
-# difference of two such bounds round out once more
-_ZERO_TIMES_FINITE = (-1.5e-323, 1.5e-323, -1.5e-323, 1.5e-323)
 
 
 def _rects(rows, shape):
@@ -162,15 +170,6 @@ def cp_mul(a, z):
     irh = _next(q if q > p else p, _INF)
     return (_next(rrl - iih, -_INF), _next(rrh - iil, _INF),
             _next(ril + irl, -_INF), _next(rih + irh, _INF))
-
-
-def zero_times(a):
-    """``c_mul(ZERO, a)``, bit for bit, without the products when every
-    endpoint of a is finite."""
-    if math.isfinite(a[0]) and math.isfinite(a[1]) and \
-            math.isfinite(a[2]) and math.isfinite(a[3]):
-        return _ZERO_TIMES_FINITE
-    return c_mul(ZERO, a)
 
 
 def c_den(b):
@@ -336,76 +335,181 @@ def eval_terms_interval(flat, z, pv):
     return _rects(out, (len(out), 4))
 
 
-def tpoly_linmul(w, factor):
-    """The coefficient polynomial w[0..deg] times (A + B*tau).
+# unit roundoff of binary64 and the smallest subnormal, 2 * 2^-1075, where
+# 2^-1075 bounds the absolute error of a product in the subnormal range
+_U = 2.0 ** -53
+_TINY = 5e-324
 
-    ``factor`` is (A, ZERO*A, B, mul_b): the new top slot is the zero slot
-    above deg times A plus w[deg]*B, as the in-place form over a
-    zero-padded slot array computes it, and ``mul_b`` multiplies by B
-    (``cp_mul`` when B is a complex point).
-    """
-    a, top, b, mul_b = factor
-    out = [c_mul(w[0], a)]
-    for d in range(1, len(w)):
-        out.append(c_add(c_mul(w[d], a), mul_b(w[d - 1], b)))
-    out.append(c_add(top, mul_b(w[-1], b)))
-    return out
+
+def _gamma(k):
+    """gamma_k = k*u / (1 - k*u) rounded up; k*u and 1 - k*u are exact."""
+    return _next(k * _U / (1.0 - k * _U), _INF)
+
+
+def _below_one_minus(g):
+    return _next(1.0 - g, -_INF)
+
+
+# bounds gamma_3 g from the rounded g~ of the 5-rounding magnitude sum g
+_EPS3 = _next(_gamma(3) / _below_one_minus(_gamma(5)), _INF)
+
+
+def tpoly_bound(l1, deg):
+    """The constants (G, H, kappa) of ``eval_terms_tpoly``'s rounding
+    bound, rounded up, for one equation whose terms have coefficient
+    bounds l1[k] and at most deg time-dependent factors."""
+    n = len(l1)
+    lam = _below_one_minus(_gamma(2 * deg + n + 3))
+    c = 0.0
+    for v in l1:
+        c = _next(c + v, _INF)
+    kappa = (_next(deg * (deg + 5) * c, _INF)
+             + deg * (9 * deg + 29) * n)
+    return (_next(_gamma(3 * deg + n) / lam, _INF), _next(1.0 / lam, _INF),
+            _next(kappa, _INF))
+
+
+def _factor(a, b, bm, g, tmax):
+    """(A, B, h, h + eps, eps) of a factor A + B*tau that moves, where
+    bm = |B|_1 and g bounds the magnitude of A's and B's exact monomials
+    (see ``eval_terms_tpoly``)."""
+    h = (abs(a.real) + abs(a.imag)) + bm * tmax
+    eps = _next(_next(_EPS3 * g, _INF) + 2 * _TINY, _INF)
+    return a, b, h, h + eps, eps
 
 
 def eval_terms_tpoly(flat, x, sa, sb, p0, p1, t_lo, t_hi):
     """Enclosure over t in [t_lo, t_hi] of a term list at a fixed point x.
 
-    Every time-dependent factor is kept as a degree-1 polynomial in the
-    local offset tau = t - tc, anchored at the window midpoint tc:
-    variables enter as x_j + s_j(tc) + s'_j*tau, parameters as
-    p(tc) + (p1 - p0)*tau.  Term products are convolved with interval
-    coefficients and only then is the symmetric tau interval
-    substituted, with odd/even powers bounded by their actual ranges.
-    Cancellations between the shear slope and the parameter drift (and,
-    at the midpoint, between the two refined window endpoints) happen
-    in coefficient arithmetic instead of being lost to independent
-    copies of the time interval.
+    Every time-dependent factor is a degree-1 polynomial A + B*tau in the
+    offset tau = t - tc from the window midpoint tc: variable j enters as
+    (x_j + sa_j + tc*sb_j) + sb_j*tau, parameter k as
+    (p0_k + tc*(p1_k - p0_k)) + (p1_k - p0_k)*tau.  Each term's product
+    is convolved slot by slot, w_d*A + w_(d-1)*B, and the terms are summed
+    in order, all in plain complex floats: the coefficients c~_d of
+    equation i.  The enclosure is the interval value of sum_d c~_d tau^d
+    over the tau range (odd powers are monotone, even powers lie in
+    [0, max-magnitude^d]), with the real and imaginary parts of c~_0
+    widened by rho_i.  Cancellations between the shear slope and the
+    parameter drift happen in the coefficients instead of being lost to
+    independent copies of the time interval.
 
     x, p0, p1 are complex vectors; the shear s(t) = sa + t*sb is given by
     complex vectors sa, sb, or both None when unsheared.
+
+    The bound rho_i.  Let u = 2^-53, gamma_k = k*u / (1 - k*u),
+    |z|_1 = |Re z| + |Im z|, tmax = max(-tau_lo, tau_hi) >= |tau|, and
+    for a tau-polynomial q, ||q|| = sum_d |q_d|_1 tmax^d, which is
+    submultiplicative and bounds |Re q(tau)| and |Im q(tau)| on the
+    window.  It suffices that ||c~ - c|| <= rho_i for the exact
+    coefficients c of equation i: the tau substitution rounds outward.
+    Model (Higham 2002, 2.2 and 3.1): fl(a op b) = (a op b)(1 + delta)
+    + eta, |delta| <= u, and eta = 0 except for a product in the
+    subnormal range, where |eta| <= 2^-1075.  A program of +, - and *
+    then computes each monomial of its exact inputs times prod(1 + delta)
+    over the k roundings on its path, and |prod(1 + delta) - 1| <=
+    gamma_k (Lemma 3.1), plus monomials that contain an eta.  Equation
+    i has n_i terms of at most e_i factors F = A + B*tau (stages) each.
+
+    1. Rounded factors.  The kernel forms A~ and B~ once per factor: for
+       a parameter B~ = fl(p1 - p0) and A~ = fl(p0 + fl(tc*B~)); for a
+       sheared variable B = sb and A~ = fl(fl(fl(tc*sb) + sa) + x), at
+       most 3 roundings per path and one product.  So ||F~ - F|| <=
+       eps_f = gamma_3 g_f + 3*2^-1075, where g_f = m_A + m_B*tmax sums
+       the exact monomials' magnitudes: m_A = |p0|_1 + |tc| (|p0|_1 +
+       |p1|_1) and m_B = |p0|_1 + |p1|_1 for a parameter, m_A = |x|_1 +
+       |sa|_1 + |tc| |sb|_1 and m_B = |sb|_1 for a sheared variable.  An
+       unsheared variable, F = x, is exact.  A coefficient is exact when
+       fac = 1; else coef~ = fl(coef*fac) is off by eps_c = u*l1, with
+       l1 >= |coef*fac|_1 and >= |coef~|_1 held rounded up.  The sheared
+       m's are large when sa and tc*sb nearly cancel; they enter once.
+    2. Arithmetic on the rounded factors.  From coef~, A~ and B~ a path
+       takes at most 3 roundings per stage (real product, the complex
+       product's real sum, the slot sum) and n_i - 1 in the sum of
+       terms: K_i = 3 e_i + n_i.  |a|_1 |b|_1 is the sum of the four
+       |real products| of a complex product a*b, so a term's absolute
+       monomials sum in ||.|| to at most l1 prod_f h_f, where h_f =
+       ||F~_f|| = |A~|_1 + |B~|_1 tmax: to at most M_i in all.  A product
+       adds at most 2^-1075, which later stages scale by h_f each; with
+       Gamma >= max(1, tmax, h_f + eps_f + 2^-1075), the <= 8 products
+       per slot in the s + 1 slots of stage s add, over all stages and
+       terms, at most nu_i = 2^-1075 Gamma^e_i sum_k 4 e_i (e_i + 3).
+       This part is at most gamma_K M_i + (1 + gamma_K) nu_i.
+    3. The factors' rounding, in exact arithmetic.  The product is
+       multilinear, so 1 moves a term by at most (l1 + eps_c)
+       prod_f (h_f + eps_f) - l1 prod_f h_f; the kernel accumulates it
+       stage by stage, D <- D (h_f + eps_f) + P eps_f and P <- P h_f,
+       from D = eps_c and P = l1: at most D_i in all.
+    4. M_i and D_i in floats.  The kernel's M~_i and D~_i come from
+       nonnegative programs of at most L_i = 2 e_i + n_i + 3 roundings
+       per path, whose eta parts are at most nu_M = 2^-1075 Gamma^e_i
+       sum_k e_i (l1_k + 1) and nu_D = 2^-1075 Gamma^e_i sum_k e_i
+       (e_i + 3) (l1_k + 1) / 2.  So M_i <= (M~_i + (1 + gamma_L) nu_M)
+       / (1 - gamma_L), and D_i likewise.
+
+    The factors gamma_K (1 + gamma_L) / (1 - gamma_L), (1 + gamma_L) /
+    (1 - gamma_L) and 1 + gamma_K are at most 2, so rho_i = G_i M~_i +
+    H_i D~_i + 2 (nu_i + nu_M + nu_D) suffices, with G_i >= gamma_K /
+    (1 - gamma_L) and H_i >= 1 / (1 - gamma_L); that is G_i M~_i +
+    H_i D~_i + 2^-1075 Gamma^e_i kappa_i, with kappa_i = e_i (e_i + 5)
+    sum_k l1_k + e_i (9 e_i + 29) n_i.  ``tpoly_bound`` holds G_i, H_i
+    and kappa_i per equation, rounded up.  The kernel
+    takes fl(gamma_3 / (1 - gamma_5) * g~_f) + 4*2^-1075, rounded up, for
+    eps_f (g~_f is g_f in 5 roundings and 2 products), and
+    (2 max(1, tmax, h~_f + eps_f))^e_i for Gamma^e_i, which covers the
+    roundings of h~_f and of the power.  It uses 2^-1074 for 2^-1075 to
+    cover the rounding of Gamma^e_i kappa_i, and rounds every other step
+    of rho_i up.  An overflow makes c~, M~, D~ or rho non-finite, and so
+    the enclosure.
     """
-    nd = flat.tdeg + 2
+    nd = flat.tdeg + 1
     tc = 0.5 * (t_lo + t_hi)
     if tc < t_lo:
         tc = t_lo
     elif tc > t_hi:
         tc = t_hi
+    atc = abs(tc)
+    tau_lo, _ = r_sub(t_lo, t_lo, tc, tc)
+    _, tau_hi = r_sub(t_hi, t_hi, tc, tc)
+    tmax = -tau_lo
+    if tau_hi > tmax:
+        tmax = tau_hi
+    # the factor table, variables then parameters: (A, B, h, h + eps, eps)
+    # with B None for a variable that does not move
+    facs = []
     if sa is None:
-        scale = x.tolist()
-        lin = None
+        for xj in x.tolist():
+            h = abs(xj.real) + abs(xj.imag)
+            facs.append((xj, None, h, h, 0.0))
     else:
-        lin = []
         for xj, a, b in zip(x.tolist(), sa.tolist(), sb.tolist()):
-            rl, rh = r_mul(b.real, b.real, tc, tc)
-            il, ih = r_mul(b.imag, b.imag, tc, tc)
-            rl, rh = r_add(rl, rh, a.real, a.real)
-            il, ih = r_add(il, ih, a.imag, a.imag)
-            rl, rh = r_add(rl, rh, xj.real, xj.real)
-            il, ih = r_add(il, ih, xj.imag, xj.imag)
-            z0 = (rl, rh, il, ih)
-            lin.append((z0, zero_times(z0), b, cp_mul))
-    # parameter drift p1 - p0 as an interval (the float difference rounds)
-    # and the path point p(tc) = p0 + tc*(p1 - p0)
-    plin = []
+            mb = abs(b.real) + abs(b.imag)
+            g = (((atc * mb + (abs(a.real) + abs(a.imag)))
+                  + (abs(xj.real) + abs(xj.imag))) + mb * tmax)
+            facs.append(_factor(complex((tc * b.real + a.real) + xj.real,
+                                        (tc * b.imag + a.imag) + xj.imag),
+                                b, mb, g, tmax))
     for a, b in zip(p0.tolist(), p1.tolist()):
-        drl, drh = r_sub(b.real, b.real, a.real, a.real)
-        dil, dih = r_sub(b.imag, b.imag, a.imag, a.imag)
-        rl, rh = r_mul(drl, drh, tc, tc)
-        il, ih = r_mul(dil, dih, tc, tc)
-        rl, rh = r_add(rl, rh, a.real, a.real)
-        il, ih = r_add(il, ih, a.imag, a.imag)
-        q0 = (rl, rh, il, ih)
-        plin.append((q0, zero_times(q0), (drl, drh, dil, dih), c_mul))
+        br = b.real - a.real
+        bi = b.imag - a.imag
+        a0 = abs(a.real) + abs(a.imag)
+        mb = a0 + (abs(b.real) + abs(b.imag))
+        facs.append(_factor(complex(a.real + tc * br, a.imag + tc * bi),
+                            complex(br, bi), abs(br) + abs(bi),
+                            (a0 + atc * mb) + mb * tmax, tmax))
+    gmax = 1.0
+    if tmax > gmax:
+        gmax = tmax
+    for f in facs:
+        if f[3] > gmax:
+            gmax = f[3]
+    big = 2.0 * gmax
+    gpow = [1.0]
+    for _ in range(flat.tdeg):
+        gpow.append(gpow[-1] * big)
     # the symmetric tau interval [tau_lo, tau_hi] straddles 0: odd powers
     # are monotone, even powers have range [0, max-magnitude^d], each
     # magnitude power rounded up
-    tau_lo, _ = r_sub(t_lo, t_lo, tc, tc)
-    _, tau_hi = r_sub(t_hi, t_hi, tc, tc)
     taus = []
     pl = ph = 1.0
     for d in range(1, nd):
@@ -416,23 +520,39 @@ def eval_terms_tpoly(flat, x, sa, sb, p0, p1, t_lo, t_hi):
         else:
             taus.append((0.0, pl if pl > ph else ph, 0.0, 0.0))
     out = []
-    for terms in flat.terms:
-        acc = [ZERO] * nd
-        for coef, par, factors, _ in terms:
+    for g_rel, h_rel, kappa, deg, terms in flat.tpoly:
+        acc = [0j] * nd
+        msum = dsum = 0.0
+        for coef, l1, e1, fs in terms:
             w = [coef]
-            if par >= 0:
-                w = tpoly_linmul(w, plin[par])
-            for j, e in factors:
-                for _ in range(e):
-                    if lin is None:
-                        w = [cp_mul(v, scale[j]) for v in w]
-                    else:
-                        w = tpoly_linmul(w, lin[j])
+            mag = l1
+            dev = e1
+            for f in fs:
+                a, b, h, he, e = facs[f]
+                dev = dev * he + mag * e
+                mag = mag * h
+                if b is None:
+                    w = [v * a for v in w]
+                    continue
+                u = w[0]
+                w1 = [u * a]
+                for v in w[1:]:
+                    w1.append(v * a + u * b)
+                    u = v
+                w1.append(u * b)
+                w = w1
+            msum = msum + mag
+            dsum = dsum + dev
             for d, v in enumerate(w):
-                acc[d] = c_add(acc[d], v)
-        r = acc[0]
+                acc[d] = acc[d] + v
+        rho = _next(_next(_next(g_rel * msum, _INF)
+                          + _next(h_rel * dsum, _INF), _INF)
+                    + _next(gpow[deg] * kappa * _TINY, _INF), _INF)
+        c = acc[0]
+        r = (_next(c.real - rho, -_INF), _next(c.real + rho, _INF),
+             _next(c.imag - rho, -_INF), _next(c.imag + rho, _INF))
         for d in range(1, nd):
-            r = c_add(r, c_mul(acc[d], taus[d - 1]))
+            r = c_add(r, cp_mul(taus[d - 1], acc[d]))
         out.append(r)
     return _rects(out, (len(out), 4))
 

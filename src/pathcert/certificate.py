@@ -11,7 +11,7 @@ that consecutive certified regions overlap at the shared times, that the
 recorded endpoint lies in the region the last segment certifies at t = 1,
 and that it really solves the t = 1 system to the certification
 tolerance.  The replay runs all segments of a certificate as one batch
-(``_batch``) with the same outward-rounded operations, in the same order,
+(``_batch``) with the same floating-point operations, in the same order,
 as the tracker's kernels, so each segment's operator image and contraction
 norm are bit-identical to ``parametric_krawczyk_test`` on that segment.
 
@@ -354,7 +354,7 @@ def _replay(cert, claims):
 def replay(cert):
     """Replay every segment's Krawczyk test from the stored claims.
 
-    All segments run as one batch with the same outward-rounded
+    All segments run as one batch with the same floating-point
     operations as the tracker's kernels, so each verdict's operator image
     and contraction norm are bit-identical to ``parametric_krawczyk_test``
     on that segment.  Returns one entry per segment: its KrawczykVerdict,

@@ -5,7 +5,10 @@ time interval T, the operator is
 
     K(I, T) = x - Y * encl(H(x, T)) + (Id - Y * encl(dH/dx(I, T))) * (I - x)
 
-where encl(...) are outward-rounded interval enclosures.  If K(I, T) is
+where encl(...) are interval enclosures: the Jacobian's over I x T
+rounds outward at every operation, and H's over T at the point x widens
+float coefficients by an a priori rounding bound
+(``Homotopy.eval_over_time``).  If K(I, T) is
 contained in I, every t in T admits a solution of H(., t) = 0 inside
 K(I, T).  If additionally sqrt(2) * |Id - Y * encl(dH/dx(I, T))| < 1 in
 the row-sum norm, that solution is the only one in I for each t.  The

@@ -52,11 +52,18 @@ class _Flat:
     The arrays feed ``_batch``.  ``terms[i]`` lists equation i's terms for
     the scalar kernels as Python values: (coef, par, factors, coef_point),
     with ``coef`` the rectangle coef * fac (the coefficient itself when
-    fac is 1) and ``factors`` the (j, e) pairs with e > 0.
+    fac is 1) and ``factors`` the (j, e) pairs with e > 0.  ``tpoly[i]``
+    is equation i for ``eval_terms_tpoly``: the three constants of its
+    rounding bound, its degree in time (the most factors of a term) and
+    the terms (coef_point, l1, eps, factors).  ``l1`` bounds
+    |coef * fac|_1 and |coef_point|_1, rounded up; ``eps`` bounds
+    |coef_point - coef * fac|_1 (0 when fac is 1); ``factors`` index the
+    kernel's factor table, variables then parameters: the parameter
+    n + par first, then each variable j repeated e times.
     """
 
     __slots__ = ("coef_re", "coef_im", "coef_point", "fac", "par", "expo",
-                 "ptr", "max_expo", "tdeg", "terms")
+                 "ptr", "max_expo", "tdeg", "terms", "tpoly")
 
     def __init__(self, rows, n):
         nt = sum(len(r) for r in rows)
@@ -96,6 +103,24 @@ class _Flat:
             self.coef_point.tolist()))
         ptr = self.ptr.tolist()
         self.terms = [terms[lo:hi] for lo, hi in zip(ptr[:-1], ptr[1:])]
+        up = math.nextafter
+        l1 = [up(up(abs(cre) * fac, math.inf) + up(abs(cim) * fac, math.inf),
+                 math.inf)
+              for cre, cim, fac in zip(self.coef_re.tolist(),
+                                       self.coef_im.tolist(),
+                                       self.fac.tolist())]
+        tterms = list(zip(
+            self.coef_point.tolist(), l1,
+            [0.0 if fac == 1.0 else up(v * 2.0 ** -53, math.inf)
+             for v, fac in zip(l1, self.fac.tolist())],
+            [(() if par < 0 else (n + par,))
+             + tuple(j for j, e in enumerate(row) for _ in range(e))
+             for par, row in zip(self.par.tolist(), self.expo.tolist())]))
+        self.tpoly = []
+        for lo, hi in zip(ptr[:-1], ptr[1:]):
+            deg = max((len(fs) for *_, fs in tterms[lo:hi]), default=0)
+            self.tpoly.append(_k.tpoly_bound(l1[lo:hi], deg)
+                              + (deg, tterms[lo:hi]))
 
 
 class ParametricSystem:
@@ -332,12 +357,15 @@ class Homotopy:
         """Enclosure of { H(x, t) : t in T } at a fixed point x.
 
         Collects the composed terms into powers of the offset from the
-        midpoint of T with interval coefficients before substituting the
-        offset range (odd powers straddle zero, even powers do not).  For
-        a sheared homotopy the linear coefficient nearly cancels (the
-        secant slope tracks the path), a cancellation the plain box
-        evaluation cannot see because the shear and the parameter path
-        consume two independent copies of T there.
+        midpoint of T before substituting the offset range (odd powers
+        straddle zero, even powers do not).  For a sheared homotopy the
+        linear coefficient nearly cancels (the secant slope tracks the
+        path), a cancellation the plain box evaluation cannot see because
+        the shear and the parameter path consume two independent copies
+        of T there.  x is a point, so the coefficients are plain complex
+        floats widened by an a priori bound on their rounding error; only
+        the substitution of the offset range rounds outward per operation
+        (``_kernels.eval_terms_tpoly`` proves the bound).
         """
         x = np.ascontiguousarray(x, dtype=np.complex128)
         if x.shape != (self.n,):

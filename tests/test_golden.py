@@ -9,14 +9,16 @@ replaced them, so only the choice of attempts moved, not the arithmetic.
 Any change to the order or rounding of an interval operation on the
 tracking path shows up here as a byte difference.  Each case also runs
 with every residual forced onto the array kernels and onto the scalar
-kernels, and on one and two usable cores.
+kernels.  Nothing ``track`` calls reads the number of usable cores, so
+the pool against one core is checked where a pool runs, in
+``test_bench.py``.
 """
 
 from pathlib import Path
 
 import pytest
 
-from pathcert import _pool, ilinalg
+from pathcert import ilinalg
 from pathcert.bench import (
     gen_lowrank,
     gen_newton_homotopy,
@@ -70,13 +72,5 @@ def test_fresh_track_matches_golden_file(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_both_residual_branches_match_golden_file(name, wide_n, monkeypatch):
     monkeypatch.setattr(ilinalg, "WIDE_N", wide_n)
-    want = (GOLDEN / name).read_text(encoding="utf-8")
-    assert serialize(CASES[name]().certificate) == want
-
-
-@pytest.mark.parametrize("cores", [1, 2])
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_one_and_two_cores_match_golden_file(name, cores, monkeypatch):
-    monkeypatch.setattr(_pool, "_usable_cores", lambda: cores)
     want = (GOLDEN / name).read_text(encoding="utf-8")
     assert serialize(CASES[name]().certificate) == want

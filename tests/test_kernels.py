@@ -7,12 +7,15 @@ subnormals and values near overflow, which pins the min/max NaN semantics
 (keep the first operand unless the second compares below/above it) and
 the sign of zero through every ``nextafter``.  ``cp_mul``, the scalar
 shortcut for a rectangle times a complex point, must equal ``c_mul`` with
-the point as a degenerate rectangle on either side; ``zero_times`` must
-equal ``c_mul(ZERO, a)``; and the coefficient rectangle ``systems._Flat``
-holds per term must equal the coefficient times its multiplicity.  The
-residual
-I - Y*M has two twins, ``residual_k`` and ``_batch.residual``, and
-``ilinalg.residual_matrix`` serves it from either side of ``WIDE_N``.
+the point as a degenerate rectangle on either side, and the coefficient
+rectangle ``systems._Flat`` holds per term must equal the coefficient
+times its multiplicity.  The residual I - Y*M has two twins,
+``residual_k`` and ``_batch.residual``, and ``ilinalg.residual_matrix``
+serves it from either side of ``WIDE_N``.  The time enclosure at a point,
+``eval_terms_tpoly``, computes in plain complex floats and widens by an a
+priori bound; its twin ``_batch.eval_tpoly`` writes CPython's complex
+products out as real operations, and the two must agree on random term
+lists whose coefficients and inputs hold special values.
 """
 
 import math
@@ -29,11 +32,11 @@ SPECIAL = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
 N = 20000
 
 
-def endpoints(rng, shape):
-    """Uniform endpoints with about a third replaced by special values
-    (unordered: the kernels must agree on any operands)."""
+def endpoints(rng, shape, rate=0.35):
+    """Uniform endpoints with a share ``rate`` (about a third) replaced by
+    special values (unordered: the kernels must agree on any operands)."""
     x = rng.uniform(-4.0, 4.0, shape) * 10.0 ** rng.integers(-3, 4, shape)
-    pick = rng.random(shape) < 0.35
+    pick = rng.random(shape) < rate
     x[pick] = rng.choice(SPECIAL, int(pick.sum()))
     return x
 
@@ -92,15 +95,6 @@ def test_point_product_matches_c_mul_on_both_sides(operands):
     assert same_bits(got, left) and same_bits(got, right)
 
 
-def test_zero_times_matches_c_mul(operands):
-    a, _ = operands
-    rows = a.T.tolist() + [[x] * 4 for x in SPECIAL.tolist()]
-    got = [_k.zero_times(p) for p in rows]
-    assert same_bits(got, [_k.c_mul(_k.ZERO, p) for p in rows])
-    # both branches run: finite rows take the fixed tuple
-    assert sum(all(map(math.isfinite, p)) for p in rows) > 1000
-
-
 def test_flat_coefficient_is_coef_times_fac():
     values = SPECIAL.tolist() + [0.3, -2.5e-300]
     coefs = [complex(re, im) for re in values for im in values]
@@ -148,6 +142,55 @@ def test_residual_matrix_on_both_sides_of_wide_n(side):
 
 
 # ---------------------------------------------------------------------------
+# the time enclosure of a term list at a point
+# ---------------------------------------------------------------------------
+
+def random_flat(rng, n, m, rate):
+    """n equations of 1..4 terms over n variables and m parameters, each
+    of total degree <= 3 with multiplicity 1..3; a share ``rate`` of the
+    coefficient parts are special values."""
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(int(rng.integers(1, 5))):
+            expo = [0] * n
+            for j in rng.integers(0, n, int(rng.integers(0, 4))):
+                expo[j] += 1
+            par = int(rng.integers(m)) if m and rng.random() < 0.6 else None
+            row.append((complex(complex_operands(rng, 1, rate)[0]),
+                        int(rng.integers(1, 4)), par, tuple(expo)))
+        rows.append(row)
+    return _Flat(rows, n)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.05, 0.35])
+@pytest.mark.parametrize("sheared", [False, True],
+                         ids=["unsheared", "sheared"])
+def test_tpoly_matches_batch(sheared, rate):
+    rng = np.random.default_rng(500 + 10 * sheared + int(100 * rate))
+    S = 16
+    for _ in range(25):
+        n, m = int(rng.integers(1, 4)), int(rng.integers(0, 3))
+        flat = random_flat(rng, n, m, rate)
+        x, sa, sb = (complex_operands(rng, S * n, rate).reshape(S, n)
+                     for _ in range(3))
+        if not sheared:
+            sa = sb = None
+        p0 = complex_operands(rng, m, rate)
+        p1 = complex_operands(rng, m, rate)
+        t_lo = rng.uniform(0.0, 1.0, S)
+        t_hi = t_lo + np.where(rng.random(S) < 0.25, 0.0,
+                               10.0 ** rng.uniform(-12, 0, S))
+        with np.errstate(all="ignore"):
+            want = _batch.eval_tpoly(flat, x, sa, sb, p0, p1, t_lo, t_hi)
+        got = [_k.eval_terms_tpoly(flat, x[s], None if sa is None else sa[s],
+                                   None if sb is None else sb[s], p0, p1,
+                                   float(t_lo[s]), float(t_hi[s]))
+               for s in range(S)]
+        assert same_bits(np.moveaxis(np.array(got), -1, 0), want)
+
+
+# ---------------------------------------------------------------------------
 # point LU on Python complex against the same LU on numpy complex128 scalars
 # ---------------------------------------------------------------------------
 
@@ -187,9 +230,9 @@ def numpy_lu_solve(a, b):
     return x
 
 
-def complex_operands(rng, size):
+def complex_operands(rng, size, rate=0.35):
     z = np.empty(size, dtype=np.complex128)
-    z.real, z.imag = endpoints(rng, (2, size))
+    z.real, z.imag = endpoints(rng, (2, size), rate)
     return z
 
 

@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 import tutil
-from pathcert.bench import gen_newton_homotopy, gen_random_quadratic
+from pathcert.bench import (
+    gen_katsura,
+    gen_lowrank,
+    gen_newton_homotopy,
+    gen_random_quadratic,
+)
 from pathcert.errors import (
     DimensionMismatch,
     MalformedCertificate,
@@ -263,6 +268,132 @@ class TestShear:
                 row = enc.data[i]
                 assert row[0] - 1e-12 * scale <= v[i].real <= row[1] + 1e-12 * scale
                 assert row[2] - 1e-12 * scale <= v[i].imag <= row[3] + 1e-12 * scale
+
+
+# ---------------------------------------------------------------------------
+# the time enclosure at a point against exact rational values
+# ---------------------------------------------------------------------------
+
+def assert_exactly_enclosed(h, x, T, rng, k=6):
+    """H(x + s(t), t), computed exactly with fractions, lies inside
+    ``eval_over_time(x, T)`` at both ends of T, its midpoint and k random
+    times in between."""
+    enc = h.eval_over_time(x, T).data
+    ts = [T.lo, T.hi, T.mid] + [float(t) for t in rng.uniform(T.lo, T.hi, k)]
+    for t in ts:
+        for i, v in enumerate(tutil.exact_homotopy_eval(h, x, t)):
+            assert tutil.row_in(enc[i], v), (i, t)
+
+
+def windows(rng, count):
+    """Time windows: two points, windows ending at 0 and 1, random ones."""
+    out = [RealInterval(0.0), RealInterval(0.25), RealInterval(0.0, 1e-3),
+           RealInterval(1.0 - 2.0 ** -20, 1.0)]
+    for _ in range(count):
+        lo = float(rng.uniform(0.0, 0.95))
+        out.append(RealInterval(lo, lo + float(10.0 ** rng.uniform(-8, -1))))
+    return out
+
+
+def cnoise(rng, n, scale):
+    return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+def check_windows(h, x0, rng, count=4):
+    """Exact containment at x0 unsheared, and at a point near the origin
+    of a shear through x0 and a nearby x1 over each window."""
+    for T in windows(rng, count):
+        x = x0 + cnoise(rng, h.n, 0.01)
+        assert_exactly_enclosed(h, x, T, rng)
+        sh = h.sheared(x, x + cnoise(rng, h.n, 0.05), T.lo, T.lo + 0.01)
+        assert_exactly_enclosed(sh, cnoise(rng, h.n, 1e-3), T, rng)
+
+
+FAMILIES = {
+    "random2": lambda: gen_random_quadratic(2, seed=7),
+    "katsura3": lambda: gen_katsura(3),
+    "lowrank2": lambda: gen_lowrank(2),
+    "newton10": lambda: gen_newton_homotopy(10.0),
+    "newton1e4": lambda: gen_newton_homotopy(1e4),
+}
+
+
+class TestTimeEnclosureExact:
+    """``eval_over_time`` widens float coefficients by an a priori
+    rounding bound; every exact value must still lie inside."""
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_families(self, name):
+        h, starts = FAMILIES[name]()
+        rng = np.random.default_rng(sorted(FAMILIES).index(name) + 60)
+        check_windows(h, starts[-1], rng)
+
+    def test_subnormal_coefficients(self):
+        # products of subnormal coefficients underflow, which only the
+        # bound's absolute term covers
+        eqs = [[Term(5e-324, None, (1, 1)), Term(3e-310, 0, (1, 0)),
+                Term(-1e-320, 0, (0, 0))],
+               [Term(2.5e-323, 0, (0, 2)), Term(-7e-315j, None, (1, 0))]]
+        h = Homotopy(ParametricSystem(2, 1, eqs), np.array([0.3 + 0.1j]),
+                     np.array([-0.7 + 0.2j]))
+        check_windows(h, np.array([0.6 - 0.2j, -1.3 + 0.4j]),
+                      np.random.default_rng(70))
+
+    def test_underflow_scaled_up_by_later_factors(self):
+        # coef * p(t) ~ 1e-330 underflows to zero, and x^2 ~ 1e40 makes
+        # the lost product ~ 1e-290, far above the relative bound of a
+        # magnitude that underflows too
+        eqs = [[Term(1e-300, 0, (2,))]]
+        h = Homotopy(ParametricSystem(1, 1, eqs), np.array([1e-30]),
+                     np.array([3e-30 - 1e-30j]))
+        rng = np.random.default_rng(71)
+        x = np.array([1e20 + 3e19j])
+        for T in windows(rng, 3):
+            assert_exactly_enclosed(h, x, T, rng)
+            sh = h.sheared(x, x * (1 + 1e-3j), T.lo, T.lo + 0.01)
+            assert_exactly_enclosed(sh, np.zeros(1, complex), T, rng)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e50])
+    def test_large_coefficients_that_cancel(self, scale):
+        # 1e150-scale terms that nearly cancel at x1 ~ x2 (and with
+        # x ~ 1e50, terms near 1e250)
+        eqs = [[Term(1e150, None, (2, 0)), Term(-1e150, None, (0, 2)),
+                Term(3e149, 0, (1, 0))],
+               [Term(-2e150, 0, (1, 1)), Term(1e150 + 1e135j, None, (0, 2)),
+                Term(1e150, None, (2, 0))]]
+        h = Homotopy(ParametricSystem(2, 1, eqs), np.array([1e-9 + 0j]),
+                     np.array([-2e-9 + 1e-9j]))
+        x0 = scale * np.array([1.0 + 1e-9j, 1.0 + 2e-16 + 1e-9j])
+        check_windows(h, x0, np.random.default_rng(72))
+
+    def test_steep_shear(self):
+        # a shear of slope ~1e6 makes sa and tc*sb large and nearly
+        # opposite: forming x + sa + tc*sb rounds far above the size of
+        # the result
+        h, starts = gen_katsura(3)
+        rng = np.random.default_rng(74)
+        for t0 in (0.3, 0.7):
+            sh = h.sheared(starts[0], starts[0] + cnoise(rng, h.n, 1.0),
+                           t0, t0 + 1e-6)
+            for T in (RealInterval(t0), RealInterval(t0 + 5e-7),
+                      RealInterval(t0, t0 + 1e-6)):
+                assert_exactly_enclosed(sh, cnoise(rng, h.n, 1e-3), T, rng)
+
+    @pytest.mark.parametrize("m", [10.0, 1e4])
+    def test_secant_cancellation(self, m):
+        # along the secant through two path points the enclosure at the
+        # origin is the tiny sag; the exact values stay inside it
+        h, starts = gen_newton_homotopy(m)
+        t0, dt = 0.3, 0.02 / m ** 0.5
+        x0 = tutil.plain_newton_solve(h, starts[0], t0, tol=1e-14)
+        x1 = tutil.plain_newton_solve(h, starts[0], t0 + dt, tol=1e-14)
+        sh = h.sheared(x0, x1, t0, t0 + dt)
+        zeros = np.zeros(1, dtype=np.complex128)
+        T = RealInterval(t0, t0 + dt)
+        rng = np.random.default_rng(73)
+        assert_exactly_enclosed(sh, zeros, T, rng, k=30)
+        lazy = sh.eval_interval(Box.degenerate(zeros), T).norm()
+        assert sh.eval_over_time(zeros, T).norm() <= 0.01 * lazy
 
 
 class TestSerialization:

@@ -145,9 +145,13 @@ def exact_eval(system, xq, pq):
 
 
 def exact_homotopy_eval(h, x, t):
-    """Exact H(x, t) for an unsheared homotopy, floats in, Fraction pairs out."""
-    assert h.shear is None
+    """Exact H(x + s(t), t), floats in, Fraction pairs out, where
+    s(t) = sa + t*sb is the homotopy's shear (zero when unsheared)."""
     xq = [c_pair(xi) for xi in np.asarray(x, dtype=np.complex128)]
+    if h.shear is not None:
+        ft = fr(t)
+        xq = [c_add(v, c_add(c_pair(a), c_scale(c_pair(b), ft)))
+              for v, a, b in zip(xq, h._sa, h._sb)]
     return exact_eval(h.system, xq, exact_params_at(h, t))
 
 
