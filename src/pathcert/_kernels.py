@@ -436,10 +436,11 @@ def eval_terms_tpoly(flat, x, sa, sb, p0, p1, t_lo, t_hi):
        terms, at most nu_i = 2^-1075 Gamma^e_i sum_k 4 e_i (e_i + 3).
        This part is at most gamma_K M_i + (1 + gamma_K) nu_i.
     3. The factors' rounding, in exact arithmetic.  The product is
-       multilinear, so 1 moves a term by at most (l1 + eps_c)
-       prod_f (h_f + eps_f) - l1 prod_f h_f; the kernel accumulates it
-       stage by stage, D <- D (h_f + eps_f) + P eps_f and P <- P h_f,
-       from D = eps_c and P = l1: at most D_i in all.
+       multilinear, so the rounding of step 1 moves a term by at most
+       (l1 + eps_c) prod_f (h_f + eps_f) - l1 prod_f h_f, in ||.||; the
+       kernel accumulates it stage by stage, D <- D (h_f + eps_f) +
+       P eps_f and P <- P h_f, from D = eps_c and P = l1: at most D_i in
+       all.
     4. M_i and D_i in floats.  The kernel's M~_i and D~_i come from
        nonnegative programs of at most L_i = 2 e_i + n_i + 3 roundings
        per path, whose eta parts are at most nu_M = 2^-1075 Gamma^e_i
@@ -453,9 +454,9 @@ def eval_terms_tpoly(flat, x, sa, sb, p0, p1, t_lo, t_hi):
     (1 - gamma_L) and H_i >= 1 / (1 - gamma_L); that is G_i M~_i +
     H_i D~_i + 2^-1075 Gamma^e_i kappa_i, with kappa_i = e_i (e_i + 5)
     sum_k l1_k + e_i (9 e_i + 29) n_i.  ``tpoly_bound`` holds G_i, H_i
-    and kappa_i per equation, rounded up.  The kernel
-    takes fl(gamma_3 / (1 - gamma_5) * g~_f) + 4*2^-1075, rounded up, for
-    eps_f (g~_f is g_f in 5 roundings and 2 products), and
+    and kappa_i per equation, rounded up.  The kernel takes
+    fl(gamma_3 / (1 - gamma_5) * g~_f) + 4*2^-1075, rounded up, for eps_f
+    (g~_f is g_f in 5 roundings and 2 products), and
     (2 max(1, tmax, h~_f + eps_f))^e_i for Gamma^e_i, which covers the
     roundings of h~_f and of the power.  It uses 2^-1074 for 2^-1075 to
     cover the rounding of Gamma^e_i kappa_i, and rounds every other step
