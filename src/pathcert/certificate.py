@@ -17,10 +17,11 @@ norm are bit-identical to ``parametric_krawczyk_test`` on that segment.
 
 All floats are serialized as shortest round-trip decimal strings, so a
 certificate file is byte-stable across runs and parses back to identical
-binary64 values.
+binary64 values.  ``serialize`` writes compact JSON, without whitespace,
+through the standard encoder; ``deserialize`` reads any JSON layout,
+including the indented files of earlier versions.
 """
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -31,7 +32,7 @@ from ._batch import krawczyk_images, shear_regions
 from .errors import MalformedCertificate, ParseError, PathcertError
 from .intervals import Box, RealInterval
 from .krawczyk import check_operands, verdict_from
-from .systems import Homotopy, cvec_in, float_out, shear_line
+from .systems import Homotopy, cvec_in, cvec_out, float_out, shear_line
 
 FINAL_RESIDUAL_TOL = 1e-8
 
@@ -112,91 +113,37 @@ def _box_in(obj, loc):
         raise MalformedCertificate(f"{loc}: {e}") from e
 
 
-# The writer builds the text of ``json.dumps(obj, indent=1)`` directly:
-# the pure-Python encoder that ``indent`` selects costs more than all the
-# string work the fixed certificate schema needs.
-
-def _pad(depth):
-    return "\n" + " " * depth
-
-
-def _array(items, depth):
-    """A JSON array at ``depth`` of items already written at depth + 1."""
-    if not items:
-        return "[]"
-    inner = _pad(depth + 1)
-    return "[" + inner + ("," + inner).join(items) + _pad(depth) + "]"
-
-
-def _object(fields, depth):
-    """A JSON object at ``depth`` of (key, value written at depth + 1)."""
-    inner = _pad(depth + 1)
-    return ("{" + inner + ("," + inner).join(f'"{k}": {v}' for k, v in fields)
-            + _pad(depth) + "}")
-
-
-def _value(obj, depth):
-    """Any JSON value at ``depth``, through the json encoder."""
-    return json.dumps(obj, indent=1).replace("\n", _pad(depth))
-
-
-def _float(x):
-    return '"' + float_out(x) + '"'
-
-
-@functools.lru_cache(maxsize=None)
-def _row_format(width, depth):
-    """Format string of an array at ``depth`` of ``width`` float strings
-    (``float_out``: repr of a Python float)."""
-    inner = _pad(depth + 1)
-    return ("[" + inner + '"' + ('",' + inner + '"').join(["{!r}"] * width)
-            + '"' + _pad(depth) + "]")
-
-
-def _floats(rows, depth):
-    """Equal-length rows of Python floats as an array at ``depth``."""
-    if not rows:
-        return "[]"
-    fmt = _row_format(len(rows[0]), depth + 1)
-    return _array([fmt.format(*r) for r in rows], depth)
-
-
-def _cvec(v, depth):
-    """``cvec_out(v)`` written at ``depth``."""
-    return _floats([(z.real, z.imag) for z in
-                    np.asarray(v, dtype=np.complex128).tolist()], depth)
-
-
-def _segment(s, depth):
-    fields = [
-        ("t_lo", _float(s.t_lo)),
-        ("t_hi", _float(s.t_hi)),
-        ("box", _floats(s.box.data.tolist(), depth + 1)),
-        ("y", _array([_cvec(row, depth + 2) for row in s.y], depth + 1)),
-        ("residual_norm", _float(s.residual_norm)),
-    ]
+def _segment_json(s):
+    """One segment's JSON object, as ``deserialize`` reads it."""
+    obj = {
+        "t_lo": float_out(s.t_lo),
+        "t_hi": float_out(s.t_hi),
+        "box": [list(map(float_out, row)) for row in s.box.data.tolist()],
+        "y": [cvec_out(row) for row in s.y],
+        "residual_norm": float_out(s.residual_norm),
+    }
     if s.center is not None:
-        fields.append(("center", _cvec(s.center, depth + 1)))
+        obj["center"] = cvec_out(s.center)
     if s.shear_x0 is not None:
-        fields.append(("shear_x0", _cvec(s.shear_x0, depth + 1)))
-        fields.append(("shear_x1", _cvec(s.shear_x1, depth + 1)))
-    return _object(fields, depth)
+        obj["shear_x0"] = cvec_out(s.shear_x0)
+        obj["shear_x1"] = cvec_out(s.shear_x1)
+    return obj
 
 
 def serialize(cert):
-    """Certificate as a deterministic JSON string: the bytes of
-    ``json.dumps(obj, indent=1) + "\n"`` for its JSON object."""
-    fields = [
-        ("format", _value("path-certificate", 1)),
-        ("version", _value(1, 1)),
-        ("mode", _value(cert.mode, 1)),
-        ("path_id", _value(cert.path_id, 1)),
-        ("homotopy", _value(cert.homotopy.to_json(), 1)),
-        ("segments", _array([_segment(s, 2) for s in cert.segments], 1)),
-        ("final_point", _cvec(cert.final_point, 1)),
-        ("final_residual", _float(cert.final_residual)),
-    ]
-    return _object(fields, 0) + "\n"
+    """Certificate as a deterministic string: its JSON object as compact
+    JSON (no whitespace), ending in a newline."""
+    obj = {
+        "format": "path-certificate",
+        "version": 1,
+        "mode": cert.mode,
+        "path_id": cert.path_id,
+        "homotopy": cert.homotopy.to_json(),
+        "segments": [_segment_json(s) for s in cert.segments],
+        "final_point": cvec_out(cert.final_point),
+        "final_residual": float_out(cert.final_residual),
+    }
+    return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
 def deserialize(text):
@@ -214,6 +161,10 @@ def deserialize(text):
     mode = obj.get("mode")
     if mode not in (MODE_RECT, MODE_TILTED):
         raise MalformedCertificate(f"unknown mode {mode!r}")
+    path_id = obj.get("path_id", 0)
+    if type(path_id) is not int:
+        raise MalformedCertificate(
+            f"path_id must be an integer, got {path_id!r}")
     try:
         h = Homotopy.from_json(obj["homotopy"])
         raw_segs = obj["segments"]
@@ -221,10 +172,6 @@ def deserialize(text):
         final_residual = _parse_f(obj["final_residual"], "final_residual")
     except KeyError as e:
         raise MalformedCertificate(f"missing field {e}") from e
-    try:
-        path_id = int(obj.get("path_id", 0))
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ParseError(f"path_id: bad integer {obj['path_id']!r}") from e
     if not isinstance(raw_segs, list) or not raw_segs:
         raise MalformedCertificate("certificate has no segments")
     segments = []

@@ -52,20 +52,17 @@ class _Flat:
     The arrays feed ``_batch``.  ``terms[i]`` lists equation i's terms for
     the scalar kernels as Python values: (coef, par, factors, coef_point),
     with ``coef`` the rectangle coef * fac (the coefficient itself when
-    fac is 1) and ``factors`` the (j, e) pairs with e > 0.  ``tpoly[i]``
-    is equation i for ``eval_terms_tpoly``: the three constants of its
-    rounding bound, its degree in time (the most factors of a term) and
-    the terms (coef_point, l1, eps, factors).  ``l1`` bounds
-    |coef * fac|_1 and |coef_point|_1, rounded up; ``eps`` bounds
-    |coef_point - coef * fac|_1 (0 when fac is 1); ``factors`` index the
-    kernel's factor table, variables then parameters: the parameter
-    n + par first, then each variable j repeated e times.
+    fac is 1) and ``factors`` the (j, e) pairs with e > 0.  ``tpoly`` is
+    built on first use, since only the term list of F itself is enclosed
+    over time.
     """
 
-    __slots__ = ("coef_re", "coef_im", "coef_point", "fac", "par", "expo",
-                 "ptr", "max_expo", "tdeg", "terms", "tpoly")
+    __slots__ = ("n", "coef_re", "coef_im", "coef_point", "fac", "par",
+                 "expo", "ptr", "max_expo", "tdeg", "terms", "_tpoly")
 
     def __init__(self, rows, n):
+        self.n = n
+        self._tpoly = None
         nt = sum(len(r) for r in rows)
         self.coef_re = np.empty(nt, dtype=np.float64)
         self.coef_im = np.empty(nt, dtype=np.float64)
@@ -103,6 +100,19 @@ class _Flat:
             self.coef_point.tolist()))
         ptr = self.ptr.tolist()
         self.terms = [terms[lo:hi] for lo, hi in zip(ptr[:-1], ptr[1:])]
+
+    @property
+    def tpoly(self):
+        """Per equation, the view ``eval_terms_tpoly`` consumes: the three
+        constants of its rounding bound, its degree in time (the most
+        factors of a term) and the terms (coef_point, l1, eps, factors).
+        ``l1`` bounds |coef * fac|_1 and |coef_point|_1, rounded up; ``eps``
+        bounds |coef_point - coef * fac|_1 (0 when fac is 1); ``factors``
+        index the kernel's factor table, variables then parameters: the
+        parameter n + par first, then each variable j repeated e times."""
+        if self._tpoly is not None:
+            return self._tpoly
+        n = self.n
         up = math.nextafter
         l1 = [up(up(abs(cre) * fac, math.inf) + up(abs(cim) * fac, math.inf),
                  math.inf)
@@ -116,11 +126,13 @@ class _Flat:
             [(() if par < 0 else (n + par,))
              + tuple(j for j, e in enumerate(row) for _ in range(e))
              for par, row in zip(self.par.tolist(), self.expo.tolist())]))
-        self.tpoly = []
+        self._tpoly = []
+        ptr = self.ptr.tolist()
         for lo, hi in zip(ptr[:-1], ptr[1:]):
             deg = max((len(fs) for *_, fs in tterms[lo:hi]), default=0)
-            self.tpoly.append(_k.tpoly_bound(l1[lo:hi], deg)
-                              + (deg, tterms[lo:hi]))
+            self._tpoly.append(_k.tpoly_bound(l1[lo:hi], deg)
+                               + (deg, tterms[lo:hi]))
+        return self._tpoly
 
 
 class ParametricSystem:
@@ -436,8 +448,9 @@ def float_out(x):
 
 
 def cvec_out(v):
-    return [[float_out(z.real), float_out(z.imag)]
-            for z in np.asarray(v, dtype=np.complex128)]
+    # the parts of a Python complex are Python floats: repr is float_out
+    return [[repr(z.real), repr(z.imag)]
+            for z in np.asarray(v, dtype=np.complex128).tolist()]
 
 
 def cvec_in(obj, loc):

@@ -112,9 +112,9 @@ class TestSerialization:
         assert serialize(load_certificate(path)) == serialize(tilted)
         assert verify_file(path).ok
 
-    def test_text_is_json_indent_1(self, newton_certs):
-        """serialize writes the text itself; it must be exactly what
-        json.dumps(obj, indent=1) writes for the same object."""
+    def test_text_is_compact_json(self, newton_certs):
+        """serialize writes compact JSON: exactly what
+        json.dumps(obj, separators=(",", ":")) writes for the same object."""
         _, tilted, rect, minus = newton_certs
         texts = [p.read_text(encoding="utf-8")
                  for p in sorted(GOLDEN.glob("*.json"))]
@@ -122,7 +122,30 @@ class TestSerialization:
         texts += [serialize(c) for c in (
             tilted, rect, minus, dataclasses.replace(rect, segments=[]))]
         for text in texts:
-            assert json.dumps(json.loads(text), indent=1) + "\n" == text
+            compact = json.dumps(json.loads(text), separators=(",", ":"))
+            assert compact + "\n" == text
+
+    @pytest.mark.parametrize("indent", [1, 4])
+    def test_any_layout_reads_the_same(self, newton_certs, indent):
+        """Certificates written before the compact layout are indent=1
+        JSON; every layout must give the same certificate and report."""
+        _, tilted, rect, minus = newton_certs
+        for cert in (tilted, rect, minus):
+            text = serialize(cert)
+            again = deserialize(
+                json.dumps(json.loads(text), indent=indent) + "\n")
+            assert serialize(again) == text
+            assert verify(again) == verify(cert)
+
+    @pytest.mark.parametrize("path_id", [True, 1.9, "1"],
+                             ids=["bool", "float", "string"])
+    def test_path_id_must_be_an_integer(self, newton_certs, path_id):
+        _, _, _, minus = newton_certs
+        obj = json.loads(serialize(minus))
+        assert obj["path_id"] == 1
+        obj["path_id"] = path_id
+        with pytest.raises(MalformedCertificate, match="path_id"):
+            deserialize(json.dumps(obj))
 
 
 class TestVerify:

@@ -105,7 +105,7 @@ _MISSING = object()
 @pytest.mark.parametrize("where, value, error", [
     (None, "{not json", "ParseError"),
     (None, None, "ParseError"),
-    (("path_id",), "x", "ParseError"),
+    (("path_id",), "x", "MalformedCertificate"),
     (("segments", 0), ["t_lo", "t_hi"], "MalformedCertificate"),
     (("homotopy",), [], "ParseError"),
     (("homotopy", "system", "equations"), 5, "ParseError"),

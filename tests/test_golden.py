@@ -6,6 +6,10 @@ random and lowrank files (2 and 4 unknowns) were written again when the
 step schedule stopped growing after an accepted test without contraction
 margin: the old rule's files reproduced byte for byte on the code that
 replaced them, so only the choice of attempts moved, not the arithmetic.
+All four were written indented until ``serialize`` switched to compact
+JSON; they were then re-laid out mechanically, each as
+``json.dumps(json.loads(old), separators=(",", ":")) + "\n"``, with every
+value unchanged.
 Any change to the order or rounding of an interval operation on the
 tracking path shows up here as a byte difference.  Each case also runs
 with every residual forced onto the array kernels and onto the scalar
