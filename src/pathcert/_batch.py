@@ -9,8 +9,10 @@ forms its residual I - Y*J here, with a segment axis of 1, once a system
 has ``ilinalg.WIDE_N`` unknowns or more: there the n^3 products outweigh
 numpy's per-call cost.  A complex interval array has shape (4, ...)
 with re_lo, re_hi, im_lo, im_hi along the first axis; every other axis is
-a batch axis (segments, then terms, equations, matrix entries or
-coefficient slots).
+a batch axis (segments, then equations or matrix entries).  The
+polynomial twins ``eval_interval`` and ``eval_tpoly`` batch over segments
+only: they loop over a ``systems._Flat`` term list in Python, term by term
+and factor by factor, as their scalar twins do.
 
 Each array function performs, element by element, the same IEEE
 operations in the same order as its scalar twin: the same term order,
@@ -35,7 +37,7 @@ _TINY = _kernels._TINY
 _EPS3 = _kernels._EPS3
 _OUTWARD = np.array([-_INF, _INF, -_INF, _INF])
 
-# segments per block; bounds the temporaries of the widest term arrays
+# segments per block; bounds the block's temporaries, (4, S, n, n) at widest
 _BLOCK = 256
 # products per slice of ``residual``; bounds its (2, 4, s, n, n, n)
 # temporaries, which grow with n^3 where the block's others grow with n^2
@@ -211,64 +213,29 @@ def shear_box(box, sa, sb, t_lo, t_hi):
 # polynomial evaluation
 # ---------------------------------------------------------------------------
 
-def _accumulate(flat, vals, add=c_add, mask=None):
-    """Sum each equation's term values in term order with ``add``.
-
-    ``vals`` is (k, S, nterms, ...), complex intervals (k = 4) for the
-    default ``c_add``; ``mask`` (nterms, ...) marks the entries the scalar
-    kernel adds.  Returns (k, S, neq, ...).
-    """
-    ptr = flat.ptr
-    first, stop = ptr[:-1], ptr[1:]
-    acc = np.zeros(vals.shape[:2] + (len(first),) + vals.shape[3:])
-    for r in range(int((stop - first).max(initial=0))):
-        tid = first + r
-        live = tid < stop
-        tid = np.where(live, tid, 0)
-        take = live.reshape(live.shape + (1,) * (vals.ndim - 3))
-        if mask is not None:
-            take = take & mask[tid]
-        acc = np.where(take, add(acc, vals[:, :, tid]), acc)
-    return acc
-
-
-def _schedule(rows, nterms):
-    """Pad per-term factor lists into (steps, nterms) arrays; -1 is idle."""
-    steps = max((len(r) for r in rows), default=0)
-    idx = np.full((steps, nterms), -1, dtype=np.int64)
-    for t, row in enumerate(rows):
-        idx[:len(row), t] = row
-    return idx
-
-
 def eval_interval(flat, z, pv):
-    """eval_terms_interval for each segment: z (4, S, n), pv (4, S, m)."""
-    S, n = z.shape[1], z.shape[2]
-    nterms = flat.par.shape[0]
-    m = pv.shape[2]
-    npow = flat.max_expo + 1
-    zpow = np.empty((4, S, n, npow))
-    zpow[..., 0] = real(1.0, 1.0)[:, None, None]
-    for e in range(1, npow):
-        zpow[..., e] = c_mul(zpow[..., e - 1], z)
-    # factor table: per-term multiplicities, parameters, variable powers
-    table = np.concatenate(
-        (np.broadcast_to(real(flat.fac, flat.fac)[:, None], (4, S, nterms)),
-         pv, zpow.reshape(4, S, n * npow)), axis=2)
-    rows = []
-    for t in range(nterms):
-        row = [t] if flat.fac[t] != 1.0 else []
-        if flat.par[t] >= 0:
-            row.append(nterms + flat.par[t])
-        row += [nterms + m + j * npow + e
-                for j, e in enumerate(flat.expo[t]) if e > 0]
-        rows.append(row)
-    v = np.empty((4, S, nterms))
-    v[:] = point(flat.coef_re, flat.coef_im)[:, None]
-    for idx in _schedule(rows, nterms):
-        act = np.flatnonzero(idx >= 0)
-        v[:, :, act] = c_mul(v[:, :, act], table[..., idx[act]])
-    return _accumulate(flat, v)
+    """eval_terms_interval for each segment: z (4, S, n), pv (4, S, m).
+
+    Returns (4, S, neq).
+    """
+    zpow = []
+    for j in range(z.shape[2]):
+        powers = [real(1.0, 1.0)[:, None]]
+        for _ in range(flat.max_expo):
+            powers.append(c_mul(powers[-1], z[:, :, j]))
+        zpow.append(powers)
+    out = []
+    for terms in flat.terms:
+        acc = np.zeros(z.shape[:2])
+        for coef, par, factors, _ in terms:
+            v = np.array(coef)[:, None]
+            if par >= 0:
+                v = c_mul(v, pv[:, :, par])
+            for j, e in factors:
+                v = c_mul(v, zpow[j][e])
+            acc = c_add(acc, v)
+        out.append(acc)
+    return np.stack(out, axis=2)
 
 
 def _cmul(ar, ai, br, bi):
@@ -281,6 +248,14 @@ def _factor(ar, ai, br, bi, bm, g, tmax):
     h = (np.abs(ar) + np.abs(ai)) + bm * tmax
     eps = _up(_up(_EPS3 * g) + 2 * _TINY)
     return ar, ai, br, bi, h, h + eps, eps
+
+
+def _columns(table, count):
+    """Split a factor table by factor: column k of each array whose last
+    axis runs over the ``count`` factors, copied to be contiguous; None
+    and 0-d entries are shared by every factor."""
+    return [tuple(v if np.ndim(v) == 0 else v[..., k].copy() for v in table)
+            for k in range(count)]
 
 
 def _complex(re, im):
@@ -296,13 +271,11 @@ def eval_tpoly(flat, x, sa, sb, p0, p1, t_lo, t_hi):
     x, sa, sb are (S, n) complex (sa = sb = None when unsheared), t_lo
     and t_hi are (S,).  Returns (4, S, neq).  The scalar kernel's complex
     float products are written out as the real operations of CPython's
-    complex ``*``, not left to numpy's complex loops.
+    complex ``*`` (``_cmul``), not left to numpy's complex loops.
     """
     S, n = x.shape
     m = p0.shape[0]
-    nterms = flat.par.shape[0]
     nd = flat.tdeg + 1
-    sheared = sa is not None
     tc = 0.5 * (t_lo + t_hi)
     tc = np.where(tc < t_lo, t_lo, np.where(tc > t_hi, t_hi, tc))
     tau_lo, _ = r_sub(t_lo, t_lo, tc, tc)
@@ -312,90 +285,76 @@ def eval_tpoly(flat, x, sa, sb, p0, p1, t_lo, t_hi):
     atc = np.abs(tcol)
     tm = tmax[:, None]
 
-    # the factor table (S, n + m), variables then parameters: A, B, h,
-    # h + eps and eps (``_kernels._factor``)
+    # the factor table, variables then parameters: (A, B, h, h + eps, eps)
+    # with A and B as real and imaginary parts, B None for a variable that
+    # does not move (``_kernels._factor``)
     xm = np.abs(x.real) + np.abs(x.imag)
-    if sheared:
+    if sa is None:
+        var = (x.real, x.imag, None, None, xm, xm, 0.0)
+    else:
         mb = np.abs(sb.real) + np.abs(sb.imag)
         g = ((atc * mb + (np.abs(sa.real) + np.abs(sa.imag))) + xm) + mb * tm
         var = _factor((tcol * sb.real + sa.real) + x.real,
                       (tcol * sb.imag + sa.imag) + x.imag,
                       sb.real, sb.imag, mb, g, tm)
-    else:
-        zero = np.zeros((S, n))
-        var = (x.real, x.imag, zero, zero, xm, xm, zero)
     br = p1.real - p0.real
     bi = p1.imag - p0.imag
     a0 = np.abs(p0.real) + np.abs(p0.imag)
     mb = a0 + (np.abs(p1.real) + np.abs(p1.imag))
     par = _factor(p0.real + tcol * br, p0.imag + tcol * bi, br, bi,
                   np.abs(br) + np.abs(bi), (a0 + atc * mb) + mb * tm, tm)
-    fa_re, fa_im, fb_re, fb_im, h, he, eps = (
-        np.concatenate((v, np.broadcast_to(p, (S, m))), axis=1)
-        for v, p in zip(var, par))
+    facs = _columns(var, n) + _columns(par, m)
     gmax = np.where(tmax > 1.0, tmax, 1.0)
-    for col in he.T:
-        gmax = np.where(col > gmax, col, gmax)
+    for f in facs:
+        gmax = np.where(f[5] > gmax, f[5], gmax)
     big = 2.0 * gmax
     gpow = [np.ones(S)]
     for _ in range(flat.tdeg):
         gpow.append(gpow[-1] * big)
     gpow = np.stack(gpow, axis=1)
-    # each term multiplies its coefficient polynomial by A + B*tau for
-    # its parameter and, sheared, for every variable factor (slot 0 takes
-    # w_0*A, slots 1..deg w_d*A + w_(d-1)*B, slot deg + 1 w_deg*B);
-    # unsheared variable factors scale slots 0..deg by A
-    terms = [t for eq in flat.tpoly for t in eq[4]]
-    rows = [list(fs) for *_, fs in terms]
-    idx = _schedule(rows, nterms)
-    slot = np.arange(nd)
-    only_a = np.zeros(idx.shape + (nd,), dtype=bool)
-    both = np.zeros_like(only_a)
-    only_b = np.zeros_like(only_a)
-    wdeg = np.zeros(nterms, dtype=np.int64)
-    for t, row in enumerate(rows):
-        for k, f in enumerate(row):
-            d = wdeg[t]
-            if sheared or f >= n:
-                only_a[k, t] = slot == 0
-                both[k, t] = (slot >= 1) & (slot <= d)
-                only_b[k, t] = slot == d + 1
-                wdeg[t] += 1
-            else:
-                only_a[k, t] = slot <= d
 
-    w_re = np.zeros((S, nterms, nd))
-    w_im = np.zeros((S, nterms, nd))
-    w_re[..., 0] = flat.coef_point.real
-    w_im[..., 0] = flat.coef_point.imag
-    mag = np.empty((S, nterms))
-    mag[:] = [t[1] for t in terms]
-    dev = np.empty((S, nterms))
-    dev[:] = [t[2] for t in terms]
-    for k in range(idx.shape[0]):
-        # step k reaches the terms with a k-th factor, slots 0..k+1 only
-        act = np.flatnonzero(idx[k] >= 0)
-        f = idx[k, act]
-        dev[:, act] = dev[:, act] * he[:, f] + mag[:, act] * eps[:, f]
-        mag[:, act] = mag[:, act] * h[:, f]
-        wr = w_re[:, act, :k + 2]
-        wi = w_im[:, act, :k + 2]
-        pr, pi = _cmul(wr, wi, fa_re[:, f, None], fa_im[:, f, None])
-        vr = np.zeros_like(wr)
-        vi = np.zeros_like(wi)
-        vr[..., 1:] = wr[..., :-1]
-        vi[..., 1:] = wi[..., :-1]
-        qr, qi = _cmul(vr, vi, fb_re[:, f, None], fb_im[:, f, None])
-        a_k = only_a[k, act, :k + 2]
-        ab_k = both[k, act, :k + 2]
-        b_k = only_b[k, act, :k + 2]
-        w_re[:, act, :k + 2] = np.where(
-            a_k, pr, np.where(ab_k, pr + qr, np.where(b_k, qr, wr)))
-        w_im[:, act, :k + 2] = np.where(
-            a_k, pi, np.where(ab_k, pi + qi, np.where(b_k, qi, wi)))
-    re, im = _accumulate(flat, np.stack((w_re, w_im)), np.add,
-                         slot <= wdeg[:, None])
-    msum, dsum = _accumulate(flat, np.stack((mag, dev)), np.add)
+    # each term multiplies its coefficient polynomial by A + B*tau for
+    # every moving factor (slot 0 takes w_0*A, slots 1..deg w_d*A +
+    # w_(d-1)*B, slot deg + 1 w_deg*B) and by A for a variable that does
+    # not move; each slot sums its terms in order
+    zero = np.zeros(S)
+    re, im, msums, dsums = [], [], [], []
+    for *_, terms in flat.tpoly:
+        acc = [(zero, zero)] * nd
+        msum = dsum = zero
+        for coef, l1, e1, fs in terms:
+            w = [(coef.real, coef.imag)]
+            mag = l1
+            dev = e1
+            for f in fs:
+                ar, ai, br, bi, h, he, e = facs[f]
+                dev = dev * he + mag * e
+                mag = mag * h
+                if br is None:
+                    w = [_cmul(*v, ar, ai) for v in w]
+                    continue
+                u = w[0]
+                w1 = [_cmul(*u, ar, ai)]
+                for v in w[1:]:
+                    pr, pi = _cmul(*v, ar, ai)
+                    qr, qi = _cmul(*u, br, bi)
+                    w1.append((pr + qr, pi + qi))
+                    u = v
+                w1.append(_cmul(*u, br, bi))
+                w = w1
+            msum = msum + mag
+            dsum = dsum + dev
+            for d, (vr, vi) in enumerate(w):
+                acc[d] = (acc[d][0] + vr, acc[d][1] + vi)
+        re.append([vr for vr, _ in acc])
+        im.append([vi for _, vi in acc])
+        msums.append(msum)
+        dsums.append(dsum)
+    # (S, neq, nd) coefficients and (S, neq) magnitude sums
+    re = np.moveaxis(np.array(re), -1, 0)
+    im = np.moveaxis(np.array(im), -1, 0)
+    msum = np.stack(msums, axis=1)
+    dsum = np.stack(dsums, axis=1)
 
     # the rounding bound rho of each equation widens its constant slot
     g_rel, h_rel, kappa, deg = np.array([eq[:4] for eq in flat.tpoly]).T
@@ -408,7 +367,6 @@ def eval_tpoly(flat, x, sa, sb, p0, p1, t_lo, t_hi):
     # powers range over [0, max-magnitude^d]
     pl = np.ones(S)
     ph = np.ones(S)
-    zero = np.zeros(S)
     for d in range(1, nd):
         pl = _up(pl * (-tau_lo))
         ph = _up(ph * tau_hi)
@@ -434,8 +392,7 @@ def _images_block(h, x, y, box, t_lo, t_hi, sa, sb):
     hx = eval_tpoly(h.system._flat_f, x, sa, sb, h.p0, h.p1, t_lo, t_hi)
     a = matvec(ypt, hx)
     z = ib if sa is None else shear_box(ib, sa, sb, t_lo, t_hi)
-    pv = (np.zeros((4, S, 0)) if h.m == 0
-          else param_interval(h.p0, h.p1, t_lo, t_hi))
+    pv = param_interval(h.p0, h.p1, t_lo, t_hi)
     jac = eval_interval(h.system._flat_jac, z, pv).reshape(4, S, n, n)
     resid = residual(y, jac)
     b = matvec(resid, c_sub(ib, xpt))

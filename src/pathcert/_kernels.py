@@ -28,8 +28,10 @@ gradual underflow:
 The endpoint min/max of a product keep Python's ``min``/``max`` semantics
 (keep a unless b < a), which fixes where a NaN ends up.  ``_batch`` holds
 the array twins of these kernels and performs the same IEEE operations in
-the same order, so the two agree bit for bit.  The verifier replays with
-them, and the tracker's residual ``residual_k`` gives way to its twin
+the same order, so the two agree bit for bit.  The polynomial kernels loop
+over the term lists of a ``systems._Flat``, and their twins loop over the
+same lists with a segment axis on every value.  The verifier replays with
+the twins, and the tracker's residual ``residual_k`` gives way to its twin
 once a system has ``ilinalg.WIDE_N`` unknowns or more.
 """
 

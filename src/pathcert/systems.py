@@ -47,59 +47,45 @@ class Term:
 
 
 class _Flat:
-    """Flattened term arrays in the layouts the kernels consume.
+    """A system's term lists in the layouts the kernels consume.
 
-    The arrays feed ``_batch``.  ``terms[i]`` lists equation i's terms for
-    the scalar kernels as Python values: (coef, par, factors, coef_point),
-    with ``coef`` the rectangle coef * fac (the coefficient itself when
-    fac is 1) and ``factors`` the (j, e) pairs with e > 0.  ``tpoly`` is
-    built on first use, since only the term list of F itself is enclosed
-    over time.
+    ``rows[i]`` holds equation i's terms as (coeff, fac, param, expo):
+    ``fac`` is the term's exact small-integer multiplicity (from
+    differentiation) and ``param`` None or a parameter index.
+    ``terms[i]`` lists equation i's terms as Python values: (coef, par,
+    factors, coef_point), with ``coef`` the rectangle coeff * fac (the
+    coefficient itself when fac is 1), ``par`` -1 for no parameter,
+    ``factors`` the (j, e) pairs with e > 0 and ``coef_point`` the complex
+    float coeff * fac.  ``tpoly`` is built on first use, since only the
+    term list of F itself is enclosed over time.  The scalar kernels of
+    ``_kernels`` and their ``_batch`` twins loop over the same lists.
     """
 
-    __slots__ = ("n", "coef_re", "coef_im", "coef_point", "fac", "par",
-                 "expo", "ptr", "max_expo", "tdeg", "terms", "_tpoly")
+    __slots__ = ("n", "rows", "max_expo", "tdeg", "terms", "_tpoly")
 
     def __init__(self, rows, n):
         self.n = n
+        self.rows = rows
         self._tpoly = None
-        nt = sum(len(r) for r in rows)
-        self.coef_re = np.empty(nt, dtype=np.float64)
-        self.coef_im = np.empty(nt, dtype=np.float64)
-        self.coef_point = np.empty(nt, dtype=np.complex128)
-        self.fac = np.empty(nt, dtype=np.float64)
-        self.par = np.empty(nt, dtype=np.int64)
-        self.expo = np.zeros((nt, n), dtype=np.int64)
-        self.ptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        t = 0
-        for i, row in enumerate(rows):
-            for coeff, fac, param, expo in row:
-                self.coef_re[t] = coeff.real
-                self.coef_im[t] = coeff.imag
-                self.fac[t] = float(fac)
-                self.coef_point[t] = coeff * fac
-                self.par[t] = -1 if param is None else param
-                self.expo[t, :] = expo
-                t += 1
-            self.ptr[i + 1] = t
-        self.max_expo = int(self.expo.max()) if nt else 0
+        self.max_expo = max((e for row in rows for *_, expo in row
+                             for e in expo), default=0)
         # degree in t after substituting a time-affine shear and path
-        deg = self.expo.sum(axis=1) + (self.par >= 0)
-        self.tdeg = int(deg.max()) if nt else 0
-        coefs = []
-        for cre, cim, fac in zip(self.coef_re.tolist(),
-                                 self.coef_im.tolist(), self.fac.tolist()):
-            coef = (cre, cre, cim, cim)
-            if fac != 1.0:
-                coef = _k.c_mul(coef, (fac, fac, 0.0, 0.0))
-            coefs.append(coef)
-        terms = list(zip(
-            coefs, self.par.tolist(),
-            [tuple((j, e) for j, e in enumerate(row) if e > 0)
-             for row in self.expo.tolist()],
-            self.coef_point.tolist()))
-        ptr = self.ptr.tolist()
-        self.terms = [terms[lo:hi] for lo, hi in zip(ptr[:-1], ptr[1:])]
+        self.tdeg = max((sum(expo) + (param is not None)
+                         for row in rows for _, _, param, expo in row),
+                        default=0)
+        self.terms = []
+        for row in rows:
+            terms = []
+            for coeff, fac, param, expo in row:
+                cre, cim, f = coeff.real, coeff.imag, float(fac)
+                coef = (cre, cre, cim, cim)
+                if f != 1.0:
+                    coef = _k.c_mul(coef, (f, f, 0.0, 0.0))
+                terms.append((coef, -1 if param is None else param,
+                              tuple((j, e) for j, e in enumerate(expo)
+                                    if e > 0),
+                              coeff * fac))
+            self.terms.append(terms)
 
     @property
     def tpoly(self):
@@ -114,24 +100,21 @@ class _Flat:
             return self._tpoly
         n = self.n
         up = math.nextafter
-        l1 = [up(up(abs(cre) * fac, math.inf) + up(abs(cim) * fac, math.inf),
-                 math.inf)
-              for cre, cim, fac in zip(self.coef_re.tolist(),
-                                       self.coef_im.tolist(),
-                                       self.fac.tolist())]
-        tterms = list(zip(
-            self.coef_point.tolist(), l1,
-            [0.0 if fac == 1.0 else up(v * 2.0 ** -53, math.inf)
-             for v, fac in zip(l1, self.fac.tolist())],
-            [(() if par < 0 else (n + par,))
-             + tuple(j for j, e in enumerate(row) for _ in range(e))
-             for par, row in zip(self.par.tolist(), self.expo.tolist())]))
         self._tpoly = []
-        ptr = self.ptr.tolist()
-        for lo, hi in zip(ptr[:-1], ptr[1:]):
-            deg = max((len(fs) for *_, fs in tterms[lo:hi]), default=0)
-            self._tpoly.append(_k.tpoly_bound(l1[lo:hi], deg)
-                               + (deg, tterms[lo:hi]))
+        for row in self.rows:
+            tterms = []
+            for coeff, fac, param, expo in row:
+                f = float(fac)
+                l1 = up(up(abs(coeff.real) * f, math.inf)
+                        + up(abs(coeff.imag) * f, math.inf), math.inf)
+                tterms.append((
+                    coeff * fac, l1,
+                    0.0 if f == 1.0 else up(l1 * 2.0 ** -53, math.inf),
+                    (() if param is None else (n + param,))
+                    + tuple(j for j, e in enumerate(expo) for _ in range(e))))
+            deg = max((len(fs) for *_, fs in tterms), default=0)
+            self._tpoly.append(_k.tpoly_bound([t[1] for t in tterms], deg)
+                               + (deg, tterms))
         return self._tpoly
 
 
@@ -255,8 +238,8 @@ class ParametricSystem:
     @classmethod
     def from_json(cls, obj):
         try:
-            n = int(obj["n"])
-            m = int(obj["m"])
+            n = _json_int(obj["n"], "n")
+            m = _json_int(obj["m"], "m")
             raw = [list(row) for row in obj["equations"]]
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"system header: {e}") from e
@@ -270,8 +253,9 @@ class ParametricSystem:
                     cim = float(t["coeff_im"])
                     par = t["param_index"]
                     if par is not None:
-                        par = int(par)
-                    expo = tuple(int(e) for e in t["exponents"])
+                        par = _json_int(par, "param_index")
+                    expo = tuple(_json_int(e, "exponent")
+                                 for e in t["exponents"])
                 except (KeyError, TypeError, ValueError) as e:
                     raise ParseError(f"{loc}: {e}") from e
                 terms.append(Term(complex(cre, cim), par, expo))
@@ -280,6 +264,14 @@ class ParametricSystem:
             return cls(n, m, eqs)
         except PathcertError as e:
             raise MalformedCertificate(f"system: {e}") from e
+
+
+def _json_int(v, name):
+    """v if it is a JSON integer; a bool, float or string raises
+    TypeError instead of being converted."""
+    if type(v) is not int:
+        raise TypeError(f"{name} must be an integer, got {v!r}")
+    return v
 
 
 class Homotopy:

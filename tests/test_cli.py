@@ -118,10 +118,21 @@ _MISSING = object()
     (("version",), None, "MalformedCertificate"),
     (("version",), True, "MalformedCertificate"),
     (("version",), _MISSING, "MalformedCertificate"),
+    (("homotopy", "system", "equations", 0, 0, "exponents"), [2.5],
+     "ParseError"),
+    (("homotopy", "system", "equations", 0, 0, "exponents"), ["2"],
+     "ParseError"),
+    (("homotopy", "system", "equations", 0, 2, "param_index"), 0.9,
+     "ParseError"),
+    (("homotopy", "system", "equations", 0, 2, "param_index"), "0",
+     "ParseError"),
+    (("homotopy", "system", "n"), 1.7, "ParseError"),
+    (("homotopy", "system", "m"), True, "ParseError"),
 ], ids=["not-json", "missing-file", "path-id-string", "segment-list",
         "homotopy-list", "equations-int", "exponent-2**40", "exponent-2**63",
         "version-99", "version-string", "version-null", "version-true",
-        "version-missing"])
+        "version-missing", "exponent-float", "exponent-string",
+        "param-index-float", "param-index-string", "n-float", "m-true"])
 def test_verify_unparseable_certificate(run_dir, tmp_path, capsys, where,
                                         value, error):
     bad = tmp_path / "junk.json"
