@@ -71,7 +71,7 @@ from .intervals import (
     RealInterval,
     box_centered,
 )
-from .krawczyk import KrawczykVerdict, krawczyk_operator, parametric_krawczyk_test
+from .krawczyk import KrawczykVerdict, parametric_krawczyk_test
 from .systems import (
     Homotopy,
     ParametricSystem,

@@ -70,10 +70,6 @@ def _outward(x):
     return np.nextafter(x, _OUTWARD.reshape((4,) + (1,) * (x.ndim - 1)))
 
 
-def r_add(al, ah, bl, bh):
-    return _down(al + bl), _up(ah + bh)
-
-
 def r_sub(al, ah, bl, bh):
     return _down(al - bh), _up(ah - bl)
 

@@ -32,7 +32,14 @@ from ._batch import krawczyk_images, shear_regions
 from .errors import MalformedCertificate, ParseError, PathcertError
 from .intervals import Box, RealInterval
 from .krawczyk import check_operands, verdict_from
-from .systems import Homotopy, cvec_in, cvec_out, float_out, shear_line
+from .systems import (
+    Homotopy,
+    cvec_in,
+    cvec_out,
+    float_in,
+    float_out,
+    shear_line,
+)
 
 FINAL_RESIDUAL_TOL = 1e-8
 
@@ -84,7 +91,7 @@ class VerificationReport:
 
 def _parse_f(s, loc):
     try:
-        return float(s)
+        return float_in(s)
     except (TypeError, ValueError) as e:
         raise ParseError(f"{loc}: bad float {s!r}") from e
 
@@ -101,7 +108,7 @@ def _cmat_in(obj, loc):
 
 def _box_in(obj, loc):
     try:
-        data = np.array([[float(v) for v in row] for row in obj],
+        data = np.array([[float_in(v) for v in row] for row in obj],
                         dtype=np.float64)
     except (TypeError, ValueError) as e:
         raise ParseError(f"{loc}: bad box") from e

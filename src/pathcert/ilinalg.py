@@ -19,9 +19,11 @@ from .errors import (
 )
 from .intervals import Box, ComplexInterval
 
-# Smallest n for which the array residual beats the scalar one: at one
-# matrix per call the n^3 products outweigh numpy's per-call cost from
-# here on (measured crossover, BENCH_7.json).
+# Smallest n for which the residual is the array computation.  Per call
+# at one matrix, the array residual takes 83 us against the scalar one's
+# 100 us at n = 4, and 101 against 231 us at n = 5 (ROADMAP.md, residual
+# branch), so it already wins at n = 4.  The switch stays at 5 because
+# moving it gains less than the benchmark can resolve (a parked item).
 WIDE_N = 5
 
 

@@ -14,13 +14,6 @@ K(I, T).  If additionally sqrt(2) * |Id - Y * encl(dH/dx(I, T))| < 1 in
 the row-sum norm, that solution is the only one in I for each t.  The
 sqrt(2) factor is the price of testing complex rectangles instead of
 discs; it is always applied.
-
-``parametric_krawczyk_test`` checks contraction first: it encloses the
-Jacobian and bounds |Id - Y * encl(dH/dx(I, T))| before anything else.
-A test whose finite norm fails the bound is rejected whatever its image,
-so it skips the image (the enclosure of H over T and the two mat-vecs)
-and reports ``existence`` and ``operator_image`` as None.
-``krawczyk_operator`` still computes that image for anyone who wants it.
 """
 
 import math
@@ -38,16 +31,12 @@ _SQRT2_UP = math.nextafter(math.sqrt(2.0), math.inf)
 @dataclass(frozen=True)
 class KrawczykVerdict:
     """Outcome of one test: the two flags, the contraction norm that
-    witnessed uniqueness, and the operator image box.
+    witnessed uniqueness, and the operator image box."""
 
-    ``existence`` and ``operator_image`` are None when a finite
-    contraction norm fails the bound, as the image was not computed.
-    """
-
-    existence: "bool | None"
+    existence: bool
     uniqueness: bool
     residual_norm: float
-    operator_image: "Box | None"
+    operator_image: Box
 
     @property
     def passed(self):
@@ -74,46 +63,21 @@ def check_operands(n, x, y, box, T):
     return x, y, T
 
 
-def _contraction(h, y, box, T):
-    """Interval residual Id - Y * encl(dH/dx(I, T))."""
-    return residual_matrix(y, h.jac_x_interval(box, T))
-
-
-def _image(h, x, y, box, T, resid):
-    x_box = Box.degenerate(x)
-    a = point_matvec_box(y, h.eval_over_time(x, T))
-    b = imatvec(resid, box - x_box)
-    return (x_box - a) + b
-
-
-def krawczyk_operator(h, x, y, box, T):
-    """Interval image K(I, T) of the parametric Krawczyk operator."""
-    x, y, T = check_operands(h.n, x, y, box, T)
-    image = _image(h, x, y, box, T, _contraction(h, y, box, T))
-    if not np.isfinite(image.data).all():
-        raise NonFiniteEndpoint("Krawczyk image has non-finite endpoints")
-    return image
-
-
 def parametric_krawczyk_test(h, x, y, box, T):
     """Run the test and report existence/uniqueness flags.
 
     existence: K(I, T) is contained in I (closed inclusion).
     uniqueness: sqrt(2) * |Id - Y*Jac| < 1, rounded against the claim.
     Both checks are sound: rounding can only turn a true pass into a
-    reported failure, never the other way.
-
-    The contraction norm comes first.  When it is finite and fails the
-    bound, the test is rejected without its image: ``existence`` and
-    ``operator_image`` are None.  Otherwise a non-finite image or norm
+    reported failure, never the other way.  A non-finite image or norm
     raises NonFiniteEndpoint.
     """
     x, y, T = check_operands(h.n, x, y, box, T)
-    resid = _contraction(h, y, box, T)
-    rn = resid.norm()
-    if math.isfinite(rn) and not _contracts(rn):
-        return KrawczykVerdict(None, False, rn, None)
-    return verdict_from(box, _image(h, x, y, box, T, resid), rn)
+    resid = residual_matrix(y, h.jac_x_interval(box, T))
+    x_box = Box.degenerate(x)
+    a = point_matvec_box(y, h.eval_over_time(x, T))
+    b = imatvec(resid, box - x_box)
+    return verdict_from(box, (x_box - a) + b, resid.norm())
 
 
 def _contracts(rn):

@@ -249,8 +249,8 @@ class ParametricSystem:
             for j, t in enumerate(row):
                 loc = f"equations[{i}][{j}]"
                 try:
-                    cre = float(t["coeff_re"])
-                    cim = float(t["coeff_im"])
+                    cre = float_in(t["coeff_re"])
+                    cim = float_in(t["coeff_im"])
                     par = t["param_index"]
                     if par is not None:
                         par = _json_int(par, "param_index")
@@ -410,7 +410,11 @@ class Homotopy:
             p1 = cvec_in(obj["p1"], "p1")
         except (KeyError, TypeError) as e:
             raise ParseError(f"homotopy: bad or missing field {e}") from e
-        return cls(ParametricSystem.from_json(sys_obj), p0, p1)
+        system = ParametricSystem.from_json(sys_obj)
+        try:
+            return cls(system, p0, p1)
+        except PathcertError as e:
+            raise MalformedCertificate(f"homotopy: {e}") from e
 
 
 def shear_line(n, x0, x1, t0, t1):
@@ -439,6 +443,14 @@ def float_out(x):
     return repr(float(x))
 
 
+def float_in(v):
+    """float(v) for a JSON number or string; a bool raises TypeError
+    instead of reading as 1.0 or 0.0."""
+    if isinstance(v, bool):
+        raise TypeError(f"expected a float, got {v!r}")
+    return float(v)
+
+
 def cvec_out(v):
     # the parts of a Python complex are Python floats: repr is float_out
     return [[repr(z.real), repr(z.imag)]
@@ -447,7 +459,7 @@ def cvec_out(v):
 
 def cvec_in(obj, loc):
     try:
-        return np.array([complex(float(a), float(b)) for a, b in obj],
+        return np.array([complex(float_in(a), float_in(b)) for a, b in obj],
                         dtype=np.complex128)
     except (TypeError, ValueError) as e:
         raise ParseError(f"{loc}: bad complex vector") from e

@@ -231,20 +231,9 @@ def _mid_inverse_or_raise(h, x, t):
         raise SingularJacobian(f"Jacobian not invertible at t={t}") from e
 
 
-def _direction_or_none(h, x, t):
-    """Euler direction at (x, t), or None when the Jacobian is singular:
-    every test at this t0 is then rejected, as its prediction fails."""
-    try:
-        return euler_direction(h, x, t)
-    except SingularJacobian:
-        return None
-
-
 def _tilted_frame(h, x, direction, t0, t1):
     """The sheared map, its box center 0 and the segment's shear for one
     tilted attempt, or None when the prediction fails."""
-    if direction is None:
-        return None
     try:
         sheared, x1 = precondition(h, x, t0, t1, direction)
     except (TrackingError, SingularMatrix):
@@ -274,7 +263,7 @@ def track(h, x0, cfg=None, mode=MODE_TILTED, path_id=0):
         if y is None:
             # first attempt at this t0
             y = _mid_inverse_or_raise(h, x, state.t0)
-            direction = _direction_or_none(h, x, state.t0) if tilted else None
+            direction = euler_direction(h, x, state.t0) if tilted else None
         if len(state.step_log) >= MAX_STEPS:
             raise MaxStepsExceeded(f"{MAX_STEPS} steps at t={state.t0}")
         if tilted:

@@ -30,11 +30,7 @@ from pathcert.errors import (
     PathcertError,
 )
 from pathcert.intervals import Box, RealInterval
-from pathcert.krawczyk import (
-    krawczyk_operator,
-    parametric_krawczyk_test,
-    verdict_from,
-)
+from pathcert.krawczyk import parametric_krawczyk_test
 from pathcert.systems import Term
 from pathcert.tracker import TrackerConfig, track
 
@@ -306,9 +302,7 @@ def replay_certs(newton_certs):
 
 
 def scalar_replay(cert, i):
-    """Segment i's test through the per-test path the tracker uses.  A
-    test that skips its image for failing contraction gets the image
-    from krawczyk_operator."""
+    """Segment i's test through the per-test path the tracker uses."""
     s = cert.segments[i]
     if cert.mode == MODE_TILTED:
         h = cert.homotopy.sheared(s.shear_x0, s.shear_x1, s.t_lo, s.t_hi)
@@ -317,11 +311,7 @@ def scalar_replay(cert, i):
         h, x = cert.homotopy, s.center
     T = RealInterval(s.t_lo, s.t_hi)
     try:
-        v = parametric_krawczyk_test(h, x, s.y, s.box, T)
-        if v.operator_image is None:
-            v = verdict_from(s.box, krawczyk_operator(h, x, s.y, s.box, T),
-                             v.residual_norm)
-        return v
+        return parametric_krawczyk_test(h, x, s.y, s.box, T)
     except PathcertError as e:
         return e
 
@@ -332,8 +322,7 @@ def verdict_bits(verdicts):
     return [(type(v).__name__, str(v)) if isinstance(v, PathcertError)
             else (v.existence, v.uniqueness,
                   np.float64(v.residual_norm).tobytes(),
-                  None if v.operator_image is None
-                  else v.operator_image.data.tobytes())
+                  v.operator_image.data.tobytes())
             for v in verdicts]
 
 

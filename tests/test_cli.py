@@ -128,11 +128,22 @@ _MISSING = object()
      "ParseError"),
     (("homotopy", "system", "n"), 1.7, "ParseError"),
     (("homotopy", "system", "m"), True, "ParseError"),
+    (("homotopy", "system", "equations", 0, 0, "coeff_re"), True,
+     "ParseError"),
+    (("homotopy", "system", "equations", 0, 0, "coeff_im"), False,
+     "ParseError"),
+    (("segments", 0, "t_lo"), False, "ParseError"),
+    (("segments", 0, "box", 0, 0), True, "ParseError"),
+    (("homotopy", "p1", 0, 0), True, "ParseError"),
+    (("homotopy", "p0"), [["0.0", "0.0"]] * 2, "MalformedCertificate"),
+    (("homotopy", "p0", 0, 0), "inf", "MalformedCertificate"),
 ], ids=["not-json", "missing-file", "path-id-string", "segment-list",
         "homotopy-list", "equations-int", "exponent-2**40", "exponent-2**63",
         "version-99", "version-string", "version-null", "version-true",
         "version-missing", "exponent-float", "exponent-string",
-        "param-index-float", "param-index-string", "n-float", "m-true"])
+        "param-index-float", "param-index-string", "n-float", "m-true",
+        "coeff-re-true", "coeff-im-false", "t-lo-false", "box-true",
+        "p1-true", "p0-length", "p0-inf"])
 def test_verify_unparseable_certificate(run_dir, tmp_path, capsys, where,
                                         value, error):
     bad = tmp_path / "junk.json"

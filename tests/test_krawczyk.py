@@ -7,10 +7,10 @@ import pytest
 
 import tutil
 from pathcert.bench import gen_newton_homotopy
-from pathcert.errors import DimensionMismatch, PathcertError
+from pathcert.errors import DimensionMismatch, NonFiniteEndpoint, PathcertError
 from pathcert.intervals import Box, RealInterval, box_centered
 from pathcert.ilinalg import mid_inverse
-from pathcert.krawczyk import krawczyk_operator, parametric_krawczyk_test
+from pathcert.krawczyk import parametric_krawczyk_test
 from pathcert.tracker import newton_refine
 
 SQRT2 = math.sqrt(2.0)
@@ -33,7 +33,8 @@ class TestOperator:
         x = np.array([0.6 + 0.0j])
         y = np.array([[1.0 + 0.0j]])
         box = box_centered(x, 0.3)
-        img = krawczyk_operator(h, x, y, box, RealInterval(0.0, 0.0))
+        img = parametric_krawczyk_test(
+            h, x, y, box, RealInterval(0.0, 0.0)).operator_image
         assert img.contains_point(np.array([c + 0.0j]))
         assert img.widths().max() <= 1e-12
         assert abs(img.midpoint()[0] - c) <= 1e-13
@@ -62,14 +63,13 @@ class TestOperator:
 
     def test_dimension_checks(self):
         h, x, y, box = sqrt2_fixture(0.01)
+        T = RealInterval(0.0, 0.0)
         with pytest.raises(DimensionMismatch):
-            krawczyk_operator(h, x, np.eye(2, dtype=complex), box,
-                              RealInterval(0.0, 0.0))
+            parametric_krawczyk_test(h, x, np.eye(2, dtype=complex), box, T)
         with pytest.raises(DimensionMismatch):
-            krawczyk_operator(h, np.zeros(2, complex), y, box,
-                              RealInterval(0.0, 0.0))
+            parametric_krawczyk_test(h, np.zeros(2, complex), y, box, T)
         with pytest.raises(PathcertError):
-            krawczyk_operator(h, x + 1.0, y, box, RealInterval(0.0, 0.0))
+            parametric_krawczyk_test(h, x + 1.0, y, box, T)
 
 
 class TestParametric:
@@ -171,59 +171,30 @@ class TestParametric:
         assert passed_any > 0
 
 
-class TestDeferredImage:
-    """A test that fails the contraction bound with a finite norm is
-    rejected without the enclosure of H over T and the mat-vecs: it
-    reports no existence flag and no image, and leaves the image to
-    krawczyk_operator."""
+class TestFailedContraction:
+    """A test that fails the contraction bound still computes its image
+    and reports both flags."""
 
-    @pytest.fixture
-    def eval_calls(self, monkeypatch):
-        from pathcert.systems import Homotopy
-        calls = []
-        real = Homotopy.eval_over_time
-
-        def counted(self, x, T):
-            calls.append(T)
-            return real(self, x, T)
-
-        monkeypatch.setattr(Homotopy, "eval_over_time", counted)
-        return calls
-
-    @staticmethod
-    def newton_doubled_y():
+    def test_rejected_with_image(self):
         h, starts = gen_newton_homotopy(10.0)
         x, _ = newton_refine(h, starts[0], 0.0)
         y = mid_inverse(h.jac_x_point(x, 0.0))
-        return h, x, 2.0 * y, box_centered(x, 0.1), RealInterval(0.0, 0.02)
-
-    def cases(self):
-        h, x, y, box = sqrt2_fixture(1e3)           # criterion 2's huge box
-        yield h, x, y, box, RealInterval(0.0, 0.0)
-        yield self.newton_doubled_y()
-
-    def test_rejected_without_image(self, eval_calls):
-        for h, x, y, box, T in self.cases():
+        cases = [
+            # criterion 2's huge box, and Y doubled on the newton family
+            sqrt2_fixture(1e3) + (RealInterval(0.0, 0.0),),
+            (h, x, 2.0 * y, box_centered(x, 0.1), RealInterval(0.0, 0.02)),
+        ]
+        for h, x, y, box, T in cases:
             v = parametric_krawczyk_test(h, x, y, box, T)
             assert not v.uniqueness and not v.passed
-            assert v.existence is None and v.operator_image is None
+            assert isinstance(v.existence, bool)
             assert math.isfinite(v.residual_norm)
-            assert eval_calls == []
+            assert np.isfinite(v.operator_image.data).all()
 
-    def test_contracting_test_is_eager(self, eval_calls):
-        h, x, y, box = sqrt2_fixture(0.01)
-        v = parametric_krawczyk_test(h, x, y, box, RealInterval(0.0, 0.0))
-        assert len(eval_calls) == 1 and v.passed
-
-    def test_overflowing_image_is_skipped(self):
+    def test_overflowing_image_raises(self):
         # H(x) = x^2 - 2 overflows at x = 1.5e154, and Y = 1/x, twice the
         # Newton inverse, makes |I - YJ| about 1
-        from pathcert.errors import NonFiniteEndpoint
         h, x, y, box = sqrt2_fixture(1.0, center=1.5e154)
-        y = 2.0 * y
-        T = RealInterval(0.0, 0.0)
         with pytest.raises(NonFiniteEndpoint):
-            krawczyk_operator(h, x, y, box, T)
-        v = parametric_krawczyk_test(h, x, y, box, T)
-        assert not v.passed and math.isfinite(v.residual_norm)
-        assert v.existence is None and v.operator_image is None
+            parametric_krawczyk_test(h, x, 2.0 * y, box,
+                                     RealInterval(0.0, 0.0))

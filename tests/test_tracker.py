@@ -20,6 +20,7 @@ from pathcert.certificate import MODE_RECT, MODE_TILTED, serialize, verify
 from pathcert.errors import (
     MaxStepsExceeded,
     NoConvergence,
+    NonFiniteEndpoint,
     PathcertError,
     StepUnderflow,
 )
@@ -320,7 +321,7 @@ class TestTrackEndToEnd:
 class TestStepWork:
     """Each piece of a tilted step runs at most once: Newton once per
     attempt (in the prediction) plus once at the start, and the enclosure
-    of H over T only for tests that pass the contraction bound."""
+    of H over T once per test."""
 
     def test_newton_family_call_counts(self, monkeypatch):
         from pathcert.systems import Homotopy
@@ -351,7 +352,7 @@ class TestStepWork:
         contracting = sum(SQRT2 * v.residual_norm < 1.0 for v in verdicts)
         assert len(verdicts) == res.tests
         assert 0 < contracting < res.tests
-        assert counts["eval_over_time"] == contracting
+        assert counts["eval_over_time"] == res.tests
         assert counts["newton_refine"] == len(res.step_log) + 1
 
     def test_failed_prediction_is_rejected_without_a_test(self, monkeypatch):
@@ -374,6 +375,27 @@ class TestStepWork:
         assert res.tests == len(res.step_log) - 1
         assert res.rejected == len(res.step_log) - res.iterations
         assert abs(res.final_point[0] - 1.0) <= 1e-10
+        assert verify(res.certificate).ok
+
+    def test_overflowing_test_is_rejected(self, monkeypatch):
+        real_test = tracker_mod.parametric_krawczyk_test
+        calls = []
+
+        def test(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise NonFiniteEndpoint("Krawczyk image has non-finite "
+                                        "endpoints")
+            return real_test(*args)
+
+        monkeypatch.setattr(tracker_mod, "parametric_krawczyk_test", test)
+        h, starts = gen_newton_homotopy(10.0)
+        res = track(h, starts[0], TrackerConfig(dt0=0.02, r0=0.1),
+                    mode=MODE_TILTED)
+        first, second = res.step_log[:2]
+        assert not first.accepted and math.isnan(first.residual_norm)
+        assert second.t0 == first.t0 == 0.0 and second.dt < first.dt
+        assert res.tests == len(res.step_log)
         assert verify(res.certificate).ok
 
 
@@ -558,7 +580,7 @@ class TestSiblingAttempts:
         log = random2().step_log
         points = list(dict.fromkeys(r.t0 for r in log))
         assert len(points) < len(log)
-        calls = {"_mid_inverse_or_raise": [], "_direction_or_none": []}
+        calls = {"_mid_inverse_or_raise": [], "euler_direction": []}
         for name, seen in calls.items():
             def record(h, x, t0, real=getattr(tracker_mod, name), seen=seen):
                 seen.append(t0)
