@@ -549,7 +549,8 @@ def _verify_task(args):
     pid = entry.get("path_id")
     name = entry.get("cert_file")
     try:
-        if pid != index:
+        # a JSON integer, as a certificate's path_id: false is not 0
+        if type(pid) is not int or pid != index:
             raise MalformedCertificate(
                 f"report entry {index} is for path {pid!r}")
         if not entry.get("certified"):

@@ -5,15 +5,22 @@ claims: over T = [t_lo, t_hi] the Krawczyk test with the stored box and
 stored matrix Y passes for the stored homotopy (sheared through the stored
 endpoints in tilted mode, centered at the stored point in rect mode).
 
-``verify`` trusts nothing but those claims: it replays every test with its
-own interval arithmetic, re-checks that the segments tile [0, 1] exactly,
-that consecutive certified regions overlap at the shared times, that the
-recorded endpoint lies in the region the last segment certifies at t = 1,
-and that it really solves the t = 1 system to the certification
-tolerance.  The replay runs all segments of a certificate as one batch
-(``_batch``) with the same floating-point operations, in the same order,
-as the tracker's kernels, so each segment's operator image and contraction
-norm are bit-identical to ``parametric_krawczyk_test`` on that segment.
+``verify`` trusts nothing but those claims and states each check once.
+``deserialize`` reads a segment's anchors (``_ANCHORS`` of its mode) as
+required fields.  ``_Claims`` checks a certificate's structure
+(dimensions, time brackets, the anchors of one built in memory) and each
+segment's operands; ``_Claims.regions`` is the one definition of the
+region a segment certifies at a time t (its box, moved by its shear s(t)
+in tilted mode).  ``verify`` replays every test with its own interval
+arithmetic, checks that the segments tile [0, 1] exactly, that consecutive
+regions overlap at the shared times, that the recorded endpoint lies in
+the region the last segment certifies at t = 1, and that it really solves
+the t = 1 system to the certification tolerance.  The hand-off check is
+overlap only: it does not show that the two regions hold the same root.
+The replay runs all segments of a certificate as one batch (``_batch``)
+with the same floating-point operations, in the same order, as the
+tracker's kernels, so each segment's operator image and contraction norm
+are bit-identical to ``parametric_krawczyk_test`` on that segment.
 
 All floats are serialized as shortest round-trip decimal strings, so a
 certificate file is byte-stable across runs and parses back to identical
@@ -45,6 +52,9 @@ FINAL_RESIDUAL_TOL = 1e-8
 
 MODE_RECT = "rect"
 MODE_TILTED = "tilted"
+
+# the anchor fields each mode's segments require
+_ANCHORS = {MODE_RECT: ("center",), MODE_TILTED: ("shear_x0", "shear_x1")}
 
 
 @dataclass
@@ -120,7 +130,7 @@ def _box_in(obj, loc):
         raise MalformedCertificate(f"{loc}: {e}") from e
 
 
-def _segment_json(s):
+def _segment_json(s, mode):
     """One segment's JSON object, as ``deserialize`` reads it."""
     obj = {
         "t_lo": float_out(s.t_lo),
@@ -129,11 +139,8 @@ def _segment_json(s):
         "y": [cvec_out(row) for row in s.y],
         "residual_norm": float_out(s.residual_norm),
     }
-    if s.center is not None:
-        obj["center"] = cvec_out(s.center)
-    if s.shear_x0 is not None:
-        obj["shear_x0"] = cvec_out(s.shear_x0)
-        obj["shear_x1"] = cvec_out(s.shear_x1)
+    for name in _ANCHORS[mode]:
+        obj[name] = cvec_out(getattr(s, name))
     return obj
 
 
@@ -146,7 +153,7 @@ def serialize(cert):
         "mode": cert.mode,
         "path_id": cert.path_id,
         "homotopy": cert.homotopy.to_json(),
-        "segments": [_segment_json(s) for s in cert.segments],
+        "segments": [_segment_json(s, cert.mode) for s in cert.segments],
         "final_point": cvec_out(cert.final_point),
         "final_residual": float_out(cert.final_residual),
     }
@@ -166,7 +173,7 @@ def deserialize(text):
     if type(version) is not int or version != 1:
         raise MalformedCertificate(f"unsupported version {version!r}")
     mode = obj.get("mode")
-    if mode not in (MODE_RECT, MODE_TILTED):
+    if mode not in _ANCHORS:
         raise MalformedCertificate(f"unknown mode {mode!r}")
     path_id = obj.get("path_id", 0)
     if type(path_id) is not int:
@@ -190,22 +197,12 @@ def deserialize(text):
             box = _box_in(row["box"], loc + ".box")
             y = _cmat_in(row["y"], loc + ".y")
             rn = _parse_f(row["residual_norm"], loc + ".residual_norm")
+            anchors = {name: cvec_in(row[name], f"{loc}.{name}")
+                       for name in _ANCHORS[mode]}
         except (KeyError, TypeError) as e:
             raise MalformedCertificate(
                 f"{loc}: bad or missing field {e}") from e
-        center = shear_x0 = shear_x1 = None
-        if mode == MODE_RECT:
-            if "center" not in row:
-                raise MalformedCertificate(f"{loc}: rect segment needs center")
-            center = cvec_in(row["center"], loc + ".center")
-        else:
-            if "shear_x0" not in row or "shear_x1" not in row:
-                raise MalformedCertificate(
-                    f"{loc}: tilted segment needs shear endpoints")
-            shear_x0 = cvec_in(row["shear_x0"], loc + ".shear_x0")
-            shear_x1 = cvec_in(row["shear_x1"], loc + ".shear_x1")
-        segments.append(Segment(t_lo, t_hi, box, y, rn, center=center,
-                                shear_x0=shear_x0, shear_x1=shear_x1))
+        segments.append(Segment(t_lo, t_hi, box, y, rn, **anchors))
     return PathCertificate(mode, h, segments, final_point, final_residual,
                            path_id=path_id)
 
@@ -242,6 +239,8 @@ class _Claims:
         n = cert.homotopy.n
         if not segs:
             raise MalformedCertificate("certificate has no segments")
+        if cert.mode not in _ANCHORS:
+            raise MalformedCertificate(f"unknown mode {cert.mode!r}")
         for i, s in enumerate(segs):
             if s.box.n != n or s.y.shape != (n, n):
                 raise MalformedCertificate(
@@ -249,11 +248,10 @@ class _Claims:
             if not (math.isfinite(s.t_lo) and math.isfinite(s.t_hi)
                     and s.t_lo < s.t_hi):
                 raise MalformedCertificate(f"segments[{i}]: bad time bracket")
-            if cert.mode == MODE_TILTED and (s.shear_x0 is None
-                                             or s.shear_x1 is None):
-                raise MalformedCertificate(f"segments[{i}]: missing shear")
-            if cert.mode == MODE_RECT and s.center is None:
-                raise MalformedCertificate(f"segments[{i}]: missing center")
+            for name in _ANCHORS[cert.mode]:
+                if getattr(s, name) is None:
+                    raise MalformedCertificate(
+                        f"segments[{i}]: missing {name}")
 
         count = len(segs)
         tilted = cert.mode == MODE_TILTED
@@ -281,6 +279,14 @@ class _Claims:
                     RealInterval(s.t_lo, s.t_hi))
             except PathcertError as e:
                 self.errors[i] = e
+
+    def regions(self, rows, t):
+        """The regions that the segments ``rows`` (a slice of the segment
+        axis) certify at the times ``t``, one per row: each box, moved by
+        its shear s(t) in tilted mode.  Returns (rows, n, 4)."""
+        if self.sa is None:
+            return self.box[rows]
+        return shear_regions(self.box[rows], self.sa[rows], self.sb[rows], t)
 
 
 def _replay(cert, claims):
@@ -327,13 +333,13 @@ def verify(cert):
         raise MalformedCertificate("final point has wrong dimension")
 
     # chain tiles [0, 1]
+    gap = claims.t_hi[:-1] != claims.t_lo[1:]
     if segs[0].t_lo != 0.0:
         failures.append(f"chain starts at t={segs[0].t_lo}, not 0")
-    for i in range(len(segs) - 1):
-        if segs[i].t_hi != segs[i + 1].t_lo:
-            failures.append(
-                f"chain gap: segments[{i}].t_hi={segs[i].t_hi!r} "
-                f"!= segments[{i + 1}].t_lo={segs[i + 1].t_lo!r}")
+    for i in np.flatnonzero(gap):
+        failures.append(
+            f"chain gap: segments[{i}].t_hi={segs[i].t_hi!r} "
+            f"!= segments[{i + 1}].t_lo={segs[i + 1].t_lo!r}")
     if segs[-1].t_hi < 1.0:
         failures.append(f"chain ends at t={segs[-1].t_hi}, before 1")
 
@@ -349,35 +355,26 @@ def verify(cert):
             failures.append(f"segments[{i}]: uniqueness check failed")
         segment_ok.append(verdict.passed)
 
-    # consecutive certified regions must overlap at the shared time; a
-    # tilted region at time t is the box moved by its shear s(t)
-    regions_a, regions_b = claims.box[:-1], claims.box[1:]
-    if claims.sa is not None:
-        tau = claims.t_hi[:-1]
-        regions_a = shear_regions(regions_a, claims.sa[:-1],
-                                  claims.sb[:-1], tau)
-        regions_b = shear_regions(regions_b, claims.sa[1:],
-                                  claims.sb[1:], tau)
-    for i in range(len(segs) - 1):
-        if segs[i].t_hi != segs[i + 1].t_lo:
-            continue  # already reported as a gap
-        err = claims.shear_errors[i]
-        if err is None:
-            err = claims.shear_errors[i + 1]
+    # consecutive certified regions must overlap (closed) at the shared
+    # time; a gap is already reported.  [..., ::2] are a region's lower
+    # re/im endpoints, [..., 1::2] its upper ones
+    tau = claims.t_hi[:-1]
+    a = claims.regions(slice(None, -1), tau)
+    b = claims.regions(slice(1, None), tau)
+    overlap = ((a[..., ::2] <= b[..., 1::2])
+               & (b[..., ::2] <= a[..., 1::2])).all(axis=(1, 2))
+    for i in np.flatnonzero(~gap):
+        err = claims.shear_errors[i] or claims.shear_errors[i + 1]
         if err is not None:
             failures.append(f"segments[{i}]: hand-off error: {err}")
-        elif not Box(regions_a[i], _validate=False).intersects(
-                Box(regions_b[i], _validate=False)):
+        elif not overlap[i]:
             failures.append(
                 f"segments[{i}]/[{i + 1}]: hand-off regions disjoint "
                 f"at t={segs[i].t_hi!r}")
 
     # the endpoint lies in the region the last segment certifies at t=1,
     # which holds that path's root and no other
-    region = claims.box[-1]
-    if claims.sa is not None:
-        region = shear_regions(region[None], claims.sa[-1:], claims.sb[-1:],
-                               np.ones(1))[0]
+    region = claims.regions(slice(-1, None), np.ones(1))[0]
     if claims.shear_errors[-1] is None and not Box(
             region, _validate=False).contains_point(cert.final_point):
         failures.append("final point lies outside the last segment's "

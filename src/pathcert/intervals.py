@@ -323,15 +323,6 @@ class Box:
         return not ((b[:, 0] < a[:, 0]) | (b[:, 1] > a[:, 1])
                     | (b[:, 2] < a[:, 2]) | (b[:, 3] > a[:, 3])).any()
 
-    def intersects(self, other):
-        """True when the two boxes overlap in every component (closed)."""
-        if other.n != self.n:
-            raise DimensionMismatch("box dimensions differ")
-        a, b = self.data, other.data
-        re_ok = (a[:, 0] <= b[:, 1]) & (b[:, 0] <= a[:, 1])
-        im_ok = (a[:, 2] <= b[:, 3]) & (b[:, 2] <= a[:, 3])
-        return bool((re_ok & im_ok).all())
-
     def __add__(self, other):
         if not isinstance(other, Box):
             return NotImplemented

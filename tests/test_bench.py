@@ -416,6 +416,17 @@ class TestVerifyRunBindsEntries:
         assert lines[1] == ("path 0: MalformedCertificate: report entry 1 "
                             "is for path 0")
 
+    @pytest.mark.parametrize("pid", [False, 0.0, "0"],
+                             ids=["bool", "float", "string"])
+    def test_path_id_must_be_an_integer(self, random1_run, tmp_path, pid):
+        def edit(paths):
+            paths[0]["path_id"] = pid
+        ok, lines = verify_run(edited_run(random1_run, tmp_path / "run", edit))
+        assert not ok
+        assert lines[0] == (f"path {pid}: MalformedCertificate: report "
+                            f"entry 0 is for path {pid!r}")
+        assert lines[1].startswith("path 1: OK")
+
     def test_pool_matches_sequential(self, random1_run, tmp_path,
                                      monkeypatch):
         def edit(paths):

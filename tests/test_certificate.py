@@ -252,6 +252,23 @@ class TestTamper:
         assert any("hand-off" in f and "disjoint" in f for f in rep.failures)
         assert all(rep.segment_ok)
 
+    def test_regions_sharing_an_edge_hand_off(self, newton_certs):
+        # the hand-off check is closed: rect regions j and j+1 that share
+        # only the edge Re = hi of region j overlap; one ulp apart, not.
+        # Segment j+1 is the last, so no other hand-off sees its box.
+        _, _, rect, _ = newton_certs
+        j = len(rect.segments) - 2
+        box = rect.segments[j].box.data
+        lo, hi = box[:, 0], box[:, 1]
+        for start, disjoint in ((hi, False), (np.nextafter(hi, np.inf), True)):
+            data = box.copy()
+            data[:, 0], data[:, 1] = start, start + (hi - lo)
+            rep = verify(with_segment(rect, j + 1, box=Box(data)))
+            handoffs = [f for f in rep.failures if "hand-off" in f]
+            assert handoffs == ([
+                f"segments[{j}]/[{j + 1}]: hand-off regions disjoint "
+                f"at t={rect.segments[j].t_hi!r}"] if disjoint else [])
+
     def test_corrupted_final_point_fails_residual(self, newton_certs):
         _, tilted, _, _ = newton_certs
         bad = dataclasses.replace(

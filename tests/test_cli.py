@@ -137,13 +137,17 @@ _MISSING = object()
     (("homotopy", "p1", 0, 0), True, "ParseError"),
     (("homotopy", "p0"), [["0.0", "0.0"]] * 2, "MalformedCertificate"),
     (("homotopy", "p0", 0, 0), "inf", "MalformedCertificate"),
+    # the tilted certificate relabelled rect: no segment has a center
+    (("mode",), "rect", "MalformedCertificate"),
+    (("segments", 3, "shear_x1"), _MISSING, "MalformedCertificate"),
 ], ids=["not-json", "missing-file", "path-id-string", "segment-list",
         "homotopy-list", "equations-int", "exponent-2**40", "exponent-2**63",
         "version-99", "version-string", "version-null", "version-true",
         "version-missing", "exponent-float", "exponent-string",
         "param-index-float", "param-index-string", "n-float", "m-true",
         "coeff-re-true", "coeff-im-false", "t-lo-false", "box-true",
-        "p1-true", "p0-length", "p0-inf"])
+        "p1-true", "p0-length", "p0-inf", "rect-without-center",
+        "tilted-without-shear-x1"])
 def test_verify_unparseable_certificate(run_dir, tmp_path, capsys, where,
                                         value, error):
     bad = tmp_path / "junk.json"

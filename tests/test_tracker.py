@@ -451,23 +451,6 @@ def starts_while(run):
     return got, len(started)
 
 
-def on_cores(monkeypatch, cores, run):
-    """outcome(run) with the usable cores forced; it must start no
-    process and leave no child behind."""
-    monkeypatch.setattr(_pool, "_usable_cores", lambda: cores)
-    got, started = starts_while(lambda: outcome(monkeypatch, run))
-    assert started == 0 and multiprocessing.active_children() == []
-    return got
-
-
-def one_and_two_cores(monkeypatch, run):
-    """run()'s outcome on one usable core, which must equal its outcome on
-    two."""
-    off = on_cores(monkeypatch, 1, run)
-    assert on_cores(monkeypatch, 2, run) == off
-    return off
-
-
 def fail_precondition_at(monkeypatch, hit, error):
     """Make precondition raise error for every (t0, t1) with hit(t0, t1)."""
     real = tracker_mod.precondition
@@ -480,35 +463,22 @@ def fail_precondition_at(monkeypatch, hit, error):
     monkeypatch.setattr(tracker_mod, "precondition", precondition)
 
 
-def _starts_in_worker(_):
-    """Processes started while tracking a 2-unknown path in this process."""
-    return starts_while(random2)[1]
-
-
-def _random2_in_daemon(_):
-    """random2's certificate text and the processes started for it, in a
-    daemonic process, which may not have children."""
-    cert, started = starts_while(lambda: serialize(random2().certificate))
-    return cert, multiprocessing.current_process().daemon, started
-
-
 class TestSiblingAttempts:
     """Each round runs one attempt in this process; after a rejection the
     next round runs its sibling, the attempt one step size down from the
-    same t0.  Where a path runs must not change a bit of what it gives:
-    certificate, step log, or the error it ends with and the steps logged
-    before it, on one usable core or two, in a pool worker or where no
-    process can start.  Tracking starts no process."""
+    same t0.  Each case checks what a path gives: its certificate, its step
+    log, or the error it ends with and the steps logged before it.
+    Tracking starts no process."""
 
     @pytest.mark.parametrize("mode", [MODE_TILTED, MODE_RECT])
     def test_success_identical(self, monkeypatch, mode):
-        cert, log = one_and_two_cores(monkeypatch, lambda: random2(mode))
+        cert, log = outcome(monkeypatch, lambda: random2(mode))
         assert isinstance(cert, str) and len(log) > 100
 
     def test_step_underflow_at_singular_endpoint(self, monkeypatch):
         monkeypatch.setattr(tracker_mod, "MIN_DT", 1e-8)
         h, x0 = singular_end2()
-        (kind, msg), log = one_and_two_cores(
+        (kind, msg), log = outcome(
             monkeypatch, lambda: track(h, x0, TrackerConfig()))
         assert kind is StepUnderflow and "below 1e-08" in msg
         assert "t0=0.9" in log[-1]
@@ -516,7 +486,7 @@ class TestSiblingAttempts:
     def test_rejection_limit(self, monkeypatch):
         monkeypatch.setattr(tracker_mod, "MAX_CONSECUTIVE_REJECTIONS", 3)
         h, x0 = singular_end2()
-        (kind, msg), log = one_and_two_cores(
+        (kind, msg), log = outcome(
             monkeypatch, lambda: track(h, x0, TrackerConfig()))
         assert kind is StepUnderflow and "4 consecutive rejections" in msg
         assert all("accepted=False" in r for r in log[-4:])
@@ -524,7 +494,7 @@ class TestSiblingAttempts:
     @pytest.mark.parametrize("max_steps", [2, 3])
     def test_max_steps(self, monkeypatch, max_steps):
         monkeypatch.setattr(tracker_mod, "MAX_STEPS", max_steps)
-        (kind, msg), log = one_and_two_cores(monkeypatch, random2)
+        (kind, msg), log = outcome(monkeypatch, random2)
         assert kind is MaxStepsExceeded and f"{max_steps} steps" in msg
         assert len(log) == max_steps
 
@@ -543,7 +513,7 @@ class TestSiblingAttempts:
             monkeypatch,
             lambda t0, t1: (t0, t1 - t0) == (target.t0, target.dt),
             PathcertError("injected prediction failure"))
-        (kind, msg), got = one_and_two_cores(monkeypatch, random2)
+        (kind, msg), got = outcome(monkeypatch, random2)
         assert (kind, msg) == (PathcertError, "injected prediction failure")
         assert got == [repr(r) for r in log[:i if which == "first" else i + 1]]
 
@@ -554,14 +524,15 @@ class TestSiblingAttempts:
             monkeypatch,
             lambda t0, t1: t1 - t0 > (0.002 if 0.3 <= t0 < 0.4 else 0.02),
             NoConvergence("injected prediction failure"))
-        cert, log = one_and_two_cores(monkeypatch, random2)
+        cert, log = outcome(monkeypatch, random2)
         assert isinstance(cert, str)
         assert sum("residual_norm=nan" in r for r in log) > 10
 
     def test_error_in_discarded_sibling_is_dropped(self, monkeypatch):
         # the sibling of an attempt that passes at once never runs, so an
         # error it would raise must not surface
-        log = random2().step_log
+        want = random2()
+        log = want.step_log
         i = next(i for i in range(1, len(log))
                  if log[i - 1].accepted and log[i].accepted)
         target = log[i]
@@ -569,17 +540,13 @@ class TestSiblingAttempts:
             monkeypatch,
             lambda t0, t1: t0 == target.t0 and t1 - t0 < target.dt,
             PathcertError("injected prediction failure"))
-        cert, got = one_and_two_cores(monkeypatch, random2)
-        assert cert == serialize(random2().certificate)
+        cert, got = outcome(monkeypatch, random2)
+        assert cert == serialize(want.certificate)
         assert got == [repr(r) for r in log]
 
     def test_prefetch_only_for_the_same_point(self, monkeypatch):
         # the midpoint inverse and the Euler direction are computed once
         # per start point and serve its attempts only
-        want = on_cores(monkeypatch, 1, random2)
-        log = random2().step_log
-        points = list(dict.fromkeys(r.t0 for r in log))
-        assert len(points) < len(log)
         calls = {"_mid_inverse_or_raise": [], "euler_direction": []}
         for name, seen in calls.items():
             def record(h, x, t0, real=getattr(tracker_mod, name), seen=seen):
@@ -587,42 +554,14 @@ class TestSiblingAttempts:
                 return real(h, x, t0)
 
             monkeypatch.setattr(tracker_mod, name, record)
-        assert on_cores(monkeypatch, 2, random2) == want
+        log = random2().step_log
+        points = list(dict.fromkeys(r.t0 for r in log))
+        assert len(points) < len(log)
         assert calls == {name: points for name in calls}
 
-    def test_no_helper_for_one_unknown(self, monkeypatch):
+    def test_track_starts_no_process(self, monkeypatch):
+        # even where the pool would use two cores
         monkeypatch.setattr(_pool, "_usable_cores", lambda: 2)
-        h, starts = gen_newton_homotopy(10.0)
-        res, started = starts_while(
-            lambda: track(h, starts[0], TrackerConfig(dt0=0.02, r0=0.1)))
-        assert started == 0 and verify(res.certificate).ok
-
-    def test_no_helper_on_one_core(self, monkeypatch):
-        monkeypatch.setattr(_pool, "_usable_cores", lambda: 1)
-        assert _starts_in_worker(0) == 0
-
-    def test_no_helper_in_pool_worker(self, monkeypatch):
-        monkeypatch.setattr(_pool, "_usable_cores", lambda: 2)
-        assert _pool.pool_map(_starts_in_worker, [0, 1]) == [0, 0]
-        assert _starts_in_worker(0) == 0
-
-    def test_callers_pool_worker_tracks_serially(self, monkeypatch):
-        # a multiprocessing.Pool worker is daemonic and may not start a
-        # child; the path must track there and give its bytes
-        want, _ = on_cores(monkeypatch, 1, random2)
-        monkeypatch.setattr(_pool, "_usable_cores", lambda: 2)
-        with multiprocessing.get_context("fork").Pool(1) as pool:
-            got = pool.map(_random2_in_daemon, [0])
-        assert got == [(want, True, 0)]
-
-    def test_failed_start_tracks_serially(self, monkeypatch):
-        # tracking needs no process: where none can start, a path gives
-        # what it gives anywhere else
-        want = on_cores(monkeypatch, 1, random2)
-
-        def start(self):
-            raise OSError(11, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
-                            start)
-        assert on_cores(monkeypatch, 2, random2) == want
+        res, started = starts_while(random2)
+        assert started == 0 and multiprocessing.active_children() == []
+        assert verify(res.certificate).ok
