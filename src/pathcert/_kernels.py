@@ -1,11 +1,15 @@
 """Scalar interval kernels over Python floats.
 
 The tracker tests one small problem at a time, so these kernels are plain
-Python.  A complex rectangle [re_lo, re_hi] + i*[im_lo, im_hi] is a 4-tuple
-of floats.  Each array kernel converts its operands once with ``tolist``
-and returns float64 arrays: a box over C^n has shape (n, 4), an interval
-matrix (r, c, 4).  Python floats are IEEE binary64 like numpy's, but their
-arithmetic skips numpy's scalar dispatch and never warns on overflow.
+Python, and Python lists are their one representation.  A complex
+rectangle [re_lo, re_hi] + i*[im_lo, im_hi] is a 4-tuple of floats, a box
+over C^n a list of n rectangles, an interval matrix a list of rows of
+rectangles, a complex vector a list of Python complex and a point matrix
+a list of rows of them.  Every kernel takes and returns these lists; numpy
+arrays are made only at the public boundary (``intervals``, ``ilinalg``,
+``systems``) when a caller asks for one.  Python floats are IEEE binary64
+like numpy's, but their arithmetic skips numpy's scalar dispatch and never
+warns on overflow.
 
 Two soundness conventions, both for IEEE-754 round-to-nearest with
 gradual underflow:
@@ -37,23 +41,11 @@ once a system has ``ilinalg.WIDE_N`` unknowns or more.
 
 import math
 
-import numpy as np
-
 _INF = math.inf
 _next = math.nextafter
 
 ZERO = (0.0, 0.0, 0.0, 0.0)
 ONE = (1.0, 1.0, 0.0, 0.0)
-
-
-def _rects(rows, shape):
-    """float64 array of the given shape from a list of rectangles."""
-    return np.array(rows, dtype=np.float64).reshape(shape)
-
-
-def _points(v):
-    """Degenerate rectangles at the entries of a complex array, flattened."""
-    return [(z.real, z.real, z.imag, z.imag) for z in v.ravel().tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -210,22 +202,20 @@ def c_mag(a):
 
 
 # ---------------------------------------------------------------------------
-# boxes (n, 4) and interval matrices (r, c, 4)
+# boxes (lists of rectangles) and interval matrices (lists of their rows)
 # ---------------------------------------------------------------------------
 
 def box_add(a, b):
-    return _rects([c_add(p, q) for p, q in zip(a.tolist(), b.tolist())],
-                  a.shape)
+    return [c_add(p, q) for p, q in zip(a, b)]
 
 
 def box_sub(a, b):
-    return _rects([c_sub(p, q) for p, q in zip(a.tolist(), b.tolist())],
-                  a.shape)
+    return [c_sub(p, q) for p, q in zip(a, b)]
 
 
 def box_norm_k(box):
     best = 0.0
-    for row in box.tolist():
+    for row in box:
         v = c_mag(row)
         if v > best:
             best = v
@@ -235,7 +225,7 @@ def box_norm_k(box):
 def inorm_k(mat):
     # max row sum of entry magnitudes, rounded up
     best = 0.0
-    for row in mat.tolist():
+    for row in mat:
         s = 0.0
         for entry in row:
             s = _next(s + c_mag(entry), _INF)
@@ -246,40 +236,39 @@ def inorm_k(mat):
 
 def imatvec_k(mat, vec):
     # interval matrix times interval vector, row sums in column order
-    vec = vec.tolist()
     out = []
-    for row in mat.tolist():
+    for row in mat:
         acc = ZERO
         for m, v in zip(row, vec):
             acc = c_add(acc, c_mul(m, v))
         out.append(acc)
-    return _rects(out, (mat.shape[0], 4))
+    return out
 
 
 def pmatvec_k(y, vec):
     # complex point matrix times interval vector
-    vec = vec.tolist()
     out = []
-    for row in y.tolist():
+    for row in y:
         acc = ZERO
         for z, v in zip(row, vec):
             acc = c_add(acc, cp_mul(v, z))
         out.append(acc)
-    return _rects(out, (len(out), 4))
+    return out
 
 
 def residual_k(y, mat):
     # identity minus (complex point matrix Y) * (interval matrix)
-    n = y.shape[0]
-    cols = list(zip(*mat.tolist()))
+    cols = list(zip(*mat))
     out = []
-    for i, row in enumerate(y.tolist()):
-        for j in range(n):
+    for i, row in enumerate(y):
+        res = []
+        for j, col in enumerate(cols):
             acc = ZERO
-            for z, m in zip(row, cols[j]):
+            for z, m in zip(row, col):
                 acc = c_add(acc, cp_mul(m, z))
-            out.append(c_sub(ONE if i == j else ZERO, acc))
-    return _rects(out, (n, n, 4))
+            res.append(c_sub(ONE if i == j else ZERO, acc))
+        out.append(res)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -291,15 +280,14 @@ def param_interval_k(p0, p1, tlo, thi):
     ul, uh = r_sub(1.0, 1.0, tlo, thi)
     u = (ul, uh, 0.0, 0.0)
     t = (tlo, thi, 0.0, 0.0)
-    return _rects([c_add(cp_mul(u, a), cp_mul(t, b))
-                   for a, b in zip(p0.tolist(), p1.tolist())], (p0.shape[0], 4))
+    return [c_add(cp_mul(u, a), cp_mul(t, b)) for a, b in zip(p0, p1)]
 
 
 def shear_box_k(box, sa, sb, tlo, thi):
     # box + (a + T*b) entrywise, the interval image of a time-linear shift
     t = (tlo, thi, 0.0, 0.0)
-    return _rects([c_add(p, c_add(cp_mul(t, b), a)) for p, a, b in
-                   zip(box.tolist(), _points(sa), sb.tolist())], box.shape)
+    return [c_add(p, c_add(cp_mul(t, b), (a.real, a.real, a.imag, a.imag)))
+            for p, a, b in zip(box, sa, sb)]
 
 
 # ---------------------------------------------------------------------------
@@ -315,15 +303,15 @@ def eval_terms_interval(flat, z, pv):
     par < 0.  ``coef`` is the term's coefficient times its exact
     small-integer multiplicity ``fac`` (from differentiation), a rectangle
     that ``systems._Flat`` forms once with interval semantics, so no
-    rounding is silently dropped.  z is (n, 4), pv (m, 4).
+    rounding is silently dropped.  z and pv are boxes (lists of
+    rectangles); the result has one rectangle per equation.
     """
     zpow = []
-    for zj in z.tolist():
+    for zj in z:
         powers = [ONE]
         for _ in range(flat.max_expo):
             powers.append(c_mul(powers[-1], zj))
         zpow.append(powers)
-    pv = pv.tolist()
     out = []
     for terms in flat.terms:
         acc = ZERO
@@ -334,7 +322,7 @@ def eval_terms_interval(flat, z, pv):
                 v = c_mul(v, zpow[j][e])
             acc = c_add(acc, v)
         out.append(acc)
-    return _rects(out, (len(out), 4))
+    return out
 
 
 # unit roundoff of binary64 and the smallest subnormal, 2 * 2^-1075, where
@@ -396,8 +384,8 @@ def eval_terms_tpoly(flat, x, sa, sb, p0, p1, t_lo, t_hi):
     parameter drift happen in the coefficients instead of being lost to
     independent copies of the time interval.
 
-    x, p0, p1 are complex vectors; the shear s(t) = sa + t*sb is given by
-    complex vectors sa, sb, or both None when unsheared.
+    x, p0, p1 are lists of complex; the shear s(t) = sa + t*sb is given by
+    lists sa, sb, or both None when unsheared.
 
     The bound rho_i.  Let u = 2^-53, gamma_k = k*u / (1 - k*u),
     |z|_1 = |Re z| + |Im z|, tmax = max(-tau_lo, tau_hi) >= |tau|, and
@@ -481,18 +469,18 @@ def eval_terms_tpoly(flat, x, sa, sb, p0, p1, t_lo, t_hi):
     # with B None for a variable that does not move
     facs = []
     if sa is None:
-        for xj in x.tolist():
+        for xj in x:
             h = abs(xj.real) + abs(xj.imag)
             facs.append((xj, None, h, h, 0.0))
     else:
-        for xj, a, b in zip(x.tolist(), sa.tolist(), sb.tolist()):
+        for xj, a, b in zip(x, sa, sb):
             mb = abs(b.real) + abs(b.imag)
             g = (((atc * mb + (abs(a.real) + abs(a.imag)))
                   + (abs(xj.real) + abs(xj.imag))) + mb * tmax)
             facs.append(_factor(complex((tc * b.real + a.real) + xj.real,
                                         (tc * b.imag + a.imag) + xj.imag),
                                 b, mb, g, tmax))
-    for a, b in zip(p0.tolist(), p1.tolist()):
+    for a, b in zip(p0, p1):
         br = b.real - a.real
         bi = b.imag - a.imag
         a0 = abs(a.real) + abs(a.imag)
@@ -557,7 +545,7 @@ def eval_terms_tpoly(flat, x, sa, sb, p0, p1, t_lo, t_hi):
         for d in range(1, nd):
             r = c_add(r, cp_mul(taus[d - 1], acc[d]))
         out.append(r)
-    return _rects(out, (len(out), 4))
+    return out
 
 
 def eval_terms_point(flat, z, pv):
@@ -565,15 +553,14 @@ def eval_terms_point(flat, z, pv):
 
     Python complex multiplies and adds exactly as numpy's complex128
     scalars do, so the result is bit for bit a complex128 evaluation in
-    the same order.
+    the same order.  z and pv are lists of complex, and so is the result.
     """
     zpow = []
-    for zj in z.tolist():
+    for zj in z:
         powers = [1.0 + 0.0j]
         for _ in range(flat.max_expo):
             powers.append(powers[-1] * zj)
         zpow.append(powers)
-    pv = pv.tolist()
     out = []
     for terms in flat.terms:
         acc = 0.0 + 0.0j
@@ -585,7 +572,7 @@ def eval_terms_point(flat, z, pv):
                 v = v * zpow[j][e]
             acc = acc + v
         out.append(acc)
-    return np.array(out, dtype=np.complex128)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -627,12 +614,13 @@ def _cabs(z):
 
 
 def lu_factor_k(a):
-    """Row-pivoted LU of a complex128 matrix, as lists of Python complex.
+    """Row-pivoted LU of a point matrix (a list of rows of complex), as
+    new lists.
 
     Returns (lu, piv, ok); ok is False when a pivot falls below 1e-300.
     """
-    n = a.shape[0]
-    lu = a.tolist()
+    n = len(a)
+    lu = [list(row) for row in a]
     piv = list(range(n))
     for k in range(n):
         pk = k
@@ -676,19 +664,11 @@ def lu_apply_k(lu, piv, b):
     return x
 
 
-def lu_solve_k(a, b):
-    lu, piv, ok = lu_factor_k(a)
-    if not ok:
-        return np.zeros_like(b), False
-    return np.array(lu_apply_k(lu, piv, b.tolist()), dtype=np.complex128), True
-
-
-def lu_inverse_k(a):
-    n = a.shape[0]
-    lu, piv, ok = lu_factor_k(a)
-    if not ok:
-        return np.zeros((n, n), np.complex128), False
+def lu_inverse_k(lu, piv):
+    """The rows of the inverse, from the factors of ``lu_factor_k``: its
+    columns are the solutions for the unit vectors."""
+    n = len(lu)
     cols = [lu_apply_k(lu, piv, [1.0 + 0.0j if i == c else 0.0j
                                  for i in range(n)])
             for c in range(n)]
-    return np.array(cols, dtype=np.complex128).T.copy(), True
+    return [list(row) for row in zip(*cols)]

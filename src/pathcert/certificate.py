@@ -37,7 +37,7 @@ import numpy as np
 
 from ._batch import krawczyk_images, shear_regions
 from .errors import MalformedCertificate, ParseError, PathcertError
-from .intervals import Box, RealInterval
+from .intervals import Box, RealInterval, point_rows
 from .krawczyk import check_operands, verdict_from
 from .systems import (
     Homotopy,
@@ -136,7 +136,7 @@ def _segment_json(s, mode):
         "t_lo": float_out(s.t_lo),
         "t_hi": float_out(s.t_hi),
         "box": [list(map(float_out, row)) for row in s.box.data.tolist()],
-        "y": [cvec_out(row) for row in s.y],
+        "y": [cvec_out(row) for row in point_rows(s.y)],
         "residual_norm": float_out(s.residual_norm),
     }
     for name in _ANCHORS[mode]:

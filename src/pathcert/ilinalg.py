@@ -1,11 +1,17 @@
 """Interval matrices and the point linear algebra used around them.
 
-Point matrices are plain ``numpy.complex128`` arrays.  Interval matrices
-wrap a float64 array of shape (rows, cols, 4) with the same rectangle
-layout as ``Box`` rows.  The kernels are the scalar ones of ``_kernels``,
-except the residual I - Y*M of a matrix with ``WIDE_N`` rows or more,
-which ``_batch`` forms as one array computation with the same bits.
+Point matrices are ``numpy.complex128`` arrays or, in the kernels' form,
+lists of rows of Python complex (``intervals.point_rows``); every function
+here takes either, and returns point results as arrays.  An interval
+matrix, like ``Box``, holds rows of kernel rectangles or the same values
+as a float64 array of shape (rows, cols, 4), ``data``
+(``intervals.KernelRows``).  The kernels are the scalar ones of
+``_kernels``, except the residual I - Y*M of a matrix with ``WIDE_N`` rows
+or more, which ``_batch`` forms as one array computation with the same
+bits.
 """
+
+import cmath
 
 import numpy as np
 
@@ -17,20 +23,28 @@ from .errors import (
     NonFiniteEndpoint,
     SingularMatrix,
 )
-from .intervals import Box, ComplexInterval
+from .intervals import (
+    Box,
+    ComplexInterval,
+    KernelRows,
+    point_list,
+    point_rows,
+)
 
-# Smallest n for which the residual is the array computation.  Per call
-# at one matrix, the array residual takes 83 us against the scalar one's
-# 100 us at n = 4, and 101 against 231 us at n = 5 (ROADMAP.md, residual
-# branch), so it already wins at n = 4.  The switch stays at 5 because
-# moving it gains less than the benchmark can resolve (a parked item).
+# Smallest n for which the residual is the array computation.  With the
+# operands as the tracker holds them (Y as rows, the Jacobian enclosure
+# as kernel rows), one residual and its norm take 93-101 us on the scalar
+# kernel against 120-152 us on the array one at n = 4, and 174-175
+# against 147-153 us at n = 5 (BENCH_24.json): the array residual, which
+# pays for converting its operands and result, first wins at n = 5.
 WIDE_N = 5
 
 
-class IntervalMatrix:
-    """Matrix of complex rectangles, stored as float64 (rows, cols, 4)."""
+class IntervalMatrix(KernelRows):
+    """Matrix of complex rectangles, as rows of rectangles
+    (``KernelRows``) or a (rows, cols, 4) array."""
 
-    __slots__ = ("data",)
+    __slots__ = ()
 
     def __init__(self, data, _validate=True):
         data = np.ascontiguousarray(data, dtype=np.float64)
@@ -43,7 +57,8 @@ class IntervalMatrix:
             if (data[:, :, 0] > data[:, :, 1]).any() or \
                     (data[:, :, 2] > data[:, :, 3]).any():
                 raise EmptyInterval("interval matrix has an empty entry")
-        self.data = data
+        self._data = data
+        self._rows = None
 
     @classmethod
     def from_point(cls, a):
@@ -58,14 +73,16 @@ class IntervalMatrix:
 
     @property
     def shape(self):
-        return self.data.shape[:2]
+        if self._data is not None:
+            return self._data.shape[:2]
+        return len(self._rows), len(self._rows[0])
 
     def entry(self, i, j):
-        e = self.data[i, j]
+        e = self.rows[i][j]
         return ComplexInterval.from_endpoints(e[0], e[1], e[2], e[3])
 
     def norm(self):
-        return _k.inorm_k(self.data)
+        return _k.inorm_k(self.rows)
 
     def contains_point(self, a):
         a = np.asarray(a, dtype=np.complex128)
@@ -85,46 +102,66 @@ class IntervalMatrix:
         return f"IntervalMatrix(shape={self.shape})"
 
 
-def mid_inverse(a):
-    """Approximate inverse of a complex point matrix via LU.
+def _shape(a):
+    return (len(a), len(a[0])) if a else (0,)
 
-    Raises SingularMatrix when a pivot falls below 1e-300.
+
+def _square(a, n=None):
+    """a has n rows of n entries each (n = its row count by default)."""
+    n = len(a) if n is None else n
+    return len(a) == n and all(len(row) == n for row in a)
+
+
+def mid_inverse(a, rhs=None):
+    """Approximate inverse Y of a complex point matrix via LU.
+
+    With a right-hand side rhs, returns (Y, x), where x solves A x = rhs
+    with the same factorization.  Raises SingularMatrix when a pivot
+    falls below 1e-300.
     """
-    a = np.ascontiguousarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise DimensionMismatch(f"expected square matrix, got {a.shape}")
-    if not np.isfinite(a.real).all() or not np.isfinite(a.imag).all():
+    a = point_rows(a)
+    if not a or not _square(a):
+        raise DimensionMismatch(f"expected square matrix, got {_shape(a)}")
+    if not all(cmath.isfinite(z) for row in a for z in row):
         raise NonFiniteEndpoint("matrix has non-finite entries")
-    y, ok = _k.lu_inverse_k(a)
+    lu, piv, ok = _k.lu_factor_k(a)
     if not ok:
         raise SingularMatrix("pivot below threshold in LU inverse")
-    return y
+    y = np.array(_k.lu_inverse_k(lu, piv), dtype=np.complex128)
+    if rhs is None:
+        return y
+    rhs = point_list(rhs)
+    if len(rhs) != len(a):
+        raise DimensionMismatch(f"right-hand side of length {len(rhs)} for "
+                                f"a {_shape(a)} matrix")
+    return y, np.array(_k.lu_apply_k(lu, piv, rhs), dtype=np.complex128)
 
 
 def solve_point(a, b):
     """Solve A x = b for complex point data via the same pivoted LU."""
-    a = np.ascontiguousarray(a, dtype=np.complex128)
-    b = np.ascontiguousarray(b, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != b.shape[0]:
-        raise DimensionMismatch(f"bad solve shapes {a.shape}, {b.shape}")
-    x, ok = _k.lu_solve_k(a, b)
+    a = point_rows(a)
+    b = point_list(b)
+    if not _square(a, len(b)):
+        raise DimensionMismatch(f"bad solve shapes {_shape(a)}, ({len(b)},)")
+    lu, piv, ok = _k.lu_factor_k(a)
     if not ok:
         raise SingularMatrix("pivot below threshold in LU solve")
-    return x
+    return np.array(_k.lu_apply_k(lu, piv, b), dtype=np.complex128)
 
 
 def residual_matrix(y, m):
     """Interval matrix I - Y @ M for a point matrix Y and interval M."""
-    y = np.ascontiguousarray(y, dtype=np.complex128)
+    y = point_rows(y)
     r, c = m.shape
-    if y.ndim != 2 or y.shape[0] != y.shape[1] or y.shape[1] != r or r != c:
+    if r != c or not _square(y, r):
         raise DimensionMismatch(
-            f"residual needs square shapes, got {y.shape} and {m.shape}")
+            f"residual needs square shapes, got {_shape(y)} and {m.shape}")
     if r < WIDE_N:
-        return IntervalMatrix(_k.residual_k(y, m.data), _validate=False)
+        return IntervalMatrix.of_rows(_k.residual_k(y, m.rows))
+    y = np.array(y, dtype=np.complex128)
     with np.errstate(all="ignore"):
         out = _batch.residual(y[None], np.moveaxis(m.data, -1, 0)[:, None])
-    return IntervalMatrix(np.moveaxis(out[:, 0], 0, -1), _validate=False)
+    return IntervalMatrix.of_rows(np.moveaxis(out[:, 0], 0, -1).tolist())
 
 
 def imatvec(m, v):
@@ -132,12 +169,13 @@ def imatvec(m, v):
     r, c = m.shape
     if v.n != c:
         raise DimensionMismatch(f"matvec shapes {m.shape} and {v.n} differ")
-    return Box(_k.imatvec_k(m.data, v.data), _validate=False)
+    return Box.of_rows(_k.imatvec_k(m.rows, v.rows))
 
 
 def point_matvec_box(y, v):
     """Point matrix times interval vector, outward rounded."""
-    y = np.ascontiguousarray(y, dtype=np.complex128)
-    if y.shape[1] != v.n:
-        raise DimensionMismatch(f"matvec shapes {y.shape} and {v.n} differ")
-    return Box(_k.pmatvec_k(y, v.data), _validate=False)
+    y = point_rows(y)
+    if not y or any(len(row) != v.n for row in y):
+        raise DimensionMismatch(
+            f"matvec shapes {_shape(y)} and {v.n} differ")
+    return Box.of_rows(_k.pmatvec_k(y, v.rows))

@@ -2,14 +2,19 @@
 
 A real interval is a closed segment [lo, hi] of binary64 numbers.  A
 complex interval is an axis-aligned rectangle re + i*im with real-interval
-sides.  A box is a vector of complex intervals, stored as a float64 array
-of shape (n, 4) with rows (re_lo, re_hi, im_lo, im_hi).
+sides.  A box is a vector of complex intervals.  It holds the kernels'
+rows (re_lo, re_hi, im_lo, im_hi) or the same values as a float64 array
+of shape (n, 4), ``data``, and makes the other form on use
+(``KernelRows``).
 
 All arithmetic routes through the kernels in ``_kernels``, which widen
 every result outward by one ulp per endpoint, so the returned set always
-encloses the exact image of the operands.
+encloses the exact image of the operands.  ``point_list`` and
+``point_rows`` give the kernels' form of a complex vector and of a point
+matrix.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -24,6 +29,7 @@ from .errors import (
 )
 
 _INF = math.inf
+_isfinite = math.isfinite
 
 
 def _check_pair(lo, hi):
@@ -233,10 +239,78 @@ class ComplexInterval:
         return ComplexInterval(-self.re, -self.im)
 
 
-class Box:
-    """Vector of complex intervals; the basic enclosure over C^n."""
+def point_list(x):
+    """A complex vector as a list of Python complex, the kernels' form.
 
-    __slots__ = ("data",)
+    A list is taken to be in that form and passes as it is; anything else
+    goes through a complex128 array, which must be one-dimensional.
+    """
+    if type(x) is list:
+        return x
+    x = np.asarray(x, dtype=np.complex128)
+    if x.ndim != 1:
+        raise DimensionMismatch(f"expected a vector, got shape {x.shape}")
+    return x.tolist()
+
+
+def point_rows(a):
+    """A point matrix as a list of rows of Python complex, the kernels'
+    form.  A list is taken to be in that form and passes as it is;
+    anything else goes through a complex128 array, which must be
+    two-dimensional."""
+    if type(a) is list:
+        return a
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim != 2:
+        raise DimensionMismatch(f"expected a matrix, got shape {a.shape}")
+    return a.tolist()
+
+
+def all_finite(rows):
+    """Every endpoint of a list of rectangles is finite."""
+    for lo, hi, ilo, ihi in rows:
+        if not (_isfinite(lo) and _isfinite(hi) and _isfinite(ilo)
+                and _isfinite(ihi)):
+            return False
+    return True
+
+
+class KernelRows:
+    """Storage of ``Box`` and ``ilinalg.IntervalMatrix``: ``rows``, the
+    kernels' rectangles, or ``data``, the same values as a float64 array.
+    One made from rows builds its array on first use and keeps it; one
+    made from an array lists its rows on each use and keeps only the
+    array, as a certificate's segments and the verifier's boxes do."""
+
+    __slots__ = ("_rows", "_data")
+
+    @classmethod
+    def of_rows(cls, rows):
+        """The object over nonempty kernel rows, unchecked."""
+        obj = cls.__new__(cls)
+        obj._rows = rows
+        obj._data = None
+        return obj
+
+    @property
+    def rows(self):
+        return self._data.tolist() if self._rows is None else self._rows
+
+    def __len__(self):
+        return len(self._data if self._rows is None else self._rows)
+
+    @property
+    def data(self):
+        if self._data is None:
+            self._data = np.array(self.rows, dtype=np.float64)
+        return self._data
+
+
+class Box(KernelRows):
+    """Vector of complex intervals; the basic enclosure over C^n, as a
+    list of rectangles (``KernelRows``) or an (n, 4) array."""
+
+    __slots__ = ()
 
     def __init__(self, data, _validate=True):
         data = np.ascontiguousarray(data, dtype=np.float64)
@@ -247,7 +321,8 @@ class Box:
                 raise NonFiniteEndpoint("box has non-finite endpoints")
             if (data[:, 0] > data[:, 1]).any() or (data[:, 2] > data[:, 3]).any():
                 raise EmptyInterval("box has an empty component")
-        self.data = data
+        self._data = data
+        self._rows = None
 
     @classmethod
     def from_entries(cls, entries):
@@ -257,19 +332,15 @@ class Box:
     @classmethod
     def degenerate(cls, x):
         """Zero-width box at the point vector x (no widening)."""
-        x = np.asarray(x, dtype=np.complex128)
-        data = np.empty((x.shape[0], 4), dtype=np.float64)
-        data[:, 0] = x.real
-        data[:, 1] = x.real
-        data[:, 2] = x.imag
-        data[:, 3] = x.imag
-        return cls(data)
-
-    def __len__(self):
-        return self.data.shape[0]
+        x = point_list(x)
+        if not x:
+            raise DimensionMismatch("box data must be (n, 4), got (0, 4)")
+        if not all(cmath.isfinite(z) for z in x):
+            raise NonFiniteEndpoint("box has non-finite endpoints")
+        return cls.of_rows([(z.real, z.real, z.imag, z.imag) for z in x])
 
     def __getitem__(self, i):
-        r = self.data[i]
+        r = self.rows[i]
         return ComplexInterval.from_endpoints(r[0], r[1], r[2], r[3])
 
     def __eq__(self, other):
@@ -285,19 +356,17 @@ class Box:
 
     @property
     def n(self):
-        return self.data.shape[0]
+        return len(self)
 
     def norm(self):
         """Max-norm upper bound: largest entry magnitude bound."""
-        return _k.box_norm_k(self.data)
+        return _k.box_norm_k(self.rows)
 
     def widths(self):
         """(n, 2) array of re/im widths, rounded up."""
-        w = np.empty((self.n, 2))
-        for i in range(self.n):
-            w[i, 0] = math.nextafter(self.data[i, 1] - self.data[i, 0], _INF)
-            w[i, 1] = math.nextafter(self.data[i, 3] - self.data[i, 2], _INF)
-        return w
+        return np.array([(math.nextafter(r[1] - r[0], _INF),
+                          math.nextafter(r[3] - r[2], _INF))
+                         for r in self.rows], dtype=np.float64)
 
     def radius(self):
         """Half the largest side width."""
@@ -308,34 +377,35 @@ class Box:
         return (0.5 * (d[:, 0] + d[:, 1]) + 1j * (0.5 * (d[:, 2] + d[:, 3])))
 
     def contains_point(self, x):
-        x = np.asarray(x, dtype=np.complex128)
-        if x.shape[0] != self.n:
+        x = point_list(x)
+        if len(x) != self.n:
             raise DimensionMismatch("point dimension differs from box")
-        d = self.data
-        return bool(
-            (d[:, 0] <= x.real).all() and (x.real <= d[:, 1]).all()
-            and (d[:, 2] <= x.imag).all() and (x.imag <= d[:, 3]).all())
+        for r, z in zip(self.rows, x):
+            if not (r[0] <= z.real <= r[1] and r[2] <= z.imag <= r[3]):
+                return False
+        return True
 
     def encloses(self, other):
         if other.n != self.n:
             raise DimensionMismatch("box dimensions differ")
-        a, b = self.data, other.data
-        return not ((b[:, 0] < a[:, 0]) | (b[:, 1] > a[:, 1])
-                    | (b[:, 2] < a[:, 2]) | (b[:, 3] > a[:, 3])).any()
+        for p, q in zip(self.rows, other.rows):
+            if q[0] < p[0] or q[1] > p[1] or q[2] < p[2] or q[3] > p[3]:
+                return False
+        return True
 
     def __add__(self, other):
         if not isinstance(other, Box):
             return NotImplemented
         if other.n != self.n:
             raise DimensionMismatch("box dimensions differ")
-        return Box(_k.box_add(self.data, other.data), _validate=False)
+        return Box.of_rows(_k.box_add(self.rows, other.rows))
 
     def __sub__(self, other):
         if not isinstance(other, Box):
             return NotImplemented
         if other.n != self.n:
             raise DimensionMismatch("box dimensions differ")
-        return Box(_k.box_sub(self.data, other.data), _validate=False)
+        return Box.of_rows(_k.box_sub(self.rows, other.rows))
 
 
 def box_centered(x, r):
@@ -346,13 +416,11 @@ def box_centered(x, r):
     """
     if not (r > 0.0) or not math.isfinite(r):
         raise NonPositiveRadius(f"radius must be positive and finite, got {r}")
-    x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 1 or x.shape[0] == 0:
+    x = point_list(x)
+    if not x:
         raise DimensionMismatch("center must be a nonempty vector")
     r = float(r)
-    data = np.empty((x.shape[0], 4), dtype=np.float64)
-    data[:, 0] = np.nextafter(x.real - r, -_INF)
-    data[:, 1] = np.nextafter(x.real + r, _INF)
-    data[:, 2] = np.nextafter(x.imag - r, -_INF)
-    data[:, 3] = np.nextafter(x.imag + r, _INF)
-    return Box(data, _validate=False)
+    nxt = math.nextafter
+    return Box.of_rows([(nxt(z.real - r, -_INF), nxt(z.real + r, _INF),
+                         nxt(z.imag - r, -_INF), nxt(z.imag + r, _INF))
+                        for z in x])

@@ -14,16 +14,17 @@ K(I, T).  If additionally sqrt(2) * |Id - Y * encl(dH/dx(I, T))| < 1 in
 the row-sum norm, that solution is the only one in I for each t.  The
 sqrt(2) factor is the price of testing complex rectangles instead of
 discs; it is always applied.
+
+A test computes in the kernels' lists from its operands to its verdict;
+the verdict's image box makes its float64 array only when asked for it.
 """
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DimensionMismatch, NonFiniteEndpoint, PathcertError
 from .ilinalg import imatvec, point_matvec_box, residual_matrix
-from .intervals import Box, RealInterval
+from .intervals import Box, RealInterval, all_finite, point_list, point_rows
 
 _SQRT2_UP = math.nextafter(math.sqrt(2.0), math.inf)
 
@@ -46,13 +47,14 @@ class KrawczykVerdict:
 def check_operands(n, x, y, box, T):
     """Validate the operands of a test on an n-variable system.
 
-    Returns x and Y as contiguous complex arrays and T as a RealInterval.
+    Returns x and Y in the kernels' form (``point_list``, ``point_rows``)
+    and T as a RealInterval.
     """
-    x = np.ascontiguousarray(x, dtype=np.complex128)
-    y = np.ascontiguousarray(y, dtype=np.complex128)
-    if x.shape != (n,):
+    x = point_list(x)
+    y = point_rows(y)
+    if len(x) != n:
         raise DimensionMismatch(f"x must have shape ({n},)")
-    if y.shape != (n, n):
+    if len(y) != n or any(len(row) != n for row in y):
         raise DimensionMismatch(f"Y must have shape ({n}, {n})")
     if box.n != n:
         raise DimensionMismatch("box dimension differs from system")
@@ -90,7 +92,7 @@ def verdict_from(box, image, rn):
 
     Raises NonFiniteEndpoint when either is non-finite.
     """
-    if not np.isfinite(image.data).all():
+    if not all_finite(image.rows):
         raise NonFiniteEndpoint("Krawczyk image has non-finite endpoints")
     if not math.isfinite(rn):
         raise NonFiniteEndpoint("contraction norm is non-finite")

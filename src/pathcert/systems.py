@@ -10,8 +10,16 @@ A homotopy can carry a shear: a time-affine shift s(t) with s(t0) = x0 and
 s(t1) = x1.  The sheared map is x |-> H(x + s(t), t); evaluation and
 x-Jacobians account for it (the Jacobian is unchanged as a function, only
 its argument shifts).
+
+A homotopy keeps its parameters and shear as lists of Python complex, the
+kernels' form.  Its private point maps (``_eval``, ``_jac``, ``_f1``) take
+and return lists for the tracker's step loop; the public methods take
+arrays or lists and return arrays and boxes.  Products of a float and a
+complex are written ``complex(t) * z``: that is numpy's float-to-complex
+product, with the same bits on every Python version.
 """
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -30,7 +38,7 @@ from .errors import (
     UnsupportedDegree,
 )
 from .ilinalg import IntervalMatrix
-from .intervals import Box, RealInterval
+from .intervals import Box, RealInterval, point_list
 
 # Largest total degree of a term.  Evaluation allocates powers up to the
 # largest exponent, so a cap keeps a hostile system file or certificate
@@ -192,15 +200,16 @@ class ParametricSystem:
         x = np.ascontiguousarray(x, dtype=np.complex128)
         p = np.ascontiguousarray(p, dtype=np.complex128)
         self._check_dims(x, p)
-        return _k.eval_terms_point(self._flat_f, x, p)
+        return np.array(_k.eval_terms_point(self._flat_f, x.tolist(),
+                                            p.tolist()), dtype=np.complex128)
 
     def jac_x_point(self, x, p):
         """d F / d x at a point, as an (n, n) complex matrix."""
         x = np.ascontiguousarray(x, dtype=np.complex128)
         p = np.ascontiguousarray(p, dtype=np.complex128)
         self._check_dims(x, p)
-        return _k.eval_terms_point(self._flat_jac, x, p).reshape(self.n,
-                                                                  self.n)
+        out = _k.eval_terms_point(self._flat_jac, x.tolist(), p.tolist())
+        return np.array(out, dtype=np.complex128).reshape(self.n, self.n)
 
     def f1_eval(self, x, dp):
         """Parameter part of F at displacement dp: F1(x; dp).
@@ -211,7 +220,8 @@ class ParametricSystem:
         x = np.ascontiguousarray(x, dtype=np.complex128)
         dp = np.ascontiguousarray(dp, dtype=np.complex128)
         self._check_dims(x, dp)
-        return _k.eval_terms_point(self._flat_f1, x, dp)
+        return np.array(_k.eval_terms_point(self._flat_f1, x.tolist(),
+                                            dp.tolist()), dtype=np.complex128)
 
     def _check_dims(self, x, p):
         if x.shape != (self.n,):
@@ -289,14 +299,18 @@ class Homotopy:
         self.system = system
         self.p0 = p0
         self.p1 = p1
-        if shear is None:
-            self.shear = None
-            self._sa = None
-            self._sb = None
-        else:
-            x0, x1, t0, t1 = shear
-            x0, x1, self._sa, self._sb = shear_line(system.n, x0, x1, t0, t1)
-            self.shear = (x0, x1, float(t0), float(t1))
+        self._p0 = p0.tolist()
+        self._p1 = p1.tolist()
+        self._dp = (p1 - p0).tolist()
+        self.shear = None
+        self._sa = None
+        self._sb = None
+        if shear is not None:
+            self._set_shear(*shear)
+
+    def _set_shear(self, x0, x1, t0, t1):
+        x0, x1, self._sa, self._sb = shear_line(self.n, x0, x1, t0, t1)
+        self.shear = (x0, x1, float(t0), float(t1))
 
     @property
     def n(self):
@@ -308,43 +322,87 @@ class Homotopy:
 
     def sheared(self, x0, x1, t0, t1):
         """Homotopy for x |-> H(x + s(t), t) with s affine through
-        (t0, x0) and (t1, x1)."""
-        return Homotopy(self.system, self.p0, self.p1, shear=(x0, x1, t0, t1))
+        (t0, x0) and (t1, x1).  It shares this homotopy's system and
+        parameters, which were checked when this one was made."""
+        g = Homotopy.__new__(Homotopy)
+        g.__dict__.update(self.__dict__)
+        g._set_shear(x0, x1, t0, t1)
+        return g
+
+    def _shift(self, t):
+        u = complex(t)
+        return [a + u * b for a, b in zip(self._sa, self._sb)]
 
     def shear_at(self, t):
         """Point value s(t) of the shear (zero vector when unsheared)."""
         if self.shear is None:
             return np.zeros(self.n, dtype=np.complex128)
-        return self._sa + t * self._sb
+        return np.array(self._shift(t), dtype=np.complex128)
+
+    def _params(self, t):
+        s, u = complex(1.0 - t), complex(t)
+        return [s * a + u * b for a, b in zip(self._p0, self._p1)]
 
     def params_at(self, t):
-        return (1.0 - t) * self.p0 + t * self.p1
+        return np.array(self._params(t), dtype=np.complex128)
 
     # -- point evaluation (uncertified) -------------------------------------
 
+    def _at(self, t):
+        """(s(t) or None, p(t)) as lists: what ``_eval`` and ``_jac`` need
+        at time t, computed once for any number of points."""
+        return (None if self.shear is None else self._shift(t),
+                self._params(t))
+
+    @staticmethod
+    def _z(x, shift):
+        return x if shift is None else [xj + s for xj, s in zip(x, shift)]
+
+    def _eval(self, x, at):
+        """H(x, t) for a list x and at = ``_at(t)``, as a list."""
+        shift, pv = at
+        return _k.eval_terms_point(self.system._flat_f, self._z(x, shift), pv)
+
+    def _jac(self, x, at):
+        """dH/dx at (x, t) for a list x and at = ``_at(t)``, as a list of
+        rows."""
+        shift, pv = at
+        out = _k.eval_terms_point(self.system._flat_jac, self._z(x, shift), pv)
+        n = self.n
+        return [out[i:i + n] for i in range(0, n * n, n)]
+
+    def _f1(self, x):
+        """dH/dt of the unsheared homotopy at a list x, as a list."""
+        return _k.eval_terms_point(self.system._flat_f1, x, self._dp)
+
+    def _point(self, x):
+        """x in the kernels' form, checked to be an n-vector."""
+        x = point_list(x)
+        if len(x) != self.n:
+            raise DimensionMismatch(f"x must have shape ({self.n},)")
+        return x
+
     def eval_point(self, x, t):
-        x = np.asarray(x, dtype=np.complex128)
-        z = x + self.shear_at(t) if self.shear is not None else x
-        return self.system.eval_point(z, self.params_at(t))
+        return np.array(self._eval(self._point(x), self._at(t)),
+                        dtype=np.complex128)
 
     def jac_x_point(self, x, t):
-        x = np.asarray(x, dtype=np.complex128)
-        z = x + self.shear_at(t) if self.shear is not None else x
-        return self.system.jac_x_point(z, self.params_at(t))
+        return np.array(self._jac(self._point(x), self._at(t)),
+                        dtype=np.complex128)
 
     def f1_eval(self, x):
         """t-derivative of the unsheared homotopy at x (constant in t)."""
-        return self.system.f1_eval(x, self.p1 - self.p0)
+        return np.array(self._f1(self._point(x)), dtype=np.complex128)
 
     # -- interval evaluation (certified enclosures) --------------------------
 
     def _z_interval(self, box, T):
         if self.shear is None:
-            return box.data
-        return _k.shear_box_k(box.data, self._sa, self._sb, T.lo, T.hi)
+            return box.rows
+        return _k.shear_box_k(box.rows, self._sa, self._sb, T.lo, T.hi)
 
     def _pv_interval(self, T):
-        return _k.param_interval_k(self.p0, self.p1, T.lo, T.hi)
+        return _k.param_interval_k(self._p0, self._p1, T.lo, T.hi)
 
     def eval_interval(self, box, T):
         """Enclosure of { H(x, t) : x in box, t in T }, componentwise."""
@@ -352,10 +410,9 @@ class Homotopy:
             raise DimensionMismatch("box dimension differs from system")
         if not isinstance(T, RealInterval):
             T = RealInterval(T)
-        out = _k.eval_terms_interval(self.system._flat_f,
-                                     self._z_interval(box, T),
-                                     self._pv_interval(T))
-        return Box(out, _validate=False)
+        return Box.of_rows(_k.eval_terms_interval(self.system._flat_f,
+                                                  self._z_interval(box, T),
+                                                  self._pv_interval(T)))
 
     def eval_over_time(self, x, T):
         """Enclosure of { H(x, t) : t in T } at a fixed point x.
@@ -371,14 +428,12 @@ class Homotopy:
         the substitution of the offset range rounds outward per operation
         (``_kernels.eval_terms_tpoly`` proves the bound).
         """
-        x = np.ascontiguousarray(x, dtype=np.complex128)
-        if x.shape != (self.n,):
-            raise DimensionMismatch(f"x must have shape ({self.n},)")
+        x = self._point(x)
         if not isinstance(T, RealInterval):
             T = RealInterval(T)
-        out = _k.eval_terms_tpoly(self.system._flat_f, x, self._sa, self._sb,
-                                  self.p0, self.p1, T.lo, T.hi)
-        return Box(out, _validate=False)
+        return Box.of_rows(_k.eval_terms_tpoly(
+            self.system._flat_f, x, self._sa, self._sb, self._p0, self._p1,
+            T.lo, T.hi))
 
     def jac_x_interval(self, box, T):
         """Enclosure of the x-Jacobian over box x T as an IntervalMatrix."""
@@ -390,7 +445,8 @@ class Homotopy:
                                      self._z_interval(box, T),
                                      self._pv_interval(T))
         n = self.n
-        return IntervalMatrix(out.reshape(n, n, 4), _validate=False)
+        return IntervalMatrix.of_rows([out[i:i + n]
+                                       for i in range(0, n * n, n)])
 
     # -- JSON ---------------------------------------------------------------
 
@@ -420,19 +476,23 @@ class Homotopy:
 def shear_line(n, x0, x1, t0, t1):
     """The affine shift s(t) = a + t*b with s(t0) = x0 and s(t1) = x1.
 
-    Validates the endpoints and returns (x0, x1, a, b) as complex arrays.
+    Validates the endpoints and returns (x0, x1, a, b) as lists of
+    complex.  b = (x1 - x0) / (t1 - t0) and a = x0 - t0*b, with numpy's
+    complex128 division (``_kernels._cdiv``) and products.
     """
-    x0 = np.ascontiguousarray(x0, dtype=np.complex128)
-    x1 = np.ascontiguousarray(x1, dtype=np.complex128)
-    if x0.shape != (n,) or x1.shape != (n,):
+    x0 = point_list(x0)
+    x1 = point_list(x1)
+    if len(x0) != n or len(x1) != n:
         raise DimensionMismatch("shear endpoints must be n-vectors")
     if not (t1 > t0):
         raise DegenerateTimeInterval(f"shear needs t1 > t0, got [{t0}, {t1}]")
     for name, v in (("x0", x0), ("x1", x1)):
-        if not (np.isfinite(v.real).all() and np.isfinite(v.imag).all()):
+        if not all(cmath.isfinite(z) for z in v):
             raise NonFiniteEndpoint(f"shear {name} not finite")
-    b = (x1 - x0) / (t1 - t0)
-    return x0, x1, x0 - t0 * b, b
+    dt = complex(t1 - t0)
+    b = [_k._cdiv(q - p, dt) for p, q in zip(x0, x1)]
+    t0 = complex(t0)
+    return x0, x1, [p - t0 * v for p, v in zip(x0, b)], b
 
 
 # --- JSON encoding of floats and complex vectors --------------------------
@@ -453,8 +513,7 @@ def float_in(v):
 
 def cvec_out(v):
     # the parts of a Python complex are Python floats: repr is float_out
-    return [[repr(z.real), repr(z.imag)]
-            for z in np.asarray(v, dtype=np.complex128).tolist()]
+    return [[repr(z.real), repr(z.imag)] for z in point_list(v)]
 
 
 def cvec_in(obj, loc):

@@ -22,7 +22,9 @@ tilted: once per t0, compute the Euler direction J(x, t0)^{-1} dH/dt.
 
 In both modes x meets the Newton tolerance NEWTON_TOL at t0 whenever a
 test runs, so a failure leaves x as it is.  Every Newton refinement stops
-at that absolute residual or fails after NEWTON_MAX_ITER iterations.
+at that absolute residual or fails after NEWTON_MAX_ITER iterations.  At
+each new t0 one point Jacobian and one LU factorization give both Y and,
+in tilted mode, the Euler direction.
 
 A step is accepted only when the Krawczyk test proves existence and
 uniqueness over the whole time slice, so the accepted segments assemble
@@ -39,6 +41,12 @@ grown attempt past that margin would almost always fail uniqueness
 (Kearfott & Xing 1994 drive the step from the same margin).  The rule
 only picks which attempts run; every accepted step still passes the full
 test.
+
+The step loop computes in the kernels' Python lists (``_kernels``) from
+Newton to the verdict: x, the rows of Y, the Euler direction and the
+boxes stay lists across attempts.  Numpy arrays are made for an accepted
+Segment, for the certificate and for the return values of the public
+functions.
 """
 
 import math
@@ -46,6 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels as _k
 from .certificate import MODE_RECT, MODE_TILTED, PathCertificate, Segment
 from .errors import (
     DegenerateTimeInterval,
@@ -58,7 +67,7 @@ from .errors import (
     TrackingError,
 )
 from .ilinalg import mid_inverse, solve_point
-from .intervals import RealInterval, box_centered
+from .intervals import Box, RealInterval, box_centered, point_list
 from .krawczyk import parametric_krawczyk_test
 
 
@@ -146,6 +155,19 @@ def step_update(state, cfg, accepted, residual_norm=math.nan):
     return state
 
 
+def _max_abs(v):
+    """max |v_i| of a list of complex as numpy computes it: NaN when any
+    entry is NaN, inf where abs overflows."""
+    best = 0.0
+    for z in v:
+        a = _k._cabs(z)
+        if a != a:
+            return a
+        if a > best:
+            best = a
+    return best
+
+
 def newton_refine(h, x, t):
     """Newton-iterate x toward a root of H(., t); returns (point, residual).
 
@@ -153,24 +175,23 @@ def newton_refine(h, x, t):
     Raises SingularJacobian or NoConvergence; never returns a point whose
     residual exceeds NEWTON_TOL.
     """
-    x = np.array(x, dtype=np.complex128)
-    fx = h.eval_point(x, t)
-    res = float(np.abs(fx).max())
+    x = h._point(x)
+    at = h._at(t)
+    fx = h._eval(x, at)
+    res = _max_abs(fx)
     if res <= NEWTON_TOL:
-        return x, res
+        return np.array(x, dtype=np.complex128), res
     for _ in range(NEWTON_MAX_ITER):
-        jac = h.jac_x_point(x, t)
-        try:
-            dx = solve_point(jac, fx)
-        except SingularMatrix as e:
-            raise SingularJacobian(f"Jacobian singular at t={t}") from e
-        x = x - dx
-        fx = h.eval_point(x, t)
-        res = float(np.abs(fx).max())
+        lu, piv, ok = _k.lu_factor_k(h._jac(x, at))
+        if not ok:
+            raise SingularJacobian(f"Jacobian singular at t={t}")
+        x = [a - d for a, d in zip(x, _k.lu_apply_k(lu, piv, fx))]
+        fx = h._eval(x, at)
+        res = _max_abs(fx)
         if not math.isfinite(res):
             raise NoConvergence(f"Newton diverged at t={t}")
         if res <= NEWTON_TOL:
-            return x, res
+            return np.array(x, dtype=np.complex128), res
     raise NoConvergence(
         f"Newton residual {res:.3e} above {NEWTON_TOL:.1e} after "
         f"{NEWTON_MAX_ITER} iterations at t={t}")
@@ -180,9 +201,9 @@ def euler_direction(h, x, t0):
     """J(x, t0)^{-1} dH/dt, the negated velocity of the defining ODE.
 
     The t-derivative of H is the parameter part evaluated at the
-    displacement p1 - p0, constant in t.
+    displacement p1 - p0, constant in t.  ``track`` takes the same solve,
+    with the same bits, from the LU factorization it shares with Y.
     """
-    x = np.asarray(x, dtype=np.complex128)
     jac = h.jac_x_point(x, t0)
     rhs = h.f1_eval(x)
     try:
@@ -200,7 +221,10 @@ def precondition(h, x0, t0, t1, direction):
     """
     if not (t1 > t0):
         raise DegenerateTimeInterval(f"need t1 > t0, got [{t0}, {t1}]")
-    x1, _ = newton_refine(h, x0 - (t1 - t0) * direction, t1)
+    x0 = point_list(x0)
+    dt = complex(t1 - t0)
+    x1, _ = newton_refine(
+        h, [a - dt * d for a, d in zip(x0, point_list(direction))], t1)
     return h.sheared(x0, x1, t0, t1), x1
 
 
@@ -224,22 +248,28 @@ class TrackResult:
     final_residual: float
 
 
-def _mid_inverse_or_raise(h, x, t):
+def _mid_inverse_or_raise(h, x, t, tilted):
+    """Y = J(x, t)^{-1} and, in tilted mode, the Euler direction
+    ``euler_direction(h, x, t)`` as a list (else None), from one point
+    Jacobian and one LU factorization.  The inverse's checks run first."""
     try:
-        return mid_inverse(h.jac_x_point(x, t))
+        jac = h._jac(x, h._at(t))
+        if not tilted:
+            return mid_inverse(jac), None
+        y, direction = mid_inverse(jac, h._f1(x))
     except SingularMatrix as e:
         raise SingularJacobian(f"Jacobian not invertible at t={t}") from e
+    return y, direction.tolist()
 
 
 def _tilted_frame(h, x, direction, t0, t1):
-    """The sheared map, its box center 0 and the segment's shear for one
-    tilted attempt, or None when the prediction fails."""
+    """The sheared map and its box center 0 for one tilted attempt, and
+    the refined prediction x1 at t1; None when the prediction fails."""
     try:
         sheared, x1 = precondition(h, x, t0, t1, direction)
     except (TrackingError, SingularMatrix):
         return None
-    return (sheared, np.zeros(h.n, dtype=np.complex128),
-            {"shear_x0": x, "shear_x1": x1})
+    return sheared, [0j] * h.n, x1
 
 
 def track(h, x0, cfg=None, mode=MODE_TILTED, path_id=0):
@@ -255,44 +285,50 @@ def track(h, x0, cfg=None, mode=MODE_TILTED, path_id=0):
     cfg = cfg or TrackerConfig()
     if h.shear is not None:
         raise PathcertError("tracking expects an unsheared homotopy")
-    x, _ = newton_refine(h, x0, 0.0)
+    x = newton_refine(h, x0, 0.0)[0].tolist()
     state = make_state(cfg)
     segments = []
     y = None
     while state.t0 < 1.0:
         if y is None:
-            # first attempt at this t0
-            y = _mid_inverse_or_raise(h, x, state.t0)
-            direction = euler_direction(h, x, state.t0) if tilted else None
+            # first attempt at this t0: Y as an array for its segment and
+            # as rows for the tests
+            y, direction = _mid_inverse_or_raise(h, x, state.t0, tilted)
+            y_rows = y.tolist()
         if len(state.step_log) >= MAX_STEPS:
             raise MaxStepsExceeded(f"{MAX_STEPS} steps at t={state.t0}")
         if tilted:
             frame = _tilted_frame(h, x, direction, state.t0, state.t1)
         else:
-            frame = h, x, {"center": x}
+            frame = h, x, None
         ok = False
         rn = math.nan
         if frame is not None:
-            g, center, anchor = frame
+            g, center, x1 = frame
             box = box_centered(center, state.r)
             T = RealInterval(state.t0, state.t1)
             try:
-                verdict = parametric_krawczyk_test(g, center, y, box, T)
+                verdict = parametric_krawczyk_test(g, center, y_rows, box, T)
                 ok = verdict.passed
                 rn = verdict.residual_norm
             except PathcertError:
                 pass            # a test that raises rejects the step
             state.tests += 1
         if ok:
-            segments.append(Segment(state.t0, state.t1, box, y, rn, **{
-                k: v.copy() for k, v in anchor.items()}))
+            here = np.array(x, dtype=np.complex128)
+            anchors = ({"shear_x0": here, "shear_x1": x1} if tilted
+                       else {"center": here})
+            segments.append(Segment(state.t0, state.t1,
+                                    Box(box.data, _validate=False), y, rn,
+                                    **anchors))
         step_update(state, cfg, ok, rn)
         if ok:
             if tilted:
-                x = anchor["shear_x1"]
+                x = x1.tolist()
             else:
-                x, _ = newton_refine(h, x, state.t0)
+                x = newton_refine(h, x, state.t0)[0].tolist()
             y = None
+    x = np.array(x, dtype=np.complex128)
     final_res = float(np.abs(h.eval_point(x, 1.0)).max())
     cert = PathCertificate(mode, h, segments, x, final_res, path_id=path_id)
     return TrackResult(path_id, mode, cert, len(segments), state.tests,

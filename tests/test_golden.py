@@ -9,7 +9,9 @@ replaced them, so only the choice of attempts moved, not the arithmetic.
 All four were written indented until ``serialize`` switched to compact
 JSON; they were then re-laid out mechanically, each as
 ``json.dumps(json.loads(old), separators=(",", ":")) + "\n"``, with every
-value unchanged.
+value unchanged.  The katsura file (3 unknowns, path 0 of the
+benchmark's katsura3 run, 125 segments) was written compact, before the
+tracker's step loop moved from numpy arrays to Python lists.
 Any change to the order or rounding of an interval operation on the
 tracking path shows up here as a byte difference.  Each case also runs
 with every residual forced onto the array kernels and onto the scalar
@@ -24,6 +26,7 @@ import pytest
 
 from pathcert import ilinalg
 from pathcert.bench import (
+    gen_katsura,
     gen_lowrank,
     gen_newton_homotopy,
     gen_random_quadratic,
@@ -56,11 +59,17 @@ def lowrank2_tilted():
                  mode=MODE_TILTED)
 
 
+def katsura3_tilted():
+    h, starts = gen_katsura(3)
+    return track(h, starts[0], TrackerConfig(), mode=MODE_TILTED)
+
+
 CASES = {
     "newton10_tilted.json": lambda: newton10(MODE_TILTED),
     "newton10_rect.json": lambda: newton10(MODE_RECT),
     "random2_tilted.json": random2_tilted,
     "lowrank2_tilted.json": lowrank2_tilted,
+    "katsura3_tilted.json": katsura3_tilted,
 }
 
 

@@ -104,6 +104,19 @@ class TestMidInverse:
         x = solve_point(a, b)
         assert float(np.abs(a @ x - b).max()) <= 1e-12
 
+    def test_inverse_with_rhs_shares_one_factorization(self):
+        # Y and the solve for a right-hand side come from one LU, with the
+        # bits of the inverse and of solve_point on their own
+        rng = np.random.default_rng(32)
+        for n in (1, 2, 5):
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            y, x = mid_inverse(a, b)
+            assert np.array_equal(y, mid_inverse(a))
+            assert np.array_equal(x, solve_point(a, b))
+        with pytest.raises(SingularMatrix):
+            mid_inverse(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2))
+
 
 class TestResidualMatrix:
     def test_exact_inverse_is_small(self):

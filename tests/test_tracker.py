@@ -73,6 +73,20 @@ class TestNewtonRefine:
         with pytest.raises(NoConvergence, match="after 1 iterations"):
             newton_refine(h, np.array([1.5 + 0.0j]), 0.0)
 
+    @pytest.mark.parametrize("x0", [(1.0, 1e200), (1.0, math.nan)],
+                             ids=["overflow", "nan_entry"])
+    def test_nan_residual_diverges(self, x0):
+        # x1 - 1 and x2^2 - 4 do not share a variable.  From x2 = 1e200
+        # the square overflows and the first iterate is NaN; from x2 = NaN
+        # the residual is (0, NaN), and its maximum must be NaN, as numpy's
+        # is, not the 0 that Python's max keeps
+        h = tutil.static_homotopy(
+            [[tutil.Term(1.0, None, (1, 0)), tutil.Term(-1.0, None, (0, 0))],
+             [tutil.Term(1.0, None, (0, 2)), tutil.Term(-4.0, None, (0, 0))]],
+            2)
+        with pytest.raises(NoConvergence, match="Newton diverged at t=0.0"):
+            newton_refine(h, np.array(x0, dtype=np.complex128), 0.0)
+
 
 class TestEulerPredict:
     def test_constant_path_is_fixed_point(self):
@@ -545,19 +559,21 @@ class TestSiblingAttempts:
         assert got == [repr(r) for r in log]
 
     def test_prefetch_only_for_the_same_point(self, monkeypatch):
-        # the midpoint inverse and the Euler direction are computed once
-        # per start point and serve its attempts only
-        calls = {"_mid_inverse_or_raise": [], "euler_direction": []}
-        for name, seen in calls.items():
-            def record(h, x, t0, real=getattr(tracker_mod, name), seen=seen):
-                seen.append(t0)
-                return real(h, x, t0)
+        # the midpoint inverse and the Euler direction come from one LU,
+        # computed once per start point, and serve its attempts only
+        calls = []
+        real = tracker_mod._mid_inverse_or_raise
 
-            monkeypatch.setattr(tracker_mod, name, record)
+        def record(h, x, t0, tilted):
+            y, direction = real(h, x, t0, tilted)
+            calls.append((t0, direction is not None))
+            return y, direction
+
+        monkeypatch.setattr(tracker_mod, "_mid_inverse_or_raise", record)
         log = random2().step_log
         points = list(dict.fromkeys(r.t0 for r in log))
         assert len(points) < len(log)
-        assert calls == {name: points for name in calls}
+        assert calls == [(t0, True) for t0 in points]
 
     def test_track_starts_no_process(self, monkeypatch):
         # even where the pool would use two cores
