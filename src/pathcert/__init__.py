@@ -39,7 +39,6 @@ from .errors import (
     DegenerateStart,
     DegenerateTimeInterval,
     DimensionMismatch,
-    DivisionByIntervalContainingZero,
     EmptyInterval,
     IntervalError,
     InvalidM,
@@ -67,7 +66,6 @@ from .ilinalg import (
 )
 from .intervals import (
     Box,
-    ComplexInterval,
     RealInterval,
     box_centered,
 )
@@ -83,7 +81,6 @@ from .tracker import (
     TrackerConfig,
     TrackResult,
     TrackState,
-    euler_direction,
     make_state,
     newton_refine,
     precondition,

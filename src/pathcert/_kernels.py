@@ -9,7 +9,10 @@ a list of rows of them.  Every kernel takes and returns these lists; numpy
 arrays are made only at the public boundary (``intervals``, ``ilinalg``,
 ``systems``) when a caller asks for one.  Python floats are IEEE binary64
 like numpy's, but their arithmetic skips numpy's scalar dispatch and never
-warns on overflow.
+warns on overflow.  The package has no interval number type: these
+functions are its scalar interval arithmetic, and the division kernels
+``r_div``, ``c_den`` and ``c_div`` are kept for the interval soundness
+guarantee alone (see ``r_div``).
 
 Two soundness conventions, both for IEEE-754 round-to-nearest with
 gradual underflow:
@@ -71,7 +74,13 @@ def r_mul(al, ah, bl, bh):
 
 
 def r_div(al, ah, bl, bh):
-    # caller guarantees 0 is not in [bl, bh]
+    """[al, ah] / [bl, bh]; the caller guarantees 0 is not in [bl, bh].
+
+    No step of tracking or verification divides intervals.  This kernel,
+    ``c_den`` and ``c_div`` stay because acceptance criterion 1
+    (``tests/test_acceptance.py``) guarantees sound interval division
+    alongside + - *, and checks it on them.
+    """
     q1 = al / bl
     q2 = al / bh
     q3 = ah / bl
@@ -167,7 +176,9 @@ def cp_mul(a, z):
 
 
 def c_den(b):
-    # denominator interval Re_b*Re_b + Im_b*Im_b of complex division
+    """Denominator interval Re_b*Re_b + Im_b*Im_b of complex division; a
+    caller of ``c_div`` checks that it excludes 0 (kept for division's
+    guarantee, see ``r_div``)."""
     brl, brh, bil, bih = b
     s1l, s1h = r_mul(brl, brh, brl, brh)
     s2l, s2h = r_mul(bil, bih, bil, bih)
@@ -175,7 +186,8 @@ def c_den(b):
 
 
 def c_div(a, b):
-    # caller guarantees 0 is not in the denominator interval
+    """a / b; the caller guarantees 0 is not in ``c_den(b)`` (kept for
+    division's guarantee, see ``r_div``)."""
     arl, arh, ail, aih = a
     brl, brh, bil, bih = b
     dl, dh = c_den(b)
@@ -211,15 +223,6 @@ def box_add(a, b):
 
 def box_sub(a, b):
     return [c_sub(p, q) for p, q in zip(a, b)]
-
-
-def box_norm_k(box):
-    best = 0.0
-    for row in box:
-        v = c_mag(row)
-        if v > best:
-            best = v
-    return best
 
 
 def inorm_k(mat):

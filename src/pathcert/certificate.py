@@ -135,7 +135,7 @@ def _segment_json(s, mode):
     obj = {
         "t_lo": float_out(s.t_lo),
         "t_hi": float_out(s.t_hi),
-        "box": [list(map(float_out, row)) for row in s.box.data.tolist()],
+        "box": [list(map(float_out, row)) for row in s.box.rows],
         "y": [cvec_out(row) for row in point_rows(s.y)],
         "residual_norm": float_out(s.residual_norm),
     }

@@ -17,10 +17,6 @@ class EmptyInterval(IntervalError):
     """Lower endpoint exceeds upper endpoint."""
 
 
-class DivisionByIntervalContainingZero(IntervalError):
-    """Interval division whose denominator interval contains zero."""
-
-
 class NonPositiveRadius(IntervalError):
     pass
 

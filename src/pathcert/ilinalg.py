@@ -23,13 +23,7 @@ from .errors import (
     NonFiniteEndpoint,
     SingularMatrix,
 )
-from .intervals import (
-    Box,
-    ComplexInterval,
-    KernelRows,
-    point_list,
-    point_rows,
-)
+from .intervals import Box, KernelRows, point_list, point_rows
 
 # Smallest n for which the residual is the array computation.  With the
 # operands as the tracker holds them (Y as rows, the Jacobian enclosure
@@ -60,38 +54,14 @@ class IntervalMatrix(KernelRows):
         self._data = data
         self._rows = None
 
-    @classmethod
-    def from_point(cls, a):
-        """Degenerate interval matrix at the complex point matrix a."""
-        a = np.asarray(a, dtype=np.complex128)
-        data = np.empty(a.shape + (4,), dtype=np.float64)
-        data[..., 0] = a.real
-        data[..., 1] = a.real
-        data[..., 2] = a.imag
-        data[..., 3] = a.imag
-        return cls(data)
-
     @property
     def shape(self):
         if self._data is not None:
             return self._data.shape[:2]
         return len(self._rows), len(self._rows[0])
 
-    def entry(self, i, j):
-        e = self.rows[i][j]
-        return ComplexInterval.from_endpoints(e[0], e[1], e[2], e[3])
-
     def norm(self):
         return _k.inorm_k(self.rows)
-
-    def contains_point(self, a):
-        a = np.asarray(a, dtype=np.complex128)
-        if a.shape != self.shape:
-            raise DimensionMismatch("matrix shapes differ")
-        d = self.data
-        return bool(
-            (d[..., 0] <= a.real).all() and (a.real <= d[..., 1]).all()
-            and (d[..., 2] <= a.imag).all() and (a.imag <= d[..., 3]).all())
 
     def __eq__(self, other):
         if not isinstance(other, IntervalMatrix):

@@ -1,17 +1,17 @@
-"""Rectangular interval arithmetic over R and C, and boxes over C^n.
+"""Time windows, and boxes of complex rectangles over C^n.
 
-A real interval is a closed segment [lo, hi] of binary64 numbers.  A
-complex interval is an axis-aligned rectangle re + i*im with real-interval
-sides.  A box is a vector of complex intervals.  It holds the kernels'
-rows (re_lo, re_hi, im_lo, im_hi) or the same values as a float64 array
-of shape (n, 4), ``data``, and makes the other form on use
+A time window is a ``RealInterval``, a closed segment [lo, hi] of finite
+binary64 numbers; it carries no arithmetic.  A complex rectangle
+[re_lo, re_hi] + i*[im_lo, im_hi] is the kernels' 4-tuple, and a box is a
+vector of them.  A box holds the kernels' rows or the same values as a
+float64 array of shape (n, 4), ``data``, and makes the other form on use
 (``KernelRows``).
 
-All arithmetic routes through the kernels in ``_kernels``, which widen
+The arithmetic on rectangles is the kernels' in ``_kernels``, which widen
 every result outward by one ulp per endpoint, so the returned set always
-encloses the exact image of the operands.  ``point_list`` and
-``point_rows`` give the kernels' form of a complex vector and of a point
-matrix.
+encloses the exact image of the operands; a box adds and subtracts with
+them.  ``point_list`` and ``point_rows`` give the kernels' form of a
+complex vector and of a point matrix.
 """
 
 import cmath
@@ -22,7 +22,6 @@ import numpy as np
 from . import _kernels as _k
 from .errors import (
     DimensionMismatch,
-    DivisionByIntervalContainingZero,
     EmptyInterval,
     NonFiniteEndpoint,
     NonPositiveRadius,
@@ -32,211 +31,28 @@ _INF = math.inf
 _isfinite = math.isfinite
 
 
-def _check_pair(lo, hi):
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise NonFiniteEndpoint(f"non-finite endpoints [{lo}, {hi}]")
-    if lo > hi:
-        raise EmptyInterval(f"lower endpoint {lo} exceeds upper {hi}")
-
-
 class RealInterval:
-    """Closed real interval [lo, hi] with outward-rounded arithmetic."""
+    """Closed real interval [lo, hi] of finite endpoints: a time window."""
 
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi=None):
         lo = float(lo)
         hi = lo if hi is None else float(hi)
-        _check_pair(lo, hi)
+        if not (_isfinite(lo) and _isfinite(hi)):
+            raise NonFiniteEndpoint(f"non-finite endpoints [{lo}, {hi}]")
+        if lo > hi:
+            raise EmptyInterval(f"lower endpoint {lo} exceeds upper {hi}")
         self.lo = lo
         self.hi = hi
-
-    @property
-    def width(self):
-        return math.nextafter(self.hi - self.lo, _INF)
-
-    @property
-    def mid(self):
-        return 0.5 * (self.lo + self.hi)
-
-    def contains(self, x):
-        return self.lo <= x <= self.hi
-
-    def encloses(self, other):
-        return self.lo <= other.lo and other.hi <= self.hi
 
     def __eq__(self, other):
         if not isinstance(other, RealInterval):
             return NotImplemented
         return self.lo == other.lo and self.hi == other.hi
 
-    def __hash__(self):
-        return hash((self.lo, self.hi))
-
     def __repr__(self):
         return f"RealInterval({self.lo!r}, {self.hi!r})"
-
-    def _coerce(self, other):
-        if isinstance(other, RealInterval):
-            return other
-        if isinstance(other, (int, float)):
-            return RealInterval(float(other))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RealInterval(*_k.r_add(self.lo, self.hi, o.lo, o.hi))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RealInterval(*_k.r_sub(self.lo, self.hi, o.lo, o.hi))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RealInterval(*_k.r_sub(o.lo, o.hi, self.lo, self.hi))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RealInterval(*_k.r_mul(self.lo, self.hi, o.lo, o.hi))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.lo <= 0.0 <= o.hi:
-            raise DivisionByIntervalContainingZero(
-                f"denominator [{o.lo}, {o.hi}] contains 0")
-        return RealInterval(*_k.r_div(self.lo, self.hi, o.lo, o.hi))
-
-    def __neg__(self):
-        return RealInterval(-self.hi, -self.lo)
-
-
-class ComplexInterval:
-    """Axis-aligned rectangle re + i*im in the complex plane."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im=None):
-        if not isinstance(re, RealInterval):
-            re = RealInterval(re)
-        if im is None:
-            im = RealInterval(0.0)
-        elif not isinstance(im, RealInterval):
-            im = RealInterval(im)
-        self.re = re
-        self.im = im
-
-    @classmethod
-    def from_point(cls, z):
-        z = complex(z)
-        return cls(RealInterval(z.real), RealInterval(z.imag))
-
-    @classmethod
-    def from_endpoints(cls, re_lo, re_hi, im_lo, im_hi):
-        return cls(RealInterval(re_lo, re_hi), RealInterval(im_lo, im_hi))
-
-    def endpoints(self):
-        return (self.re.lo, self.re.hi, self.im.lo, self.im.hi)
-
-    @property
-    def mag(self):
-        """Upper bound on |z| over the rectangle."""
-        return _k.c_mag(self.endpoints())
-
-    @property
-    def mid(self):
-        return complex(self.re.mid, self.im.mid)
-
-    @property
-    def width(self):
-        return max(self.re.width, self.im.width)
-
-    def contains(self, z):
-        z = complex(z)
-        return self.re.contains(z.real) and self.im.contains(z.imag)
-
-    def encloses(self, other):
-        return self.re.encloses(other.re) and self.im.encloses(other.im)
-
-    def __eq__(self, other):
-        if not isinstance(other, ComplexInterval):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __repr__(self):
-        return (f"ComplexInterval([{self.re.lo!r}, {self.re.hi!r}], "
-                f"[{self.im.lo!r}, {self.im.hi!r}])")
-
-    def _coerce(self, other):
-        if isinstance(other, ComplexInterval):
-            return other
-        if isinstance(other, (int, float, complex)):
-            return ComplexInterval.from_point(other)
-        if isinstance(other, RealInterval):
-            return ComplexInterval(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ComplexInterval.from_endpoints(
-            *_k.c_add(self.endpoints(), o.endpoints()))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ComplexInterval.from_endpoints(
-            *_k.c_sub(self.endpoints(), o.endpoints()))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ComplexInterval.from_endpoints(
-            *_k.c_sub(o.endpoints(), self.endpoints()))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ComplexInterval.from_endpoints(
-            *_k.c_mul(self.endpoints(), o.endpoints()))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        dl, dh = _k.c_den(o.endpoints())
-        if dl <= 0.0 <= dh:
-            raise DivisionByIntervalContainingZero(
-                f"denominator rectangle {o!r} may contain 0")
-        return ComplexInterval.from_endpoints(
-            *_k.c_div(self.endpoints(), o.endpoints()))
-
-    def __neg__(self):
-        return ComplexInterval(-self.re, -self.im)
 
 
 def point_list(x):
@@ -307,7 +123,7 @@ class KernelRows:
 
 
 class Box(KernelRows):
-    """Vector of complex intervals; the basic enclosure over C^n, as a
+    """Vector of complex rectangles; the basic enclosure over C^n, as a
     list of rectangles (``KernelRows``) or an (n, 4) array."""
 
     __slots__ = ()
@@ -325,11 +141,6 @@ class Box(KernelRows):
         self._rows = None
 
     @classmethod
-    def from_entries(cls, entries):
-        rows = [e.endpoints() for e in entries]
-        return cls(np.array(rows, dtype=np.float64))
-
-    @classmethod
     def degenerate(cls, x):
         """Zero-width box at the point vector x (no widening)."""
         x = point_list(x)
@@ -339,10 +150,6 @@ class Box(KernelRows):
             raise NonFiniteEndpoint("box has non-finite endpoints")
         return cls.of_rows([(z.real, z.real, z.imag, z.imag) for z in x])
 
-    def __getitem__(self, i):
-        r = self.rows[i]
-        return ComplexInterval.from_endpoints(r[0], r[1], r[2], r[3])
-
     def __eq__(self, other):
         if not isinstance(other, Box):
             return NotImplemented
@@ -351,30 +158,9 @@ class Box(KernelRows):
     def __repr__(self):
         return f"Box({self.data!r})"
 
-    def copy(self):
-        return Box(self.data.copy(), _validate=False)
-
     @property
     def n(self):
         return len(self)
-
-    def norm(self):
-        """Max-norm upper bound: largest entry magnitude bound."""
-        return _k.box_norm_k(self.rows)
-
-    def widths(self):
-        """(n, 2) array of re/im widths, rounded up."""
-        return np.array([(math.nextafter(r[1] - r[0], _INF),
-                          math.nextafter(r[3] - r[2], _INF))
-                         for r in self.rows], dtype=np.float64)
-
-    def radius(self):
-        """Half the largest side width."""
-        return 0.5 * float(self.widths().max())
-
-    def midpoint(self):
-        d = self.data
-        return (0.5 * (d[:, 0] + d[:, 1]) + 1j * (0.5 * (d[:, 2] + d[:, 3])))
 
     def contains_point(self, x):
         x = point_list(x)

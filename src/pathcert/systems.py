@@ -22,6 +22,7 @@ product, with the same bits on every Python version.
 import cmath
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -145,19 +146,23 @@ class ParametricSystem:
                 if not (math.isfinite(c.real) and math.isfinite(c.imag)):
                     raise NonFiniteEndpoint(
                         f"equation {i} term {j} has non-finite coefficient")
-                if t.param is not None and not (0 <= t.param < m):
-                    raise DimensionMismatch(
-                        f"equation {i} term {j} has parameter index {t.param} "
-                        f"outside [0, {m})")
-                expo = tuple(int(e) for e in t.expo)
-                if len(expo) != n or any(e < 0 for e in expo):
+                par = t.param
+                if par is not None:
+                    par = _integer(par)
+                    if par is None or not (0 <= par < m):
+                        raise DimensionMismatch(
+                            f"equation {i} term {j} has parameter index "
+                            f"{t.param!r}, not an integer in [0, {m})")
+                expo = tuple(_integer(e) for e in t.expo)
+                if (len(expo) != n
+                        or any(e is None or e < 0 for e in expo)):
                     raise DimensionMismatch(
                         f"equation {i} term {j} has bad exponents {t.expo}")
                 if sum(expo) > MAX_DEGREE:
                     raise UnsupportedDegree(
                         f"equation {i} term {j} has degree {sum(expo)} "
                         f"above {MAX_DEGREE}")
-                terms.append(Term(c, t.param, expo))
+                terms.append(Term(c, par, expo))
             eqs.append(tuple(terms))
         self.n = n
         self.m = m
@@ -192,42 +197,6 @@ class ParametricSystem:
         rows = [[(t.coeff, 1, t.param, t.expo) for t in eq
                  if t.param is not None] for eq in self.equations]
         return _Flat(rows, self.n)
-
-    # -- evaluation --------------------------------------------------------
-
-    def eval_point(self, x, p):
-        """F(x; p) at complex point vectors."""
-        x = np.ascontiguousarray(x, dtype=np.complex128)
-        p = np.ascontiguousarray(p, dtype=np.complex128)
-        self._check_dims(x, p)
-        return np.array(_k.eval_terms_point(self._flat_f, x.tolist(),
-                                            p.tolist()), dtype=np.complex128)
-
-    def jac_x_point(self, x, p):
-        """d F / d x at a point, as an (n, n) complex matrix."""
-        x = np.ascontiguousarray(x, dtype=np.complex128)
-        p = np.ascontiguousarray(p, dtype=np.complex128)
-        self._check_dims(x, p)
-        out = _k.eval_terms_point(self._flat_jac, x.tolist(), p.tolist())
-        return np.array(out, dtype=np.complex128).reshape(self.n, self.n)
-
-    def f1_eval(self, x, dp):
-        """Parameter part of F at displacement dp: F1(x; dp).
-
-        Because parameters enter affinely, this equals the directional
-        derivative of F in p, evaluated exactly by substituting dp.
-        """
-        x = np.ascontiguousarray(x, dtype=np.complex128)
-        dp = np.ascontiguousarray(dp, dtype=np.complex128)
-        self._check_dims(x, dp)
-        return np.array(_k.eval_terms_point(self._flat_f1, x.tolist(),
-                                            dp.tolist()), dtype=np.complex128)
-
-    def _check_dims(self, x, p):
-        if x.shape != (self.n,):
-            raise DimensionMismatch(f"x must have shape ({self.n},)")
-        if p.shape != (self.m,):
-            raise DimensionMismatch(f"p must have shape ({self.m},)")
 
     # -- JSON --------------------------------------------------------------
 
@@ -274,6 +243,17 @@ class ParametricSystem:
             return cls(n, m, eqs)
         except PathcertError as e:
             raise MalformedCertificate(f"system: {e}") from e
+
+
+def _integer(v):
+    """v as an int when ``operator.index`` takes it and it is no bool,
+    else None: a float exponent or index is refused, not truncated."""
+    if isinstance(v, bool):
+        return None
+    try:
+        return operator.index(v)
+    except TypeError:
+        return None
 
 
 def _json_int(v, name):
@@ -332,12 +312,6 @@ class Homotopy:
     def _shift(self, t):
         u = complex(t)
         return [a + u * b for a, b in zip(self._sa, self._sb)]
-
-    def shear_at(self, t):
-        """Point value s(t) of the shear (zero vector when unsheared)."""
-        if self.shear is None:
-            return np.zeros(self.n, dtype=np.complex128)
-        return np.array(self._shift(t), dtype=np.complex128)
 
     def _params(self, t):
         s, u = complex(1.0 - t), complex(t)

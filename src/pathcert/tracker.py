@@ -44,9 +44,9 @@ test.
 
 The step loop computes in the kernels' Python lists (``_kernels``) from
 Newton to the verdict: x, the rows of Y, the Euler direction and the
-boxes stay lists across attempts.  Numpy arrays are made for an accepted
-Segment, for the certificate and for the return values of the public
-functions.
+boxes stay lists across attempts.  An accepted Segment keeps the tested
+box as it is; numpy arrays are made for its Y and anchors, for the
+certificate and for the return values of the public functions.
 """
 
 import math
@@ -66,8 +66,8 @@ from .errors import (
     StepUnderflow,
     TrackingError,
 )
-from .ilinalg import mid_inverse, solve_point
-from .intervals import Box, RealInterval, box_centered, point_list
+from .ilinalg import mid_inverse
+from .intervals import RealInterval, box_centered, point_list
 from .krawczyk import parametric_krawczyk_test
 
 
@@ -197,27 +197,13 @@ def newton_refine(h, x, t):
         f"{NEWTON_MAX_ITER} iterations at t={t}")
 
 
-def euler_direction(h, x, t0):
-    """J(x, t0)^{-1} dH/dt, the negated velocity of the defining ODE.
-
-    The t-derivative of H is the parameter part evaluated at the
-    displacement p1 - p0, constant in t.  ``track`` takes the same solve,
-    with the same bits, from the LU factorization it shares with Y.
-    """
-    jac = h.jac_x_point(x, t0)
-    rhs = h.f1_eval(x)
-    try:
-        return solve_point(jac, rhs)
-    except SingularMatrix as e:
-        raise SingularJacobian(f"Jacobian singular at t={t0}") from e
-
-
 def precondition(h, x0, t0, t1, direction):
     """Predict x1 at t1, then shear the homotopy through (t0, x0) and
     (t1, x1).  Returns (sheared homotopy, x1).
 
-    The prediction is an Euler step along ``direction``, which is
-    ``euler_direction(h, x0, t0)``, refined at t1 with Newton.
+    The prediction is an Euler step along ``direction``, the solve
+    J(x0, t0)^{-1} dH/dt that ``track`` takes from the LU it shares with Y
+    (``_mid_inverse_or_raise``), refined at t1 with Newton.
     """
     if not (t1 > t0):
         raise DegenerateTimeInterval(f"need t1 > t0, got [{t0}, {t1}]")
@@ -250,8 +236,10 @@ class TrackResult:
 
 def _mid_inverse_or_raise(h, x, t, tilted):
     """Y = J(x, t)^{-1} and, in tilted mode, the Euler direction
-    ``euler_direction(h, x, t)`` as a list (else None), from one point
-    Jacobian and one LU factorization.  The inverse's checks run first."""
+    J(x, t)^{-1} dH/dt as a list (else None), from one point Jacobian and
+    one LU factorization.  dH/dt is the parameter part of H at the
+    displacement p1 - p0, constant in t; the direction is the negated
+    velocity of the path.  The inverse's checks run first."""
     try:
         jac = h._jac(x, h._at(t))
         if not tilted:
@@ -318,8 +306,7 @@ def track(h, x0, cfg=None, mode=MODE_TILTED, path_id=0):
             here = np.array(x, dtype=np.complex128)
             anchors = ({"shear_x0": here, "shear_x1": x1} if tilted
                        else {"center": here})
-            segments.append(Segment(state.t0, state.t1,
-                                    Box(box.data, _validate=False), y, rn,
+            segments.append(Segment(state.t0, state.t1, box, y, rn,
                                     **anchors))
         step_update(state, cfg, ok, rn)
         if ok:

@@ -12,7 +12,6 @@ conftest's ``warm_up`` and are excluded.  Run with
 import csv
 import dataclasses
 import math
-import operator
 import statistics
 import time
 from fractions import Fraction
@@ -21,6 +20,7 @@ import numpy as np
 import pytest
 
 import tutil
+from pathcert import _kernels as _k
 from pathcert.bench import (
     BenchmarkSpec,
     gen_katsura,
@@ -33,7 +33,7 @@ from pathcert.bench import (
 )
 from pathcert.certificate import load_certificate, verify
 from pathcert.ilinalg import IntervalMatrix, imatvec, residual_matrix
-from pathcert.intervals import Box, ComplexInterval, RealInterval, box_centered
+from pathcert.intervals import Box, RealInterval, box_centered
 from pathcert.krawczyk import parametric_krawczyk_test
 from pathcert.tracker import TrackerConfig
 
@@ -149,29 +149,40 @@ def _interval_matrix_around(rng, a, spread):
     return IntervalMatrix(data)
 
 
+def _ordered(iv):
+    """Every side (lo, hi) of an interval or rectangle is finite with
+    lo <= hi."""
+    return all(math.isfinite(iv[k]) and math.isfinite(iv[k + 1])
+               and iv[k] <= iv[k + 1] for k in range(0, len(iv), 2))
+
+
 def test_criterion_1_interval_soundness():
     started = time.perf_counter()
     rng = np.random.default_rng(20260815)
     counts = {}
     bad = []
 
-    # real interval ops
-    ops = {"+": operator.add, "-": operator.sub,
-           "*": operator.mul, "/": operator.truediv}
+    # real interval ops, on the kernels; a divisor must exclude 0
+    ops = {"+": _k.r_add, "-": _k.r_sub, "*": _k.r_mul, "/": _k.r_div}
     total = 0
     for sym, fn in ops.items():
-        alo, ahi, ax = _rand_intervals(rng, N_CHECKS)
-        blo, bhi, bx = _rand_intervals(rng, N_CHECKS, denom=(sym == "/"))
+        alo, ahi, ax = (v.tolist() for v in _rand_intervals(rng, N_CHECKS))
+        blo, bhi, bx = (v.tolist() for v in _rand_intervals(
+            rng, N_CHECKS, denom=(sym == "/")))
         for i in range(N_CHECKS):
-            iv = fn(RealInterval(alo[i], ahi[i]), RealInterval(blo[i], bhi[i]))
-            if not tutil.real_op_contained(iv, ax[i], bx[i], sym):
+            if sym == "/" and blo[i] <= 0.0 <= bhi[i]:
+                bad.append(("real divisor holds 0", sym, ax[i], bx[i]))
+            iv = fn(alo[i], ahi[i], blo[i], bhi[i])
+            if not (_ordered(iv)
+                    and tutil.real_op_contained(iv, ax[i], bx[i], sym)):
                 bad.append(("real", sym, ax[i], bx[i]))
             total += 1
     counts["real ops"] = total
 
-    # complex interval ops
+    # complex interval ops, on the kernels' rectangles
+    cops = {"+": _k.c_add, "-": _k.c_sub, "*": _k.c_mul, "/": _k.c_div}
     total = 0
-    for sym, fn in ops.items():
+    for sym, fn in cops.items():
         arl, arh, arx = _rand_intervals(rng, N_CHECKS)
         ail, aih, aix = _rand_intervals(rng, N_CHECKS)
         # the divisor's displayed-formula denominator re^2 + im^2 is an
@@ -179,14 +190,16 @@ def test_criterion_1_interval_soundness():
         # keep its lower endpoint positive
         brl, brh, brx = _rand_intervals(rng, N_CHECKS, denom=(sym == "/"))
         bil, bih, bix = _rand_intervals(rng, N_CHECKS, denom=(sym == "/"))
-        for i in range(N_CHECKS):
-            ca = ComplexInterval(RealInterval(arl[i], arh[i]),
-                                 RealInterval(ail[i], aih[i]))
-            cb = ComplexInterval(RealInterval(brl[i], brh[i]),
-                                 RealInterval(bil[i], bih[i]))
-            x = complex(arx[i], aix[i])
-            y = complex(brx[i], bix[i])
-            if not tutil.cplx_op_contained(fn(ca, cb), x, y, sym):
+        cas = list(zip(arl.tolist(), arh.tolist(), ail.tolist(), aih.tolist()))
+        cbs = list(zip(brl.tolist(), brh.tolist(), bil.tolist(), bih.tolist()))
+        xs = [complex(a, b) for a, b in zip(arx.tolist(), aix.tolist())]
+        ys = [complex(a, b) for a, b in zip(brx.tolist(), bix.tolist())]
+        for ca, cb, x, y in zip(cas, cbs, xs, ys):
+            if sym == "/" and _k.c_den(cb)[0] <= 0.0:
+                bad.append(("complex divisor may hold 0", sym, x, y))
+            ci = fn(ca, cb)
+            if not (_ordered(ci)
+                    and tutil.cplx_op_contained(ci, x, y, sym)):
                 bad.append(("complex", sym, x, y))
             total += 1
     counts["complex ops"] = total

@@ -1,0 +1,32 @@
+"""The package's public surface: ``pathcert.__all__`` is pinned, so a name
+is added to it or dropped from it only by editing this list.  It holds the
+submodules too (``bench``, ``tracker``, ...), which the package's imports
+bind as attributes."""
+
+import pathcert
+
+PUBLIC = [
+    "BenchmarkReport", "BenchmarkSpec", "Box", "CertificateError",
+    "DegenerateStart", "DegenerateTimeInterval", "DimensionMismatch",
+    "EmptyInterval", "Homotopy", "IntervalError", "IntervalMatrix",
+    "InvalidM", "KrawczykVerdict", "MODE_RECT", "MODE_TILTED",
+    "MalformedCertificate", "MaxStepsExceeded", "NoConvergence",
+    "NonFiniteEndpoint", "NonPositiveRadius", "ParametricSystem",
+    "ParseError", "PathCertificate", "PathcertError", "RealInterval",
+    "Segment", "SingularJacobian", "SingularMatrix", "StepUnderflow", "Term",
+    "TrackResult", "TrackState", "TrackerConfig", "TrackingError",
+    "UnsupportedDegree", "UnsupportedN", "VerificationReport", "bench",
+    "box_centered", "build_family", "certificate", "deserialize",
+    "dump_system", "errors", "gen_katsura", "gen_lowrank",
+    "gen_newton_homotopy", "gen_random_quadratic", "hilbert_matrix",
+    "ilinalg", "imatvec", "intervals", "krawczyk", "load_certificate",
+    "load_system", "make_state", "mid_inverse", "newton_path_point",
+    "newton_refine", "parametric_krawczyk_test", "point_matvec_box",
+    "precondition", "residual_matrix", "run_benchmark", "save_certificate",
+    "serialize", "solve_point", "step_update", "svd_oracle", "systems",
+    "track", "tracker", "verify", "verify_file", "verify_run",
+]
+
+
+def test_public_names_pinned():
+    assert sorted(pathcert.__all__) == PUBLIC

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import tutil
+from pathcert import _kernels as _k
 from pathcert.bench import gen_newton_homotopy
 from pathcert.errors import DimensionMismatch, NonFiniteEndpoint, PathcertError
 from pathcert.intervals import Box, RealInterval, box_centered
@@ -36,8 +37,8 @@ class TestOperator:
         img = parametric_krawczyk_test(
             h, x, y, box, RealInterval(0.0, 0.0)).operator_image
         assert img.contains_point(np.array([c + 0.0j]))
-        assert img.widths().max() <= 1e-12
-        assert abs(img.midpoint()[0] - c) <= 1e-13
+        assert tutil.box_radius(img) <= 0.5e-12
+        assert abs(tutil.box_midpoint(img)[0] - c) <= 1e-13
         assert box.encloses(img)
 
     def test_sqrt2_small_box_certifies(self):
@@ -97,7 +98,7 @@ class TestParametric:
         T = RealInterval(0.0, 0.02)
         v = parametric_krawczyk_test(h, x, y, box, T)
         assert v.passed
-        mid = box.midpoint()
+        mid = tutil.box_midpoint(box)
         for t in np.linspace(T.lo, T.hi, 1000):
             root = tutil.plain_newton_solve(h, mid, float(t))
             assert box.contains_point(root)
@@ -156,15 +157,16 @@ class TestParametric:
             v = parametric_krawczyk_test(
                 h, np.array([x + 0.0j]), np.array([[yv + 0.0j]]), box,
                 RealInterval(0.0, 0.0))
-            # independent real-interval replay with factor 1
-            I = RealInterval(x - r, x + r)
-            fj = RealInterval(2.0) * I          # d/dx of x^2 - 2 over I
-            resid = RealInterval(1.0) - RealInterval(yv) * fj
-            rn_real = max(abs(resid.lo), abs(resid.hi))
+            # independent real-interval replay with factor 1, on the
+            # real kernels: I = [x - r, x + r] and Y, x, f(x) as points
+            il, ih = x - r, x + r
+            fj = _k.r_mul(2.0, 2.0, il, ih)     # d/dx of x^2 - 2 over I
+            resid = _k.r_sub(1.0, 1.0, *_k.r_mul(yv, yv, *fj))
+            rn_real = max(abs(resid[0]), abs(resid[1]))
             fx = x * x - 2.0
-            kr = (RealInterval(x) - RealInterval(yv) * RealInterval(fx)
-                  + resid * (I - RealInterval(x)))
-            real_pass = (I.encloses(kr) and rn_real < 1.0)
+            kr = _k.r_add(*_k.r_sub(x, x, *_k.r_mul(yv, yv, fx, fx)),
+                          *_k.r_mul(*resid, *_k.r_sub(il, ih, x, x)))
+            real_pass = (il <= kr[0] and kr[1] <= ih and rn_real < 1.0)
             if v.passed:
                 passed_any += 1
                 assert real_pass

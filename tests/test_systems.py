@@ -95,6 +95,12 @@ class TestPointEval:
             assert float(np.abs(jm - 0.5 * (j0 + j1)).max()) <= 1e-12 * scale
 
 
+def f1_at(h, x, dp):
+    """The parameter part of h's system at x and the displacement dp: the
+    t-derivative of the homotopy from parameters 0 to dp."""
+    return Homotopy(h.system, np.zeros(h.m, complex), dp).f1_eval(x)
+
+
 class TestParameterDerivative:
     def test_newton_constant(self):
         h, _ = gen_newton_homotopy(10.0)
@@ -105,7 +111,7 @@ class TestParameterDerivative:
     def test_zero_displacement(self):
         h, _ = gen_random_quadratic(2, seed=8)
         x = np.array([0.3 + 0.1j, -0.2j])
-        v = h.system.f1_eval(x, np.zeros(h.m, dtype=np.complex128))
+        v = f1_at(h, x, np.zeros(h.m, dtype=np.complex128))
         assert float(np.abs(v).max()) == 0.0
 
     def test_linearity(self):
@@ -115,8 +121,8 @@ class TestParameterDerivative:
         dp = rng.standard_normal(h.m) + 1j * rng.standard_normal(h.m)
         dq = rng.standard_normal(h.m) + 1j * rng.standard_normal(h.m)
         a, b = 0.7 - 0.2j, 1.3 + 0.5j
-        lhs = h.system.f1_eval(x, a * dp + b * dq)
-        rhs = a * h.system.f1_eval(x, dp) + b * h.system.f1_eval(x, dq)
+        lhs = f1_at(h, x, a * dp + b * dq)
+        rhs = a * f1_at(h, x, dp) + b * f1_at(h, x, dq)
         scale = float(np.abs(rhs).max()) + 1.0
         assert float(np.abs(lhs - rhs).max()) <= 1e-12 * scale
 
@@ -129,7 +135,7 @@ class TestParameterDerivative:
             t0 = float(rng.uniform(0, 0.9))
             d = float(rng.uniform(0, 0.1))
             lhs = h.eval_point(x, t0 + d) - h.eval_point(x, t0)
-            rhs = h.system.f1_eval(x, d * (h.p1 - h.p0))
+            rhs = f1_at(h, x, d * (h.p1 - h.p0))
             scale = float(np.abs(h.eval_point(x, t0)).max()) + 1.0
             assert float(np.abs(lhs - rhs).max()) <= 1e-10 * scale
 
@@ -141,7 +147,7 @@ class TestIntervalEval:
         x = tutil.plain_newton_solve(h, starts[0], 0.0, tol=1e-14)
         box = Box.degenerate(x)
         r = h.eval_interval(box, RealInterval(0.0, dt))
-        assert r.norm() <= m * dt * (1 + 1e-9) + 1e-9
+        assert tutil.box_norm(r) <= m * dt * (1 + 1e-9) + 1e-9
         assert r.contains_point(h.eval_point(x, 0.0))
         assert r.contains_point(h.eval_point(x, dt))
 
@@ -180,8 +186,8 @@ class TestIntervalEval:
         sh = h.sheared(x0, x1, 0.0, dt)
         T = RealInterval(0.0, dt)
         zeros = np.zeros(1, dtype=np.complex128)
-        tight = sh.eval_over_time(zeros, T).norm()
-        lazy = sh.eval_interval(Box.degenerate(zeros), T).norm()
+        tight = tutil.box_norm(sh.eval_over_time(zeros, T))
+        lazy = tutil.box_norm(sh.eval_interval(Box.degenerate(zeros), T))
         assert tight <= 0.01 * lazy
         # the sag enclosure still contains the values along the secant
         enc = sh.eval_over_time(zeros, T)
@@ -279,7 +285,8 @@ def assert_exactly_enclosed(h, x, T, rng, k=6):
     ``eval_over_time(x, T)`` at both ends of T, its midpoint and k random
     times in between."""
     enc = h.eval_over_time(x, T).data
-    ts = [T.lo, T.hi, T.mid] + [float(t) for t in rng.uniform(T.lo, T.hi, k)]
+    ts = ([T.lo, T.hi, 0.5 * (T.lo + T.hi)]
+          + [float(t) for t in rng.uniform(T.lo, T.hi, k)])
     for t in ts:
         for i, v in enumerate(tutil.exact_homotopy_eval(h, x, t)):
             assert tutil.row_in(enc[i], v), (i, t)
@@ -392,8 +399,8 @@ class TestTimeEnclosureExact:
         T = RealInterval(t0, t0 + dt)
         rng = np.random.default_rng(73)
         assert_exactly_enclosed(sh, zeros, T, rng, k=30)
-        lazy = sh.eval_interval(Box.degenerate(zeros), T).norm()
-        assert sh.eval_over_time(zeros, T).norm() <= 0.01 * lazy
+        lazy = tutil.box_norm(sh.eval_interval(Box.degenerate(zeros), T))
+        assert tutil.box_norm(sh.eval_over_time(zeros, T)) <= 0.01 * lazy
 
 
 class TestSerialization:
@@ -437,6 +444,23 @@ class TestSerialization:
             ParametricSystem(1, 1, [[Term(1.0, 3, (1,))]])
         with pytest.raises(DimensionMismatch):
             ParametricSystem(1, 0, [[Term(1.0, None, (1, 2))]])
+
+    def test_non_integer_exponent_rejected(self):
+        # an exponent must be an integer: 2.5 is refused, not read as 2
+        for e in (2.5, 2.0, True):
+            with pytest.raises(DimensionMismatch, match="bad exponents"):
+                ParametricSystem(1, 0, [[Term(1.0, None, (e,))]])
+        s = ParametricSystem(1, 0, [[Term(1.0, None, (np.int64(2),))]])
+        assert s.equations[0][0].expo == (2,)
+
+    def test_non_integer_parameter_index_rejected(self):
+        # a parameter index must be an integer: 0.5 is refused here, not
+        # left to fail as a list index inside the kernels
+        for par in (0.5, 0.0, True):
+            with pytest.raises(DimensionMismatch, match="parameter index"):
+                ParametricSystem(1, 1, [[Term(1.0, par, (1,))]])
+        s = ParametricSystem(1, 1, [[Term(1.0, np.int64(0), (1,))]])
+        assert type(s.equations[0][0].param) is int
 
     def test_degree_cap(self):
         ParametricSystem(2, 0, [[Term(1.0, None, (MAX_DEGREE - 1, 1))]] * 2)

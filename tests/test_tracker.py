@@ -12,6 +12,7 @@ import pathcert.tracker as tracker_mod
 import tutil
 from pathcert import _pool
 from pathcert.bench import (
+    gen_katsura,
     gen_newton_homotopy,
     gen_random_quadratic,
     newton_path_point,
@@ -26,7 +27,6 @@ from pathcert.errors import (
 )
 from pathcert.tracker import (
     TrackerConfig,
-    euler_direction,
     make_state,
     newton_refine,
     precondition,
@@ -37,10 +37,17 @@ from pathcert.tracker import (
 SQRT2 = math.sqrt(2.0)
 
 
+def direction(h, x, t0):
+    """The Euler direction J(x, t0)^{-1} dH/dt as ``track`` takes it, from
+    the LU it shares with Y."""
+    x = np.asarray(x, dtype=np.complex128).tolist()
+    return np.array(tracker_mod._mid_inverse_or_raise(h, x, t0, True)[1])
+
+
 def euler_predict(h, x, t0, dt):
     """The Euler step that precondition takes before its Newton
     refinement: x - dt * J(x, t0)^{-1} dH/dt."""
-    return x - dt * euler_direction(h, x, t0)
+    return x - dt * direction(h, x, t0)
 
 
 class TestNewtonRefine:
@@ -112,13 +119,24 @@ class TestEulerPredict:
             out = euler_predict(h, x, t0, dt)
             assert abs(out[0] - (a + b * (t0 + dt))) <= 1e-14
 
+    @pytest.mark.parametrize("family", ["newton", "katsura3"])
+    def test_direction_is_the_jacobian_solve(self, family):
+        # the direction track shares with Y solves J(x, t0) d = dH/dt
+        h, starts = (gen_newton_homotopy(10.0) if family == "newton"
+                     else gen_katsura(3))
+        for x in starts:
+            for t0 in (0.0, 0.5):
+                want = np.linalg.solve(h.jac_x_point(x, t0), h.f1_eval(x))
+                got = direction(h, x, t0)
+                assert (float(np.abs(got - want).max())
+                        <= 1e-12 * float(np.abs(want).max()))
+
 
 class TestPrecondition:
     def test_constant_path_shear_is_constant(self):
         h = tutil.sqrt2_homotopy()
         x0 = np.array([SQRT2 + 0.0j])
-        sheared, x1 = precondition(h, x0, 0.2, 0.4,
-                                   euler_direction(h, x0, 0.2))
+        sheared, x1 = precondition(h, x0, 0.2, 0.4, direction(h, x0, 0.2))
         assert np.allclose(x1, x0, rtol=0, atol=1e-12)
         z = np.zeros(1, dtype=np.complex128)
         for t in (0.2, 0.3, 0.4, 0.9):
@@ -127,8 +145,7 @@ class TestPrecondition:
     def test_newton_step_endpoints_near_zero(self):
         h, starts = gen_newton_homotopy(10.0)
         x0, _ = newton_refine(h, starts[0], 0.0)
-        sheared, x1 = precondition(h, x0, 0.0, 0.02,
-                                   euler_direction(h, x0, 0.0))
+        sheared, x1 = precondition(h, x0, 0.0, 0.02, direction(h, x0, 0.0))
         z = np.zeros(1, dtype=np.complex128)
         assert abs(sheared.eval_point(z, 0.0)[0]) <= 1e-9
         assert abs(sheared.eval_point(z, 0.02)[0]) <= 1e-9

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from pathcert import _kernels
 from pathcert.systems import Homotopy, ParametricSystem, Term
 
 SCREEN_REL = 1e-12
@@ -58,12 +59,14 @@ def c_scale(a, s):
 # --- exact membership --------------------------------------------------------
 
 def real_in(iv, v):
-    """Exact Fraction v inside RealInterval iv (closed)."""
-    return fr(iv.lo) <= v <= fr(iv.hi)
+    """Exact Fraction v inside the interval iv = (lo, hi) (closed)."""
+    return fr(iv[0]) <= v <= fr(iv[1])
 
 
 def cplx_in(ci, v):
-    return real_in(ci.re, v[0]) and real_in(ci.im, v[1])
+    """Exact (re, im) Fraction pair v inside the rectangle ci =
+    (re_lo, re_hi, im_lo, im_hi) (closed)."""
+    return real_in(ci[:2], v[0]) and real_in(ci[2:], v[1])
 
 
 def row_in(row, v):
@@ -78,7 +81,7 @@ def _screen(lo, hi, z, scale):
 
 
 def real_op_contained(iv, x, y, op):
-    """Exact containment of x op y in iv, for float x, y."""
+    """Exact containment of x op y in iv = (lo, hi), for float x, y."""
     if op == "+":
         z, exact = x + y, lambda: fr(x) + fr(y)
     elif op == "-":
@@ -89,19 +92,20 @@ def real_op_contained(iv, x, y, op):
         z, exact = x / y, lambda: fr(x) / fr(y)
     else:
         raise ValueError(op)
-    if _screen(iv.lo, iv.hi, z, abs(x) + abs(y)):
+    if _screen(iv[0], iv[1], z, abs(x) + abs(y)):
         return True
     return real_in(iv, exact())
 
 
 def cplx_op_contained(ci, x, y, op):
-    """Exact containment of complex x op y in ComplexInterval ci."""
+    """Exact containment of complex x op y in the rectangle ci =
+    (re_lo, re_hi, im_lo, im_hi)."""
     z = {"+": x + y, "-": x - y, "*": x * y, "/": x / y}[op]
     scale = abs(x.real) + abs(x.imag) + abs(y.real) + abs(y.imag)
     if op == "/":
         scale = scale / (y.real * y.real + y.imag * y.imag) + scale
-    if (_screen(ci.re.lo, ci.re.hi, z.real, scale)
-            and _screen(ci.im.lo, ci.im.hi, z.imag, scale)):
+    if (_screen(ci[0], ci[1], z.real, scale)
+            and _screen(ci[2], ci[3], z.imag, scale)):
         return True
     f = {"+": c_add, "-": c_sub, "*": c_mul, "/": c_div}[op]
     return cplx_in(ci, f(c_pair(x), c_pair(y)))
@@ -221,8 +225,9 @@ def sample_interval(rng, lo, hi, k):
 
 
 def sample_ci(rng, ci, k):
-    re = sample_interval(rng, ci.re.lo, ci.re.hi, k)
-    im = sample_interval(rng, ci.im.lo, ci.im.hi, k)
+    """k complex samples inside the rectangle ci."""
+    re = sample_interval(rng, ci[0], ci[1], k)
+    im = sample_interval(rng, ci[2], ci[3], k)
     return re + 1j * im
 
 
@@ -238,16 +243,34 @@ def sample_box(rng, box, k):
 
 
 def random_real_interval(rng, scale=1.0):
+    """A random interval (lo, hi) of Python floats."""
     a, b = sorted(rng.standard_normal(2) * scale)
-    from pathcert.intervals import RealInterval
-    return RealInterval(a, b)
+    return float(a), float(b)
 
 
 def random_complex_interval(rng, scale=1.0):
-    from pathcert.intervals import ComplexInterval, RealInterval
+    """A random rectangle (re_lo, re_hi, im_lo, im_hi) of Python floats."""
     a, b = sorted(rng.standard_normal(2) * scale)
     c, d = sorted(rng.standard_normal(2) * scale)
-    return ComplexInterval(RealInterval(a, b), RealInterval(c, d))
+    return float(a), float(b), float(c), float(d)
+
+
+def box_norm(box):
+    """Largest magnitude bound of a box's entries (``_kernels.c_mag``)."""
+    return max(_kernels.c_mag(r) for r in box.rows)
+
+
+def box_midpoint(box):
+    """The complex midpoints of a box's entries."""
+    d = box.data
+    return 0.5 * (d[:, 0] + d[:, 1]) + 1j * (0.5 * (d[:, 2] + d[:, 3]))
+
+
+def box_radius(box):
+    """Half the largest side of a box's entries."""
+    d = box.data
+    return 0.5 * float(max((d[:, 1] - d[:, 0]).max(),
+                           (d[:, 3] - d[:, 2]).max()))
 
 
 def newton_true_path(m, t):
