@@ -1,7 +1,7 @@
 """Command line interface.
 
     pathcert bench run --family katsura --n 4 --mode tilted \
-        --dt0 0.1 --r0 0.1 --lambda 3 --seed 42 --out results/
+        --dt0 0.1 --r0 0.1 --lambda 1.25 --seed 42 --out results/
     pathcert bench verify results/
     pathcert verify cert_000.json
 
@@ -55,9 +55,10 @@ def _build_parser():
     run.add_argument("--n", type=int, default=3,
                      help="katsura/lowrank family size")
     run.add_argument("--mode", choices=["rect", "tilted"], default="tilted")
-    run.add_argument("--dt0", type=float, default=0.1)
-    run.add_argument("--r0", type=float, default=0.1)
-    run.add_argument("--lambda", dest="lam", type=float, default=3.0,
+    defaults = TrackerConfig()
+    run.add_argument("--dt0", type=float, default=defaults.dt0)
+    run.add_argument("--r0", type=float, default=defaults.r0)
+    run.add_argument("--lambda", dest="lam", type=float, default=defaults.lam,
                      help="step scaling factor")
     run.add_argument("--seed", type=_non_negative_int, default=None,
                      help="instance seed (default: per-family shipped seed)")

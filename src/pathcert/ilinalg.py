@@ -12,6 +12,7 @@ bits.
 """
 
 import cmath
+from itertools import chain
 
 import numpy as np
 
@@ -25,12 +26,15 @@ from .errors import (
 )
 from .intervals import Box, KernelRows, point_list, point_rows
 
+_chain = chain.from_iterable
+
 # Smallest n for which the residual is the array computation.  With the
 # operands as the tracker holds them (Y as rows, the Jacobian enclosure
-# as kernel rows), one residual and its norm take 93-101 us on the scalar
-# kernel against 120-152 us on the array one at n = 4, and 174-175
-# against 147-153 us at n = 5 (BENCH_24.json): the array residual, which
-# pays for converting its operands and result, first wins at n = 5.
+# as kernel rows), one residual takes 73-81 us on the scalar kernel
+# against 75-83 us on the array one at n = 4, 143-154 against 102-111 us
+# at n = 5 and 539-593 against 183-208 us at n = 8 (BENCH_27.json): the
+# array residual, which pays for reading its operands' rows and listing
+# its result, first wins at n = 5.
 WIDE_N = 5
 
 
@@ -128,10 +132,13 @@ def residual_matrix(y, m):
             f"residual needs square shapes, got {_shape(y)} and {m.shape}")
     if r < WIDE_N:
         return IntervalMatrix.of_rows(_k.residual_k(y, m.rows))
-    y = np.array(y, dtype=np.complex128)
+    # read the operands' rows straight into flat arrays (np.array on
+    # nested lists costs twice as much) and list the result's rows
+    ya = np.fromiter(_chain(y), np.complex128, r * r).reshape(1, r, r)
+    ma = np.fromiter(_chain(_chain(m.rows)), np.float64, 4 * r * r)
     with np.errstate(all="ignore"):
-        out = _batch.residual(y[None], np.moveaxis(m.data, -1, 0)[:, None])
-    return IntervalMatrix.of_rows(np.moveaxis(out[:, 0], 0, -1).tolist())
+        out = _batch.residual(ya, ma.reshape(r * r, 4).T.reshape(4, 1, r, r))
+    return IntervalMatrix.of_rows(out[:, 0].transpose(1, 2, 0).tolist())
 
 
 def imatvec(m, v):

@@ -233,7 +233,7 @@ class TestHarness:
         assert rep["family"] == "newton"
         assert rep["mode"] == MODE_TILTED
         assert rep["params"] == {"m": "10.0"}
-        assert rep["config"]["lambda"] == "3.0"
+        assert rep["config"]["lambda"] == "1.25"
         assert len(rep["paths"]) == 1
         p = rep["paths"][0]
         assert p["certified"]

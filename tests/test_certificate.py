@@ -114,7 +114,7 @@ class TestSerialization:
         _, tilted, rect, minus = newton_certs
         texts = [p.read_text(encoding="utf-8")
                  for p in sorted(GOLDEN.glob("*.json"))]
-        assert len(texts) == 5
+        assert len(texts) == 6
         texts += [serialize(c) for c in (
             tilted, rect, minus, dataclasses.replace(rect, segments=[]))]
         for text in texts:

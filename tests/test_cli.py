@@ -5,6 +5,8 @@ import json
 import pytest
 
 from pathcert.cli import main
+from pathcert.systems import float_out
+from pathcert.tracker import TrackerConfig
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +21,14 @@ def run_dir(tmp_path_factory):
 def test_bench_run_writes_outputs(run_dir, capsys):
     assert (run_dir / "report.json").exists()
     assert (run_dir / "cert_000.json").exists()
+
+
+def test_bench_run_defaults_to_tracker_config(run_dir):
+    config = json.loads((run_dir / "report.json").read_text())["config"]
+    want = TrackerConfig()
+    assert config["lambda"] == float_out(want.lam)
+    assert config["dt0"] == float_out(want.dt0)
+    assert config["r0"] == float_out(want.r0)
 
 
 def test_bench_run_reports_progress(tmp_path, capsys):

@@ -12,6 +12,11 @@ JSON; they were then re-laid out mechanically, each as
 value unchanged.  The katsura file (3 unknowns, path 0 of the
 benchmark's katsura3 run, 125 segments) was written compact, before the
 tracker's step loop moved from numpy arrays to Python lists.
+These five track at lambda = 3, the step factor they were written with,
+so they keep pinning the arithmetic when the default schedule moves: when
+the default lambda became 1.25 they reproduced byte for byte at
+``lam=3.0``.  ``katsura3_tilted_default.json`` (path 0 of the katsura3
+run again) pins the default ``TrackerConfig()`` itself.
 Any change to the order or rounding of an interval operation on the
 tracking path shows up here as a byte difference.  Each case also runs
 with every residual forced onto the array kernels and onto the scalar
@@ -20,6 +25,7 @@ the pool against one core is checked where a pool runs, in
 ``test_bench.py``.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -45,23 +51,24 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 def newton10(mode):
     h, starts = gen_newton_homotopy(10.0)
-    return track(h, starts[0], TrackerConfig(dt0=0.02, r0=0.1), mode=mode)
+    return track(h, starts[0], TrackerConfig(dt0=0.02, r0=0.1, lam=3.0),
+                 mode=mode)
 
 
 def random2_tilted():
     h, starts = gen_random_quadratic(2)
-    return track(h, starts[0], TrackerConfig(), mode=MODE_TILTED)
+    return track(h, starts[0], TrackerConfig(lam=3.0), mode=MODE_TILTED)
 
 
 def lowrank2_tilted():
     h, starts = gen_lowrank(2)
-    return track(h, starts[0], TrackerConfig(dt0=0.2, r0=0.1),
+    return track(h, starts[0], TrackerConfig(dt0=0.2, r0=0.1, lam=3.0),
                  mode=MODE_TILTED)
 
 
-def katsura3_tilted():
+def katsura3_tilted(cfg):
     h, starts = gen_katsura(3)
-    return track(h, starts[0], TrackerConfig(), mode=MODE_TILTED)
+    return track(h, starts[0], cfg, mode=MODE_TILTED)
 
 
 CASES = {
@@ -69,15 +76,32 @@ CASES = {
     "newton10_rect.json": lambda: newton10(MODE_RECT),
     "random2_tilted.json": random2_tilted,
     "lowrank2_tilted.json": lowrank2_tilted,
-    "katsura3_tilted.json": katsura3_tilted,
+    "katsura3_tilted.json": lambda: katsura3_tilted(TrackerConfig(lam=3.0)),
+    "katsura3_tilted_default.json": lambda: katsura3_tilted(TrackerConfig()),
 }
+
+
+def assert_same_text(got, want):
+    """got == want exactly.  A failure names the first differing segment
+    and byte offset instead of rendering a diff of two long texts."""
+    if got == want:
+        return
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+              min(len(got), len(want)))
+    segs_got = json.loads(got)["segments"]
+    segs_want = json.loads(want)["segments"]
+    seg = next((i for i, (a, b) in enumerate(zip(segs_got, segs_want))
+                if a != b), min(len(segs_got), len(segs_want)))
+    pytest.fail(f"texts differ from byte {at} ({len(got)} against "
+                f"{len(want)} bytes); first differing segment {seg} "
+                f"({len(segs_got)} against {len(segs_want)} segments)",
+                pytrace=False)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_fresh_track_matches_golden_file(name):
     want = (GOLDEN / name).read_text(encoding="utf-8")
-    got = serialize(CASES[name]().certificate)
-    assert got == want
+    assert_same_text(serialize(CASES[name]().certificate), want)
     assert verify(deserialize(want)).ok
 
 
@@ -86,4 +110,4 @@ def test_fresh_track_matches_golden_file(name):
 def test_both_residual_branches_match_golden_file(name, wide_n, monkeypatch):
     monkeypatch.setattr(ilinalg, "WIDE_N", wide_n)
     want = (GOLDEN / name).read_text(encoding="utf-8")
-    assert serialize(CASES[name]().certificate) == want
+    assert_same_text(serialize(CASES[name]().certificate), want)
