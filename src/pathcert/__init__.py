@@ -90,4 +90,25 @@ from .tracker import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BenchmarkReport", "BenchmarkSpec", "build_family", "gen_katsura",
+    "gen_lowrank", "gen_newton_homotopy", "gen_random_quadratic",
+    "hilbert_matrix", "newton_path_point", "run_benchmark", "svd_oracle",
+    "verify_run",
+    "MODE_RECT", "MODE_TILTED", "PathCertificate", "Segment",
+    "VerificationReport", "deserialize", "load_certificate",
+    "save_certificate", "serialize", "verify", "verify_file",
+    "CertificateError", "DegenerateStart", "DegenerateTimeInterval",
+    "DimensionMismatch", "EmptyInterval", "IntervalError", "InvalidM",
+    "MalformedCertificate", "MaxStepsExceeded", "NoConvergence",
+    "NonFiniteEndpoint", "NonPositiveRadius", "ParseError", "PathcertError",
+    "SingularJacobian", "SingularMatrix", "StepUnderflow", "TrackingError",
+    "UnsupportedDegree", "UnsupportedN",
+    "IntervalMatrix", "imatvec", "mid_inverse", "point_matvec_box",
+    "residual_matrix", "solve_point",
+    "Box", "RealInterval", "box_centered",
+    "KrawczykVerdict", "parametric_krawczyk_test",
+    "Homotopy", "ParametricSystem", "Term", "dump_system", "load_system",
+    "TrackerConfig", "TrackResult", "TrackState", "make_state",
+    "newton_refine", "precondition", "step_update", "track",
+]

@@ -37,7 +37,7 @@ import numpy as np
 
 from ._batch import krawczyk_images, shear_regions
 from .errors import MalformedCertificate, ParseError, PathcertError
-from .intervals import Box, RealInterval, point_rows
+from .intervals import Box, RealInterval, check_rects, point_rows
 from .krawczyk import check_operands, verdict_from
 from .systems import (
     Homotopy,
@@ -118,16 +118,16 @@ def _cmat_in(obj, loc):
 
 def _box_in(obj, loc):
     try:
-        data = np.array([[float_in(v) for v in row] for row in obj],
-                        dtype=np.float64)
+        rows = [[float_in(v) for v in row] for row in obj]
     except (TypeError, ValueError) as e:
         raise ParseError(f"{loc}: bad box") from e
-    if data.ndim != 2 or data.shape[1] != 4:
+    if not rows or any(len(row) != 4 for row in rows):
         raise ParseError(f"{loc}: box rows must have 4 endpoints")
     try:
-        return Box(data)
+        check_rects(rows, "box")
     except PathcertError as e:
         raise MalformedCertificate(f"{loc}: {e}") from e
+    return Box.of_rows(rows)
 
 
 def _segment_json(s, mode):
@@ -257,14 +257,14 @@ class _Claims:
         tilted = cert.mode == MODE_TILTED
         self.t_lo = np.array([s.t_lo for s in segs], dtype=np.float64)
         self.t_hi = np.array([s.t_hi for s in segs], dtype=np.float64)
-        self.box = np.stack([s.box.data for s in segs])
+        self.box = np.array([s.box.rows for s in segs], dtype=np.float64)
         self.y = np.stack([s.y for s in segs]).astype(np.complex128)
         self.x = np.zeros((count, n), dtype=np.complex128)
         self.sa = np.zeros((count, n), dtype=np.complex128) if tilted else None
         self.sb = np.zeros((count, n), dtype=np.complex128) if tilted else None
         self.errors = [None] * count
         self.shear_errors = [None] * count
-        zeros = np.zeros(n, dtype=np.complex128)
+        zeros = [0j] * n
         for i, s in enumerate(segs):
             try:
                 if tilted:
@@ -301,11 +301,11 @@ def _replay(cert, claims):
         claims.box[live], claims.t_lo[live], claims.t_hi[live],
         claims.sa[live] if sheared else None,
         claims.sb[live] if sheared else None)
+    images = image.tolist()
     for k, i in enumerate(live):
         try:
             out[i] = verdict_from(cert.segments[i].box,
-                                  Box(image[k], _validate=False),
-                                  float(norm[k]))
+                                  Box.of_rows(images[k]), float(norm[k]))
         except PathcertError as e:
             out[i] = e
     return out
@@ -375,8 +375,8 @@ def verify(cert):
     # the endpoint lies in the region the last segment certifies at t=1,
     # which holds that path's root and no other
     region = claims.regions(slice(-1, None), np.ones(1))[0]
-    if claims.shear_errors[-1] is None and not Box(
-            region, _validate=False).contains_point(cert.final_point):
+    if claims.shear_errors[-1] is None and not Box.of_rows(
+            region.tolist()).contains_point(cert.final_point):
         failures.append("final point lies outside the last segment's "
                         "certified region at t=1")
 

@@ -3,12 +3,12 @@
 Point matrices are ``numpy.complex128`` arrays or, in the kernels' form,
 lists of rows of Python complex (``intervals.point_rows``); every function
 here takes either, and returns point results as arrays.  An interval
-matrix, like ``Box``, holds rows of kernel rectangles or the same values
-as a float64 array of shape (rows, cols, 4), ``data``
-(``intervals.KernelRows``).  The kernels are the scalar ones of
-``_kernels``, except the residual I - Y*M of a matrix with ``WIDE_N`` rows
-or more, which ``_batch`` forms as one array computation with the same
-bits.
+matrix, like ``Box``, keeps rows of kernel rectangles
+(``intervals.KernelRows``); ``data``, the same values as a float64 array
+of shape (rows, cols, 4), is built from them when first asked for.  The
+kernels are the scalar ones of ``_kernels``, except the residual I - Y*M
+of a matrix with ``WIDE_N`` rows or more, which ``_batch`` forms as one
+array computation with the same bits.
 """
 
 import cmath
@@ -18,13 +18,8 @@ import numpy as np
 
 from . import _batch
 from . import _kernels as _k
-from .errors import (
-    DimensionMismatch,
-    EmptyInterval,
-    NonFiniteEndpoint,
-    SingularMatrix,
-)
-from .intervals import Box, KernelRows, point_list, point_rows
+from .errors import DimensionMismatch, NonFiniteEndpoint, SingularMatrix
+from .intervals import Box, KernelRows, check_rects, point_list, point_rows
 
 _chain = chain.from_iterable
 
@@ -39,38 +34,27 @@ WIDE_N = 5
 
 
 class IntervalMatrix(KernelRows):
-    """Matrix of complex rectangles, as rows of rectangles
-    (``KernelRows``) or a (rows, cols, 4) array."""
+    """Rows of complex rectangles (``KernelRows``); ``IntervalMatrix(data)``
+    checks an (r, c, 4) array of finite nonempty rectangles."""
 
     __slots__ = ()
 
-    def __init__(self, data, _validate=True):
+    def __init__(self, data):
         data = np.ascontiguousarray(data, dtype=np.float64)
         if data.ndim != 3 or data.shape[2] != 4:
             raise DimensionMismatch(
                 f"interval matrix data must be (r, c, 4), got {data.shape}")
-        if _validate:
-            if not np.isfinite(data).all():
-                raise NonFiniteEndpoint("interval matrix has non-finite endpoints")
-            if (data[:, :, 0] > data[:, :, 1]).any() or \
-                    (data[:, :, 2] > data[:, :, 3]).any():
-                raise EmptyInterval("interval matrix has an empty entry")
-        self._data = data
-        self._rows = None
+        rows = data.tolist()
+        check_rects(list(_chain(rows)), "interval matrix", "entry")
+        self.rows = rows
+        self._data = None
 
     @property
     def shape(self):
-        if self._data is not None:
-            return self._data.shape[:2]
-        return len(self._rows), len(self._rows[0])
+        return len(self.rows), len(self.rows[0]) if self.rows else 0
 
     def norm(self):
         return _k.inorm_k(self.rows)
-
-    def __eq__(self, other):
-        if not isinstance(other, IntervalMatrix):
-            return NotImplemented
-        return np.array_equal(self.data, other.data)
 
     def __repr__(self):
         return f"IntervalMatrix(shape={self.shape})"

@@ -3,9 +3,9 @@
 A time window is a ``RealInterval``, a closed segment [lo, hi] of finite
 binary64 numbers; it carries no arithmetic.  A complex rectangle
 [re_lo, re_hi] + i*[im_lo, im_hi] is the kernels' 4-tuple, and a box is a
-vector of them.  A box holds the kernels' rows or the same values as a
-float64 array of shape (n, 4), ``data``, and makes the other form on use
-(``KernelRows``).
+vector of them, kept as the kernels' rows whoever made the box
+(``KernelRows``); ``data``, the same values as a float64 array of shape
+(n, 4), is built from the rows when first asked for.
 
 The arithmetic on rectangles is the kernels' in ``_kernels``, which widen
 every result outward by one ulp per endpoint, so the returned set always
@@ -14,7 +14,6 @@ them.  ``point_list`` and ``point_rows`` give the kernels' form of a
 complex vector and of a point matrix.
 """
 
-import cmath
 import math
 
 import numpy as np
@@ -82,38 +81,34 @@ def point_rows(a):
     return a.tolist()
 
 
-def all_finite(rows):
-    """Every endpoint of a list of rectangles is finite."""
-    for lo, hi, ilo, ihi in rows:
+def check_rects(rects, what, part="component"):
+    """Raise NonFiniteEndpoint, then EmptyInterval, unless every rectangle
+    of the list ``rects`` is finite and nonempty; messages name ``what``."""
+    for lo, hi, ilo, ihi in rects:
         if not (_isfinite(lo) and _isfinite(hi) and _isfinite(ilo)
                 and _isfinite(ihi)):
-            return False
-    return True
+            raise NonFiniteEndpoint(f"{what} has non-finite endpoints")
+    for lo, hi, ilo, ihi in rects:
+        if lo > hi or ilo > ihi:
+            raise EmptyInterval(f"{what} has an empty {part}")
 
 
 class KernelRows:
     """Storage of ``Box`` and ``ilinalg.IntervalMatrix``: ``rows``, the
-    kernels' rectangles, or ``data``, the same values as a float64 array.
-    One made from rows builds its array on first use and keeps it; one
-    made from an array lists its rows on each use and keeps only the
-    array, as a certificate's segments and the verifier's boxes do."""
+    kernels' rectangles (a list of them for a box, a list of lists for a
+    matrix), whoever made the object.  ``data`` is the same values as a
+    float64 array, built on first use and kept; the rows must not change
+    after that."""
 
-    __slots__ = ("_rows", "_data")
+    __slots__ = ("rows", "_data")
 
     @classmethod
     def of_rows(cls, rows):
         """The object over nonempty kernel rows, unchecked."""
         obj = cls.__new__(cls)
-        obj._rows = rows
+        obj.rows = rows
         obj._data = None
         return obj
-
-    @property
-    def rows(self):
-        return self._data.tolist() if self._rows is None else self._rows
-
-    def __len__(self):
-        return len(self._data if self._rows is None else self._rows)
 
     @property
     def data(self):
@@ -121,46 +116,43 @@ class KernelRows:
             self._data = np.array(self.rows, dtype=np.float64)
         return self._data
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self.data, other.data)
+
 
 class Box(KernelRows):
-    """Vector of complex rectangles; the basic enclosure over C^n, as a
-    list of rectangles (``KernelRows``) or an (n, 4) array."""
+    """Vector of complex rectangles; the basic enclosure over C^n, kept
+    as a list of rectangles (``KernelRows``).  ``Box(data)`` checks that
+    data is an (n, 4) array, n >= 1, of finite nonempty rectangles."""
 
     __slots__ = ()
 
-    def __init__(self, data, _validate=True):
+    def __init__(self, data):
         data = np.ascontiguousarray(data, dtype=np.float64)
         if data.ndim != 2 or data.shape[1] != 4 or data.shape[0] == 0:
             raise DimensionMismatch(f"box data must be (n, 4), got {data.shape}")
-        if _validate:
-            if not np.isfinite(data).all():
-                raise NonFiniteEndpoint("box has non-finite endpoints")
-            if (data[:, 0] > data[:, 1]).any() or (data[:, 2] > data[:, 3]).any():
-                raise EmptyInterval("box has an empty component")
-        self._data = data
-        self._rows = None
+        rows = data.tolist()
+        check_rects(rows, "box")
+        self.rows = rows
+        self._data = None
 
     @classmethod
     def degenerate(cls, x):
         """Zero-width box at the point vector x (no widening)."""
-        x = point_list(x)
-        if not x:
+        rows = [(z.real, z.real, z.imag, z.imag) for z in point_list(x)]
+        if not rows:
             raise DimensionMismatch("box data must be (n, 4), got (0, 4)")
-        if not all(cmath.isfinite(z) for z in x):
-            raise NonFiniteEndpoint("box has non-finite endpoints")
-        return cls.of_rows([(z.real, z.real, z.imag, z.imag) for z in x])
-
-    def __eq__(self, other):
-        if not isinstance(other, Box):
-            return NotImplemented
-        return np.array_equal(self.data, other.data)
+        check_rects(rows, "box")
+        return cls.of_rows(rows)
 
     def __repr__(self):
         return f"Box({self.data!r})"
 
     @property
     def n(self):
-        return len(self)
+        return len(self.rows)
 
     def contains_point(self, x):
         x = point_list(x)

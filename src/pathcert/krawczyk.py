@@ -15,8 +15,7 @@ the row-sum norm, that solution is the only one in I for each t.  The
 sqrt(2) factor is the price of testing complex rectangles instead of
 discs; it is always applied.
 
-A test computes in the kernels' lists from its operands to its verdict;
-the verdict's image box makes its float64 array only when asked for it.
+A test computes in the kernels' lists from its operands to its verdict.
 """
 
 import math
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch, NonFiniteEndpoint, PathcertError
 from .ilinalg import imatvec, point_matvec_box, residual_matrix
-from .intervals import Box, RealInterval, all_finite, point_list, point_rows
+from .intervals import Box, RealInterval, check_rects, point_list, point_rows
 
 _SQRT2_UP = math.nextafter(math.sqrt(2.0), math.inf)
 
@@ -90,10 +89,11 @@ def _contracts(rn):
 def verdict_from(box, image, rn):
     """Verdict of a test from its operator image and contraction norm.
 
-    Raises NonFiniteEndpoint when either is non-finite.
+    Raises NonFiniteEndpoint when either is non-finite, and EmptyInterval
+    for an image with an empty component, which outward-rounded finite
+    arithmetic never makes.
     """
-    if not all_finite(image.rows):
-        raise NonFiniteEndpoint("Krawczyk image has non-finite endpoints")
+    check_rects(image.rows, "Krawczyk image")
     if not math.isfinite(rn):
         raise NonFiniteEndpoint("contraction norm is non-finite")
     return KrawczykVerdict(box.encloses(image), _contracts(rn), rn, image)

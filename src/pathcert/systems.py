@@ -317,9 +317,6 @@ class Homotopy:
         s, u = complex(1.0 - t), complex(t)
         return [s * a + u * b for a, b in zip(self._p0, self._p1)]
 
-    def params_at(self, t):
-        return np.array(self._params(t), dtype=np.complex128)
-
     # -- point evaluation (uncertified) -------------------------------------
 
     def _at(self, t):
@@ -361,11 +358,16 @@ class Homotopy:
                         dtype=np.complex128)
 
     def jac_x_point(self, x, t):
+        """dH/dx at (x, t) as an (n, n) array.  The tracker works on
+        ``_jac``'s rows; the tests use this, with ``f1_eval``, as the
+        oracle of its Euler direction."""
         return np.array(self._jac(self._point(x), self._at(t)),
                         dtype=np.complex128)
 
     def f1_eval(self, x):
-        """t-derivative of the unsheared homotopy at x (constant in t)."""
+        """t-derivative of the unsheared homotopy at x (constant in t).
+        The tracker works on ``_f1``'s list; the tests use this, with
+        ``jac_x_point``, as the oracle of its Euler direction."""
         return np.array(self._f1(self._point(x)), dtype=np.complex128)
 
     # -- interval evaluation (certified enclosures) --------------------------

@@ -125,7 +125,64 @@ class TestRealOps:
                 assert width(r) <= 4 * math.ulp(scale)
 
 
+def corner_range(x, y):
+    """Exact [min, max] of u*v over u in the real interval x and v in y,
+    as Fractions: a product of independent operands is extreme at a
+    corner."""
+    prods = [tutil.fr(u) * tutil.fr(v) for u in x for v in y]
+    return min(prods), max(prods)
+
+
+def exact_c_mul(a, b):
+    """Exact rectangle hull of the product of rectangles a and b, as
+    Fractions.  Re = ar*br - ai*bi and Im = ar*bi + ai*br each combine
+    two products over disjoint pairs of the four independent real
+    operands, so each part ranges exactly over its corner extremes."""
+    rr = corner_range(a[:2], b[:2])
+    ii = corner_range(a[2:], b[2:])
+    ri = corner_range(a[:2], b[2:])
+    ir = corner_range(a[2:], b[:2])
+    return rr[0] - ii[1], rr[1] - ii[0], ri[0] + ir[0], ri[1] + ir[1]
+
+
+def exact_c_add(a, b):
+    return tuple(tutil.fr(u) + tutil.fr(v) for u, v in zip(a, b))
+
+
+def exact_c_sub(a, b):
+    return tuple(tutil.fr(u) - tutil.fr(v)
+                 for u, v in zip(a, (b[1], b[0], b[3], b[2])))
+
+
+# kernel and its exact oracle on (rectangle, rectangle); "point *" is
+# cp_mul, whose second operand is the point (b[0], b[2])
+EXACT = {
+    "+": (_k.c_add, exact_c_add),
+    "-": (_k.c_sub, exact_c_sub),
+    "*": (_k.c_mul, exact_c_mul),
+    "point *": (lambda a, b: _k.cp_mul(a, complex(b[0], b[2])),
+                lambda a, b: exact_c_mul(a, (b[0], b[0], b[2], b[2]))),
+}
+
+
 class TestComplexOps:
+    @pytest.mark.parametrize("op", list(EXACT))
+    def test_matches_exact_endpoint_oracle(self, op):
+        """Each endpoint lies on the outer side of the exact one.  A
+        kernel that drops the outward rounding of a result endpoint
+        leaves it rounded to nearest, inside the exact range for some of
+        the draws.  In ``c_mul`` and ``cp_mul`` the rounding of the sum
+        mostly covers a dropped rounding of a product inside it."""
+        kernel, exact = EXACT[op]
+        rng = np.random.default_rng(16)
+        for _ in range(1000):
+            a = tutil.random_complex_interval(rng, 3.0)
+            b = tutil.random_complex_interval(rng, 3.0)
+            got = [tutil.fr(v) for v in kernel(a, b)]
+            want = exact(a, b)
+            assert got[0] <= want[0] and want[1] <= got[1], (a, b)
+            assert got[2] <= want[2] and want[3] <= got[3], (a, b)
+
     def test_i_times_one(self):
         r = _k.c_mul((1.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 1.0))
         assert r[0] <= 0.0 <= r[1] and r[2] <= 1.0 <= r[3]

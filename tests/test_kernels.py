@@ -138,10 +138,9 @@ def test_residual_matrix_on_both_sides_of_wide_n(side):
     n = ilinalg.WIDE_N + side
     y, mat = residual_operands(np.random.default_rng(400 + n), 60, n)
     for ys, ms in zip(y, np.moveaxis(mat, 1, 0)):
-        data = np.moveaxis(ms, 0, -1)
-        got = ilinalg.residual_matrix(
-            ys, ilinalg.IntervalMatrix(data, _validate=False))
-        assert same_bits(got.data, _k.residual_k(ys.tolist(), data.tolist()))
+        rows = np.moveaxis(ms, 0, -1).tolist()
+        got = ilinalg.residual_matrix(ys, ilinalg.IntervalMatrix.of_rows(rows))
+        assert same_bits(got.data, _k.residual_k(ys.tolist(), rows))
 
 
 # ---------------------------------------------------------------------------
