@@ -10,17 +10,20 @@ has ``ilinalg.WIDE_N`` unknowns or more: there the n^3 products outweigh
 numpy's per-call cost.  A complex interval array has shape (4, ...)
 with re_lo, re_hi, im_lo, im_hi along the first axis; every other axis is
 a batch axis (segments, then equations or matrix entries).  The
-polynomial twins ``eval_interval`` and ``eval_tpoly`` batch over segments
-only: they loop over a ``systems._Flat`` term list in Python, term by term
-and factor by factor, as their scalar twins do.
+polynomial twins ``eval_tpoly`` (the time enclosure at a point, of H and
+of its Jacobian) and ``eval_deviation`` (how far the Jacobian moves over
+the box) batch over segments only: they loop over a ``systems._Flat``
+term list in Python, term by term and factor by factor, as their scalar
+twins do, on one factor table (``tpoly_table``).
 
 Each array function performs, element by element, the same IEEE
 operations in the same order as its scalar twin: the same term order,
-the same k-order sums, ``nextafter`` where the twin rounds outward, the
-real operations of CPython's complex ``*`` and ``+`` where it computes
-in plain complex floats (``eval_tpoly``), and Python's ``min``/``max``
-semantics for NaN (keep the first operand unless the second compares
-below/above it).  A replayed Krawczyk image and
+the same k-order sums, ``nextafter`` where the twin rounds outward or up,
+the real operations of CPython's complex ``*`` and ``+`` where it
+computes in plain complex floats (``eval_tpoly``, the first order of
+``eval_deviation``), and Python's ``min``/``max`` semantics for NaN (keep
+the first operand unless the second compares below/above it).  A
+replayed Krawczyk image and
 contraction norm are therefore bit-identical to what
 ``krawczyk.parametric_krawczyk_test`` computes for the same segment;
 ``tests/test_kernels.py`` checks the arithmetic twins on special values.
@@ -187,16 +190,8 @@ def inorm(mat):
 
 
 # ---------------------------------------------------------------------------
-# homotopy preludes
+# homotopy prelude
 # ---------------------------------------------------------------------------
-
-def param_interval(p0, p1, t_lo, t_hi):
-    """param_interval_k for each segment: (4, S, m)."""
-    ul, uh = r_sub(1.0, 1.0, t_lo, t_hi)
-    a = c_mul(real(ul, uh)[..., None], point(p0.real, p0.imag)[:, None])
-    b = c_mul(real(t_lo, t_hi)[..., None], point(p1.real, p1.imag)[:, None])
-    return c_add(a, b)
-
 
 def shear_box(box, sa, sb, t_lo, t_hi):
     """shear_box_k for each segment: box + (a + T*b), box (4, S, n)."""
@@ -206,33 +201,8 @@ def shear_box(box, sa, sb, t_lo, t_hi):
 
 
 # ---------------------------------------------------------------------------
-# polynomial evaluation
+# polynomial evaluation: the time enclosure at a point and its deviation
 # ---------------------------------------------------------------------------
-
-def eval_interval(flat, z, pv):
-    """eval_terms_interval for each segment: z (4, S, n), pv (4, S, m).
-
-    Returns (4, S, neq).
-    """
-    zpow = []
-    for j in range(z.shape[2]):
-        powers = [real(1.0, 1.0)[:, None]]
-        for _ in range(flat.max_expo):
-            powers.append(c_mul(powers[-1], z[:, :, j]))
-        zpow.append(powers)
-    out = []
-    for terms in flat.terms:
-        acc = np.zeros(z.shape[:2])
-        for coef, par, factors, _ in terms:
-            v = np.array(coef)[:, None]
-            if par >= 0:
-                v = c_mul(v, pv[:, :, par])
-            for j, e in factors:
-                v = c_mul(v, zpow[j][e])
-            acc = c_add(acc, v)
-        out.append(acc)
-    return np.stack(out, axis=2)
-
 
 def _cmul(ar, ai, br, bi):
     """(ar + i*ai) * (br + i*bi) as CPython's complex ``*`` computes it."""
@@ -240,10 +210,12 @@ def _cmul(ar, ai, br, bi):
 
 
 def _factor(ar, ai, br, bi, bm, g, tmax):
-    """``_kernels._factor`` on arrays: A, B, h, h + eps, eps."""
-    h = (np.abs(ar) + np.abs(ai)) + bm * tmax
+    """``_kernels._factor`` on arrays: A, B, h, h + eps, eps, a, v."""
+    am = np.abs(ar) + np.abs(ai)
+    h = am + bm * tmax
     eps = _up(_up(_EPS3 * g) + 2 * _TINY)
-    return ar, ai, br, bi, h, h + eps, eps
+    v = _up(_up(_up(bm) * tmax) + eps)
+    return ar, ai, br, bi, h, h + eps, eps, _up(am), v
 
 
 def _columns(table, count):
@@ -254,24 +226,12 @@ def _columns(table, count):
             for k in range(count)]
 
 
-def _complex(re, im):
-    z = np.empty(re.shape, dtype=np.complex128)
-    z.real = re
-    z.imag = im
-    return z
-
-
-def eval_tpoly(flat, x, sa, sb, p0, p1, t_lo, t_hi):
-    """eval_terms_tpoly for each segment.
-
-    x, sa, sb are (S, n) complex (sa = sb = None when unsheared), t_lo
-    and t_hi are (S,).  Returns (4, S, neq).  The scalar kernel's complex
-    float products are written out as the real operations of CPython's
-    complex ``*`` (``_cmul``), not left to numpy's complex loops.
-    """
-    S, n = x.shape
+def tpoly_table(x, sa, sb, p0, p1, t_lo, t_hi):
+    """``_kernels.tpoly_table`` for each segment: x, sa, sb (S, n) complex
+    (sa = sb = None when unsheared), t_lo and t_hi (S,).  Each factor is
+    (Re A, Im A, Re B, Im B, h, h + eps, eps, a, v), arrays of (S,)."""
+    n = x.shape[1]
     m = p0.shape[0]
-    nd = flat.tdeg + 1
     tc = 0.5 * (t_lo + t_hi)
     tc = np.where(tc < t_lo, t_lo, np.where(tc > t_hi, t_hi, tc))
     tau_lo, _ = r_sub(t_lo, t_lo, tc, tc)
@@ -280,13 +240,9 @@ def eval_tpoly(flat, x, sa, sb, p0, p1, t_lo, t_hi):
     tcol = tc[:, None]
     atc = np.abs(tcol)
     tm = tmax[:, None]
-
-    # the factor table, variables then parameters: (A, B, h, h + eps, eps)
-    # with A and B as real and imaginary parts, B None for a variable that
-    # does not move (``_kernels._factor``)
     xm = np.abs(x.real) + np.abs(x.imag)
     if sa is None:
-        var = (x.real, x.imag, None, None, xm, xm, 0.0)
+        var = (x.real, x.imag, None, None, xm, xm, 0.0, _up(xm), 0.0)
     else:
         mb = np.abs(sb.real) + np.abs(sb.imag)
         g = ((atc * mb + (np.abs(sa.real) + np.abs(sa.imag))) + xm) + mb * tm
@@ -299,7 +255,17 @@ def eval_tpoly(flat, x, sa, sb, p0, p1, t_lo, t_hi):
     mb = a0 + (np.abs(p1.real) + np.abs(p1.imag))
     par = _factor(p0.real + tcol * br, p0.imag + tcol * bi, br, bi,
                   np.abs(br) + np.abs(bi), (a0 + atc * mb) + mb * tm, tm)
-    facs = _columns(var, n) + _columns(par, m)
+    return _columns(var, n) + _columns(par, m), tau_lo, tau_hi, tmax
+
+
+def eval_tpoly(flat, table):
+    """``_kernels.eval_terms_tpoly`` for each segment, on ``tpoly_table``'s
+    table; returns (4, S, neq).  The scalar kernel's complex float
+    products are written out as the real operations of CPython's complex
+    ``*`` (``_cmul``), not left to numpy's complex loops."""
+    facs, tau_lo, tau_hi, tmax = table
+    S = tau_lo.shape[0]
+    nd = flat.tdeg + 1
     gmax = np.where(tmax > 1.0, tmax, 1.0)
     for f in facs:
         gmax = np.where(f[5] > gmax, f[5], gmax)
@@ -323,7 +289,7 @@ def eval_tpoly(flat, x, sa, sb, p0, p1, t_lo, t_hi):
             mag = l1
             dev = e1
             for f in fs:
-                ar, ai, br, bi, h, he, e = facs[f]
+                ar, ai, br, bi, h, he, e, _, _ = facs[f]
                 dev = dev * he + mag * e
                 mag = mag * h
                 if br is None:
@@ -356,23 +322,107 @@ def eval_tpoly(flat, x, sa, sb, p0, p1, t_lo, t_hi):
     g_rel, h_rel, kappa, deg = np.array([eq[:4] for eq in flat.tpoly]).T
     rho = _up(_up(_up(g_rel * msum) + _up(h_rel * dsum))
               + _up(gpow[:, deg.astype(np.int64)] * kappa * _TINY))
-    out = np.stack((_down(re[..., 0] - rho), _up(re[..., 0] + rho),
-                    _down(im[..., 0] - rho), _up(im[..., 0] + rho)))
+    rl = _down(re[..., 0] - rho)
+    rh = _up(re[..., 0] + rho)
+    il = _down(im[..., 0] - rho)
+    ih = _up(im[..., 0] + rho)
 
-    # substitute tau in [tau_lo, tau_hi]: odd powers are monotone, even
-    # powers range over [0, max-magnitude^d]
+    # add [tl, th] * c_d for d up to each equation's degree: odd powers of
+    # tau are monotone, even powers range over [0, max-magnitude^d]
     pl = np.ones(S)
     ph = np.ones(S)
     for d in range(1, nd):
         pl = _up(pl * (-tau_lo))
         ph = _up(ph * tau_hi)
         if d % 2 == 1:
-            pw = real(-pl, ph)
+            tl, th = -pl[:, None], ph[:, None]
         else:
-            pw = real(zero, np.where(pl > ph, pl, ph))
-        z = _complex(re[..., d], im[..., d])
-        out = c_add(out, cp_mul(pw[..., None], z))
+            tl, th = zero[:, None], np.where(pl > ph, pl, ph)[:, None]
+        keep = deg >= d
+        cr, ci = re[..., d], im[..., d]
+        p, q = tl * cr, th * cr
+        rl = np.where(keep, _down(rl + _down(np.where(q < p, q, p))), rl)
+        rh = np.where(keep, _up(rh + _up(np.where(q > p, q, p))), rh)
+        p, q = tl * ci, th * ci
+        il = np.where(keep, _down(il + _down(np.where(q < p, q, p))), il)
+        ih = np.where(keep, _up(ih + _up(np.where(q > p, q, p))), ih)
+    out = np.stack((rl, rh, il, ih))
+    out[:, :, [not eq[4] for eq in flat.tpoly]] = 0.0
     return out
+
+
+def box_radii(box, x):
+    """``_kernels.box_radii`` for each segment: box (4, S, n), x (S, n).
+    Returns R and I, each (S, n)."""
+    p = _up(x.real - box[0])
+    q = _up(box[1] - x.real)
+    r = _up(x.imag - box[2])
+    s = _up(box[3] - x.imag)
+    return np.where(q > p, q, p), np.where(s > r, s, r)
+
+
+def eval_deviation(flat, table, rad):
+    """``_kernels.eval_terms_deviation`` for each segment, on the tables
+    of ``tpoly_table`` and ``box_radii``.  Returns E_re and E_im, each
+    (S, neq); the complex float products of the first order are written
+    out as CPython's (``_cmul``)."""
+    facs = table[0]
+    rr, ri = rad
+    n = rr.shape[1]
+    vals = []
+    gmax = np.ones(rr.shape[0])
+    for f, (ar, ai, _, _, _, _, _, a, v) in enumerate(facs):
+        he = _up(a + v)
+        if f < n:
+            d = _up(rr[:, f] + ri[:, f])
+            vals.append((ar, ai, a, v, he, d, _up(he + d), _up(v + d)))
+            gmax = np.where(d > gmax, d, gmax)
+        else:
+            vals.append((ar, ai, a, v, he, 0.0, he, v))
+        gmax = np.where(a > gmax, a, gmax)
+    big = 2.0 * gmax
+    zero = np.zeros(rr.shape[0])
+    ers, eis = [], []
+    for kappa, deg, terms in flat.dev:
+        if not terms:
+            ers.append(zero)
+            eis.append(zero)
+            continue
+        sre = sim = rem = zero
+        for coef, l1, l1g, fs, occ in terms:
+            for j, mult, others in occ:
+                wr, wi = coef.real, coef.imag
+                for g in others:
+                    wr, wi = _cmul(wr, wi, vals[g][0], vals[g][1])
+                wr = np.abs(wr)
+                wi = np.abs(wi)
+                if mult != 1.0:
+                    wr = _up(wr * mult)
+                    wi = _up(wi * mult)
+                re_r, im_r = rr[:, j], ri[:, j]
+                sre = _up(sre + _up(_up(wr * re_r) + _up(wi * im_r)))
+                sim = _up(sim + _up(_up(wr * im_r) + _up(wi * re_r)))
+            _, _, p, v, _, d, _, vd = vals[fs[0]]
+            x = 0.0
+            u = vd
+            lin = d
+            last = len(fs) - 1
+            for k in range(1, last + 1):
+                _, _, a, v, he, d, hd, vd = vals[fs[k]]
+                x = _up(_up(_up(x * he) + _up(lin * v)) + _up(u * d))
+                lin = _up(_up(lin * a) + _up(p * d))
+                if k < last:
+                    u = _up(_up(u * hd) + _up(p * vd))
+                    p = _up(p * a)
+            rem = _up(rem + _up(_up(l1 * x) + _up(l1g * lin)))
+        if kappa:
+            gp = 1.0
+            for _ in range(deg - 1):
+                gp = _up(gp * big)
+            rem = _up(rem + _up(_up(kappa * _TINY) * gp))
+        ers.append(_up(sre + rem))
+        eis.append(_up(sim + rem))
+    return np.stack(ers, axis=1), np.stack(eis, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +435,12 @@ def _images_block(h, x, y, box, t_lo, t_hi, sa, sb):
     ib = np.moveaxis(box, -1, 0)
     ypt = point(y.real, y.imag)
     xpt = point(x.real, x.imag)
-    hx = eval_tpoly(h.system._flat_f, x, sa, sb, h.p0, h.p1, t_lo, t_hi)
-    a = matvec(ypt, hx)
-    z = ib if sa is None else shear_box(ib, sa, sb, t_lo, t_hi)
-    pv = param_interval(h.p0, h.p1, t_lo, t_hi)
-    jac = eval_interval(h.system._flat_jac, z, pv).reshape(4, S, n, n)
-    resid = residual(y, jac)
+    table = tpoly_table(x, sa, sb, h.p0, h.p1, t_lo, t_hi)
+    a = matvec(ypt, eval_tpoly(h.system._flat_f, table))
+    flat = h.system._flat_jac
+    er, ei = eval_deviation(flat, table, box_radii(ib, x))
+    jac = c_add(eval_tpoly(flat, table), np.stack((-er, er, -ei, ei)))
+    resid = residual(y, jac.reshape(4, S, n, n))
     b = matvec(resid, c_sub(ib, xpt))
     image = c_add(c_sub(xpt, a), b)
     return np.moveaxis(image, 0, -1), inorm(resid)

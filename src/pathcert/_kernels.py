@@ -17,20 +17,24 @@ guarantee alone (see ``r_div``).
 Two soundness conventions, both for IEEE-754 round-to-nearest with
 gradual underflow:
 
-- Per-operation outward rounding, for boxes and Jacobians (every kernel
-  but ``eval_terms_tpoly``): each arithmetic result is widened outward by
-  one ulp per endpoint (``math.nextafter`` toward the respective
-  infinity) AFTER the rounded-to-nearest float computation.  Round to
-  nearest never strays past the neighbouring representable, so the
-  widened interval encloses the exact real result.
-- An a priori rounding bound, for the time enclosure of H at a point
-  (``eval_terms_tpoly``): its operands are points, so it computes the
-  polynomial's coefficients in plain complex floats and widens them by a
-  bound on their accumulated rounding error (Higham, *Accuracy and
-  Stability of Numerical Algorithms*, 2002, sections 3.1 and 3.6), a
-  midpoint-radius enclosure (Rump, BIT 1999).  Only the substitution of
-  the time range is outward-rounded per operation.  Its docstring proves
-  the bound.
+- Per-operation outward rounding, for boxes and interval matrices: each
+  arithmetic result is widened outward by one ulp per endpoint
+  (``math.nextafter`` toward the respective infinity) AFTER the
+  rounded-to-nearest float computation.  Round to nearest never strays
+  past the neighbouring representable, so the widened interval encloses
+  the exact real result.  The same rounding up keeps every magnitude of
+  ``eval_terms_deviation`` an upper bound.
+- An a priori rounding bound, for the time enclosures of H and of its
+  Jacobian at a point (``eval_terms_tpoly``): its operands are points, so
+  it computes the polynomial's coefficients in plain complex floats and
+  widens them by a bound on their accumulated rounding error (Higham,
+  *Accuracy and Stability of Numerical Algorithms*, 2002, sections 3.1
+  and 3.6), a midpoint-radius enclosure (Rump, BIT 1999).  Only the
+  substitution of the time range is outward-rounded per operation.  Its
+  docstring proves the bound.  The Jacobian's enclosure over a box adds
+  ``eval_terms_deviation``, a bound on how far the term list moves over
+  the box about that point, whose docstring proves it; the two share one
+  factor table (``tpoly_table``).
 
 The endpoint min/max of a product keep Python's ``min``/``max`` semantics
 (keep a unless b < a), which fixes where a NaN ends up.  ``_batch`` holds
@@ -363,16 +367,61 @@ def tpoly_bound(l1, deg):
 
 
 def _factor(a, b, bm, g, tmax):
-    """(A, B, h, h + eps, eps) of a factor A + B*tau that moves, where
-    bm = |B|_1 and g bounds the magnitude of A's and B's exact monomials
-    (see ``eval_terms_tpoly``)."""
-    h = (abs(a.real) + abs(a.imag)) + bm * tmax
+    """(A, B, h, h + eps, eps, |A|_1, v) of a factor A + B*tau that
+    moves, where bm = |B|_1 and g bounds the magnitude of A's and B's
+    exact monomials (see ``eval_terms_tpoly``); |A|_1 and v >= |B|_1 tmax
+    + eps are rounded up (see ``eval_terms_deviation``)."""
+    am = abs(a.real) + abs(a.imag)
+    h = am + bm * tmax
     eps = _next(_next(_EPS3 * g, _INF) + 2 * _TINY, _INF)
-    return a, b, h, h + eps, eps
+    v = _next(_next(_next(bm, _INF) * tmax, _INF) + eps, _INF)
+    return a, b, h, h + eps, eps, _next(am, _INF), v
 
 
-def eval_terms_tpoly(flat, x, sa, sb, p0, p1, t_lo, t_hi):
-    """Enclosure over t in [t_lo, t_hi] of a term list at a fixed point x.
+def tpoly_table(x, sa, sb, p0, p1, t_lo, t_hi):
+    """The time window and the factor table that ``eval_terms_tpoly`` and
+    ``eval_terms_deviation`` share: (facs, tau_lo, tau_hi, tmax), where
+    facs lists, variables then parameters, (A, B, h, h + eps, eps, a, v)
+    per factor A + B*tau, B None for a variable that does not move, and
+    a >= |A|_1 and v >= |F(tau) - A|_1 on the window are rounded up."""
+    tc = 0.5 * (t_lo + t_hi)
+    if tc < t_lo:
+        tc = t_lo
+    elif tc > t_hi:
+        tc = t_hi
+    atc = abs(tc)
+    tau_lo, _ = r_sub(t_lo, t_lo, tc, tc)
+    _, tau_hi = r_sub(t_hi, t_hi, tc, tc)
+    tmax = -tau_lo
+    if tau_hi > tmax:
+        tmax = tau_hi
+    facs = []
+    if sa is None:
+        for xj in x:
+            h = abs(xj.real) + abs(xj.imag)
+            facs.append((xj, None, h, h, 0.0, _next(h, _INF), 0.0))
+    else:
+        for xj, a, b in zip(x, sa, sb):
+            mb = abs(b.real) + abs(b.imag)
+            g = (((atc * mb + (abs(a.real) + abs(a.imag)))
+                  + (abs(xj.real) + abs(xj.imag))) + mb * tmax)
+            facs.append(_factor(complex((tc * b.real + a.real) + xj.real,
+                                        (tc * b.imag + a.imag) + xj.imag),
+                                b, mb, g, tmax))
+    for a, b in zip(p0, p1):
+        br = b.real - a.real
+        bi = b.imag - a.imag
+        a0 = abs(a.real) + abs(a.imag)
+        mb = a0 + (abs(b.real) + abs(b.imag))
+        facs.append(_factor(complex(a.real + tc * br, a.imag + tc * bi),
+                            complex(br, bi), abs(br) + abs(bi),
+                            (a0 + atc * mb) + mb * tmax, tmax))
+    return facs, tau_lo, tau_hi, tmax
+
+
+def eval_terms_tpoly(flat, table):
+    """Enclosure over t in [t_lo, t_hi] of a term list at a fixed point x,
+    from the factor table ``tpoly_table(x, sa, sb, p0, p1, t_lo, t_hi)``.
 
     Every time-dependent factor is a degree-1 polynomial A + B*tau in the
     offset tau = t - tc from the window midpoint tc: variable j enters as
@@ -382,13 +431,15 @@ def eval_terms_tpoly(flat, x, sa, sb, p0, p1, t_lo, t_hi):
     in order, all in plain complex floats: the coefficients c~_d of
     equation i.  The enclosure is the interval value of sum_d c~_d tau^d
     over the tau range (odd powers are monotone, even powers lie in
-    [0, max-magnitude^d]), with the real and imaginary parts of c~_0
-    widened by rho_i.  Cancellations between the shear slope and the
+    [0, max-magnitude^d], d up to the equation's degree), with the real
+    and imaginary parts of c~_0 widened by rho_i; an equation without
+    terms is exactly 0.  Cancellations between the shear slope and the
     parameter drift happen in the coefficients instead of being lost to
     independent copies of the time interval.
 
-    x, p0, p1 are lists of complex; the shear s(t) = sa + t*sb is given by
-    lists sa, sb, or both None when unsheared.
+    ``tpoly_table`` takes x, p0, p1 as lists of complex and the shear
+    s(t) = sa + t*sb as lists sa, sb, or both None when unsheared, and
+    forms each factor's A~ and B~ (step 1 below).
 
     The bound rho_i.  Let u = 2^-53, gamma_k = k*u / (1 - k*u),
     |z|_1 = |Re z| + |Im z|, tmax = max(-tau_lo, tau_hi) >= |tau|, and
@@ -456,41 +507,8 @@ def eval_terms_tpoly(flat, x, sa, sb, p0, p1, t_lo, t_hi):
     of rho_i up.  An overflow makes c~, M~, D~ or rho non-finite, and so
     the enclosure.
     """
+    facs, tau_lo, tau_hi, tmax = table
     nd = flat.tdeg + 1
-    tc = 0.5 * (t_lo + t_hi)
-    if tc < t_lo:
-        tc = t_lo
-    elif tc > t_hi:
-        tc = t_hi
-    atc = abs(tc)
-    tau_lo, _ = r_sub(t_lo, t_lo, tc, tc)
-    _, tau_hi = r_sub(t_hi, t_hi, tc, tc)
-    tmax = -tau_lo
-    if tau_hi > tmax:
-        tmax = tau_hi
-    # the factor table, variables then parameters: (A, B, h, h + eps, eps)
-    # with B None for a variable that does not move
-    facs = []
-    if sa is None:
-        for xj in x:
-            h = abs(xj.real) + abs(xj.imag)
-            facs.append((xj, None, h, h, 0.0))
-    else:
-        for xj, a, b in zip(x, sa, sb):
-            mb = abs(b.real) + abs(b.imag)
-            g = (((atc * mb + (abs(a.real) + abs(a.imag)))
-                  + (abs(xj.real) + abs(xj.imag))) + mb * tmax)
-            facs.append(_factor(complex((tc * b.real + a.real) + xj.real,
-                                        (tc * b.imag + a.imag) + xj.imag),
-                                b, mb, g, tmax))
-    for a, b in zip(p0, p1):
-        br = b.real - a.real
-        bi = b.imag - a.imag
-        a0 = abs(a.real) + abs(a.imag)
-        mb = a0 + (abs(b.real) + abs(b.imag))
-        facs.append(_factor(complex(a.real + tc * br, a.imag + tc * bi),
-                            complex(br, bi), abs(br) + abs(bi),
-                            (a0 + atc * mb) + mb * tmax, tmax))
     gmax = 1.0
     if tmax > gmax:
         gmax = tmax
@@ -504,25 +522,28 @@ def eval_terms_tpoly(flat, x, sa, sb, p0, p1, t_lo, t_hi):
     # the symmetric tau interval [tau_lo, tau_hi] straddles 0: odd powers
     # are monotone, even powers have range [0, max-magnitude^d], each
     # magnitude power rounded up
-    taus = []
+    taus = [None]
     pl = ph = 1.0
     for d in range(1, nd):
         pl = _next(pl * (-tau_lo), _INF)
         ph = _next(ph * tau_hi, _INF)
         if d % 2 == 1:
-            taus.append((-pl, ph, 0.0, 0.0))
+            taus.append((-pl, ph))
         else:
-            taus.append((0.0, pl if pl > ph else ph, 0.0, 0.0))
+            taus.append((0.0, pl if pl > ph else ph))
     out = []
     for g_rel, h_rel, kappa, deg, terms in flat.tpoly:
-        acc = [0j] * nd
+        if not terms:
+            out.append(ZERO)
+            continue
+        acc = [0j] * (deg + 1)
         msum = dsum = 0.0
         for coef, l1, e1, fs in terms:
             w = [coef]
             mag = l1
             dev = e1
             for f in fs:
-                a, b, h, he, e = facs[f]
+                a, b, h, he, e, _, _ = facs[f]
                 dev = dev * he + mag * e
                 mag = mag * h
                 if b is None:
@@ -543,11 +564,159 @@ def eval_terms_tpoly(flat, x, sa, sb, p0, p1, t_lo, t_hi):
                           + _next(h_rel * dsum, _INF), _INF)
                     + _next(gpow[deg] * kappa * _TINY, _INF), _INF)
         c = acc[0]
-        r = (_next(c.real - rho, -_INF), _next(c.real + rho, _INF),
-             _next(c.imag - rho, -_INF), _next(c.imag + rho, _INF))
-        for d in range(1, nd):
-            r = c_add(r, cp_mul(taus[d - 1], acc[d]))
-        out.append(r)
+        rl = _next(c.real - rho, -_INF)
+        rh = _next(c.real + rho, _INF)
+        il = _next(c.imag - rho, -_INF)
+        ih = _next(c.imag + rho, _INF)
+        # add [tl, th] * c~_d, the products and the sums rounded outward
+        for d in range(1, deg + 1):
+            tl, th = taus[d]
+            c = acc[d]
+            p = tl * c.real
+            q = th * c.real
+            rl = _next(rl + _next(q if q < p else p, -_INF), -_INF)
+            rh = _next(rh + _next(q if q > p else p, _INF), _INF)
+            p = tl * c.imag
+            q = th * c.imag
+            il = _next(il + _next(q if q < p else p, -_INF), -_INF)
+            ih = _next(ih + _next(q if q > p else p, _INF), _INF)
+        out.append((rl, rh, il, ih))
+    return out
+
+
+def box_radii(box, x):
+    """Per entry (R, I) with |Re(z - x)| <= R and |Im(z - x)| <= I for
+    every z of the rectangle, rounded up; x is a list of complex."""
+    out = []
+    for (rl, rh, il, ih), xj in zip(box, x):
+        p = _next(xj.real - rl, _INF)
+        q = _next(rh - xj.real, _INF)
+        r = _next(xj.imag - il, _INF)
+        s = _next(ih - xj.imag, _INF)
+        out.append((q if q > p else p, s if s > r else r))
+    return out
+
+
+def eval_terms_deviation(flat, table, rad):
+    """Bounds (E_re, E_im) per equation on how far a term list moves when
+    its variables move by delta inside a box, over a time window.
+
+    ``table`` is ``tpoly_table`` at the expansion point x, and ``rad``
+    is ``box_radii`` of the box about x: delta_j = z_j - x_j has
+    |Re delta_j| <= R_j and |Im delta_j| <= I_j.  With the factors
+    F_f(tau) = A_f + B_f*tau of ``eval_terms_tpoly`` (delta_f = delta_j
+    for an occurrence of variable j, 0 for a parameter), equation i moves
+    by D_i = sum_k c_k [prod_f (F_f + delta_f) - prod_f F_f], and
+    |Re D_i| <= E_re and |Im D_i| <= E_im for every tau of the window and
+    every delta.  So the time enclosure of the term list at x, widened by
+    [-E_re, E_re] + i[-E_im, E_im], encloses the term list over box x
+    window.  Terms without a variable factor do not move and are not in
+    ``flat.dev``.
+
+    The split.  Write F_f = A~_f + G_f, with A~_f the table's float A
+    (the factor at the window midpoint) and |G_f|_1 <= v_f on the window,
+    and let a_f >= |A~_f|_1 and d_j >= |delta_j|_1 = R_j + I_j (the
+    table's a and v; d_j rounded up, d = 0 for a parameter).  Expanding
+    each factor as A~ + G + delta, D_i's term k is c_k times
+      (1) sum_f delta_f prod_(g != f) A~_g, the first order at the
+          midpoint, plus
+      (2) every product that takes delta from at least one factor and is
+          not a first-order one of (1): the window variation of the
+          first order and the higher orders.
+    By |zw|_1 <= |z|_1 |w|_1, (2) is at most the nonnegative polynomial
+    X = prod(a + v + d) - prod(a + v) - sum_f d_f prod_(g != f) a_g.
+    Stage by stage over the factors, with P = prod a, L = sum_f d_f
+    prod_(g != f) a_g and U = prod(a + v + d) - P, a factor (a, v, d)
+    maps X <- X (a + v) + L v + U d, U <- U (a + v + d) + P (v + d),
+    L <- L a + P d, P <- P a: sums and products of nonnegative values,
+    which the kernel rounds up one by one, with a + v, a + v + d and v + d
+    rounded up once per factor (the first factor sets X = 0, U = v + d,
+    L = d and P = a; the last needs no U or P).  |c_k|_1 <= l1_k bounds
+    (2) by l1_k X.
+    (1) is computed per distinct variable j of the term, as the complex
+    float w~ = fl(coef~ * prod A~_g) over the factors but one occurrence
+    of j, times its multiplicity m_j (exact, since every occurrence
+    leaves the same factors): |Re(w delta_j)| <= |Re w| R_j + |Im w| I_j
+    and |Im(w delta_j)| <= |Re w| I_j + |Im w| R_j, the componentwise
+    part, summed rounded up.  Its error: coef~ is off c_k by e1_k (see
+    ``eval_terms_tpoly``), and a chain of s complex products in the model
+    fl(a op b) = (a op b)(1 + delta) + eta (``eval_terms_tpoly``) errs by
+    at most gamma_2s |coef~|_1 prod a (Higham 2002, Lemma 3.1; two
+    roundings per complex product) plus the propagated eta's, at most
+    2 (1 + u) 2^-1074 sum_r ((1 + u)^2 max(1, a))^(s - r) <= 3 * 2^-1074
+    s Gamma^(s-1), with Gamma = 2 max(1, a_f, d_j) over the table.  A
+    term of e factors has s <= e - 1 and at most e occurrences, so its
+    error in (1) is at most l1g_k L + 3 * 2^-1074 e (e - 1) Gamma^(e-1),
+    with l1g_k >= gamma_2(e-1) l1_k + e1_k (``flat.dev``, rounded up).
+    Per equation of n_i moving terms of at most e_i factors: E = the
+    componentwise part + sum_k (l1_k X_k + l1g_k L_k) + 2^-1074 kappa_i
+    Gamma^(e_i - 1), kappa_i = 3 n_i e_i (e_i - 1), every step rounded up
+    (Gamma's power too).  Rounding up with ``nextafter`` after a
+    rounded-to-nearest operation never falls below the exact result, in
+    the subnormal range too.  An overflow or a NaN makes E non-finite.
+    """
+    facs = table[0]
+    n = len(rad)
+    vals = []
+    gmax = 1.0
+    for f, (a_pt, _, _, _, _, a, v) in enumerate(facs):
+        he = _next(a + v, _INF)
+        if f < n:
+            re_r, im_r = rad[f]
+            d = _next(re_r + im_r, _INF)
+            vals.append((a_pt, a, v, he, d, _next(he + d, _INF),
+                         _next(v + d, _INF)))
+            if d > gmax:
+                gmax = d
+        else:
+            vals.append((a_pt, a, v, he, 0.0, he, v))
+        if a > gmax:
+            gmax = a
+    big = 2.0 * gmax
+    out = []
+    for kappa, deg, terms in flat.dev:
+        if not terms:
+            out.append((0.0, 0.0))
+            continue
+        sre = sim = rem = 0.0
+        for coef, l1, l1g, fs, occ in terms:
+            for j, mult, others in occ:
+                w = coef
+                for g in others:
+                    w = w * vals[g][0]
+                wr = abs(w.real)
+                wi = abs(w.imag)
+                if mult != 1.0:
+                    wr = _next(wr * mult, _INF)
+                    wi = _next(wi * mult, _INF)
+                re_r, im_r = rad[j]
+                sre = _next(sre + _next(_next(wr * re_r, _INF)
+                                        + _next(wi * im_r, _INF), _INF), _INF)
+                sim = _next(sim + _next(_next(wr * im_r, _INF)
+                                        + _next(wi * re_r, _INF), _INF), _INF)
+            _, p, v, _, d, _, vd = vals[fs[0]]
+            x = 0.0
+            u = vd
+            lin = d
+            last = len(fs) - 1
+            for k in range(1, last + 1):
+                _, a, v, he, d, hd, vd = vals[fs[k]]
+                x = _next(_next(_next(x * he, _INF) + _next(lin * v, _INF),
+                                _INF) + _next(u * d, _INF), _INF)
+                lin = _next(_next(lin * a, _INF) + _next(p * d, _INF), _INF)
+                if k < last:
+                    u = _next(_next(u * hd, _INF) + _next(p * vd, _INF),
+                              _INF)
+                    p = _next(p * a, _INF)
+            rem = _next(rem + _next(_next(l1 * x, _INF)
+                                    + _next(l1g * lin, _INF), _INF), _INF)
+        if kappa:
+            gp = 1.0
+            for _ in range(deg - 1):
+                gp = _next(gp * big, _INF)
+            rem = _next(rem + _next(_next(kappa * _TINY, _INF) * gp, _INF),
+                        _INF)
+        out.append((_next(sre + rem, _INF), _next(sim + rem, _INF)))
     return out
 
 

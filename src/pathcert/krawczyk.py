@@ -5,10 +5,11 @@ time interval T, the operator is
 
     K(I, T) = x - Y * encl(H(x, T)) + (Id - Y * encl(dH/dx(I, T))) * (I - x)
 
-where encl(...) are interval enclosures: the Jacobian's over I x T
-rounds outward at every operation, and H's over T at the point x widens
-float coefficients by an a priori rounding bound
-(``Homotopy.eval_over_time``).  If K(I, T) is
+where encl(...) are enclosures built at the point x: H's over T is its
+time polynomial, float coefficients widened by an a priori rounding bound
+(``Homotopy.eval_over_time``), and the Jacobian's over I x T is the same
+for the Jacobian's term list, widened by a proven bound on how far its
+entries move over I - x (``Homotopy.jac_x_interval``).  If K(I, T) is
 contained in I, every t in T admits a solution of H(., t) = 0 inside
 K(I, T).  If additionally sqrt(2) * |Id - Y * encl(dH/dx(I, T))| < 1 in
 the row-sum norm, that solution is the only one in I for each t.  The
@@ -74,7 +75,7 @@ def parametric_krawczyk_test(h, x, y, box, T):
     raises NonFiniteEndpoint.
     """
     x, y, T = check_operands(h.n, x, y, box, T)
-    resid = residual_matrix(y, h.jac_x_interval(box, T))
+    resid = residual_matrix(y, h.jac_x_interval(box, T, x))
     x_box = Box.degenerate(x)
     a = point_matvec_box(y, h.eval_over_time(x, T))
     b = imatvec(resid, box - x_box)

@@ -65,17 +65,19 @@ class _Flat:
     factors, coef_point), with ``coef`` the rectangle coeff * fac (the
     coefficient itself when fac is 1), ``par`` -1 for no parameter,
     ``factors`` the (j, e) pairs with e > 0 and ``coef_point`` the complex
-    float coeff * fac.  ``tpoly`` is built on first use, since only the
-    term list of F itself is enclosed over time.  The scalar kernels of
+    float coeff * fac.  ``tpoly`` and ``dev`` are built on first use:
+    only the term lists of F and of its Jacobian are enclosed over time,
+    and only the Jacobian's over a box.  The scalar kernels of
     ``_kernels`` and their ``_batch`` twins loop over the same lists.
     """
 
-    __slots__ = ("n", "rows", "max_expo", "tdeg", "terms", "_tpoly")
+    __slots__ = ("n", "rows", "max_expo", "tdeg", "terms", "_tpoly", "_dev")
 
     def __init__(self, rows, n):
         self.n = n
         self.rows = rows
         self._tpoly = None
+        self._dev = None
         self.max_expo = max((e for row in rows for *_, expo in row
                              for e in expo), default=0)
         # degree in t after substituting a time-affine shear and path
@@ -125,6 +127,39 @@ class _Flat:
             self._tpoly.append(_k.tpoly_bound([t[1] for t in tterms], deg)
                                + (deg, tterms))
         return self._tpoly
+
+    @property
+    def dev(self):
+        """Per equation, the view ``eval_terms_deviation`` consumes: the
+        constant kappa of its underflow term, the most factors of a term
+        (deg) and the terms with a variable factor, as (coef_point, l1,
+        l1g, factors, occurrences).  ``l1`` and ``factors`` are those of
+        ``tpoly``; ``l1g`` >= gamma_2(e-1) * l1 + eps for a term of e
+        factors, rounded up; each occurrence is (j, m_j, others): a
+        variable j of the term, its multiplicity as a float and the
+        factors without one occurrence of j."""
+        if self._dev is not None:
+            return self._dev
+        n = self.n
+        up = math.nextafter
+        self._dev = []
+        for *_, tterms in self.tpoly:
+            dterms = []
+            for coef, l1, e1, fs in tterms:
+                if not any(f < n for f in fs):
+                    continue
+                occ = []
+                for j in sorted({f for f in fs if f < n}):
+                    others = list(fs)
+                    others.remove(j)
+                    occ.append((j, float(fs.count(j)), tuple(others)))
+                g = _k._gamma(2 * (len(fs) - 1))
+                dterms.append((coef, l1, up(up(g * l1, math.inf) + e1,
+                                            math.inf), fs, tuple(occ)))
+            deg = max((len(t[3]) for t in dterms), default=0)
+            self._dev.append((float(3 * len(dterms) * deg * (deg - 1)), deg,
+                              dterms))
+        return self._dev
 
 
 class ParametricSystem:
@@ -285,12 +320,14 @@ class Homotopy:
         self.shear = None
         self._sa = None
         self._sb = None
+        self._table = None
         if shear is not None:
             self._set_shear(*shear)
 
     def _set_shear(self, x0, x1, t0, t1):
         x0, x1, self._sa, self._sb = shear_line(self.n, x0, x1, t0, t1)
         self.shear = (x0, x1, float(t0), float(t1))
+        self._table = None
 
     @property
     def n(self):
@@ -372,23 +409,18 @@ class Homotopy:
 
     # -- interval evaluation (certified enclosures) --------------------------
 
-    def _z_interval(self, box, T):
-        if self.shear is None:
-            return box.rows
-        return _k.shear_box_k(box.rows, self._sa, self._sb, T.lo, T.hi)
-
-    def _pv_interval(self, T):
-        return _k.param_interval_k(self._p0, self._p1, T.lo, T.hi)
-
     def eval_interval(self, box, T):
-        """Enclosure of { H(x, t) : x in box, t in T }, componentwise."""
+        """Enclosure of { H(x, t) : x in box, t in T }, componentwise, in
+        outward-rounded interval arithmetic throughout."""
         if box.n != self.n:
             raise DimensionMismatch("box dimension differs from system")
         if not isinstance(T, RealInterval):
             T = RealInterval(T)
-        return Box.of_rows(_k.eval_terms_interval(self.system._flat_f,
-                                                  self._z_interval(box, T),
-                                                  self._pv_interval(T)))
+        z = box.rows
+        if self.shear is not None:
+            z = _k.shear_box_k(z, self._sa, self._sb, T.lo, T.hi)
+        pv = _k.param_interval_k(self._p0, self._p1, T.lo, T.hi)
+        return Box.of_rows(_k.eval_terms_interval(self.system._flat_f, z, pv))
 
     def eval_over_time(self, x, T):
         """Enclosure of { H(x, t) : t in T } at a fixed point x.
@@ -407,19 +439,50 @@ class Homotopy:
         x = self._point(x)
         if not isinstance(T, RealInterval):
             T = RealInterval(T)
-        return Box.of_rows(_k.eval_terms_tpoly(
-            self.system._flat_f, x, self._sa, self._sb, self._p0, self._p1,
-            T.lo, T.hi))
+        return Box.of_rows(_k.eval_terms_tpoly(self.system._flat_f,
+                                               self._tpoly_table(x, T)))
 
-    def jac_x_interval(self, box, T):
-        """Enclosure of the x-Jacobian over box x T as an IntervalMatrix."""
+    def _tpoly_table(self, x, T):
+        """``_kernels.tpoly_table`` at the point x over T.  A Krawczyk
+        test encloses H and the Jacobian at one point and window, so the
+        last table is kept for a call with equal x and T; making a
+        sheared copy clears it."""
+        key = (T.lo, T.hi, tuple(x))
+        if self._table is not None and self._table[0] == key:
+            return self._table[1]
+        table = _k.tpoly_table(x, self._sa, self._sb, self._p0, self._p1,
+                               T.lo, T.hi)
+        self._table = key, table
+        return table
+
+    def jac_x_interval(self, box, T, x=None):
+        """Enclosure of the x-Jacobian over box x T as an IntervalMatrix.
+
+        The Jacobian's term list is expanded at the point x (by default
+        the box's midpoint): its time polynomial at x is enclosed over T
+        as ``eval_over_time`` encloses H, with float coefficients and an
+        a priori rounding bound (``_kernels.eval_terms_tpoly``), and each
+        entry is widened by a proven bound on how far it moves over
+        box - x and T (``_kernels.eval_terms_deviation``): the first order
+        at the window midpoint componentwise, the window variation and the
+        higher orders in |.|_1 products, every magnitude rounded up.  The
+        time polynomial keeps the shear's cancellation with the parameter
+        drift that separate interval copies of T would lose.
+        """
         if box.n != self.n:
             raise DimensionMismatch("box dimension differs from system")
         if not isinstance(T, RealInterval):
             T = RealInterval(T)
-        out = _k.eval_terms_interval(self.system._flat_jac,
-                                     self._z_interval(box, T),
-                                     self._pv_interval(T))
+        if x is None:
+            x = [complex(0.5 * (rl + rh), 0.5 * (il + ih))
+                 for rl, rh, il, ih in box.rows]
+        else:
+            x = self._point(x)
+        flat = self.system._flat_jac
+        table = self._tpoly_table(x, T)
+        dev = _k.eval_terms_deviation(flat, table, _k.box_radii(box.rows, x))
+        out = [_k.c_add(r, (-er, er, -ei, ei))
+               for r, (er, ei) in zip(_k.eval_terms_tpoly(flat, table), dev)]
         n = self.n
         return IntervalMatrix.of_rows([out[i:i + n]
                                        for i in range(0, n * n, n)])

@@ -17,6 +17,15 @@ so they keep pinning the arithmetic when the default schedule moves: when
 the default lambda became 1.25 they reproduced byte for byte at
 ``lam=3.0``.  ``katsura3_tilted_default.json`` (path 0 of the katsura3
 run again) pins the default ``TrackerConfig()`` itself.
+All six were written again, by design, when the Jacobian's enclosure
+became its time polynomial at the Krawczyk point plus a deviation bound
+over the box (``Homotopy.jac_x_interval``) and the time enclosure's
+substitution stopped at each equation's degree: the arithmetic they pin
+changed, and so did the steps it accepts (katsura3 path 0 at the default
+went 86 -> 55 segments, at lambda = 3 125 -> 95).  The files they
+replaced, written with the interval Jacobian, are kept in
+``data/golden/v1_interval_jacobian``: every certificate an earlier
+version wrote must still verify.
 Any change to the order or rounding of an interval operation on the
 tracking path shows up here as a byte difference.  Each case also runs
 with every residual forced onto the array kernels and onto the scalar
@@ -47,6 +56,11 @@ from pathcert.certificate import (
 from pathcert.tracker import TrackerConfig, track
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+# the same six cases, written with the interval Jacobian enclosure
+V1_INTERVAL_JACOBIAN = GOLDEN / "v1_interval_jacobian"
+V1_SEGMENTS = {"katsura3_tilted.json": 125, "katsura3_tilted_default.json": 86,
+               "lowrank2_tilted.json": 135, "newton10_rect.json": 21,
+               "newton10_tilted.json": 12, "random2_tilted.json": 132}
 
 
 def newton10(mode):
@@ -111,3 +125,11 @@ def test_both_residual_branches_match_golden_file(name, wide_n, monkeypatch):
     monkeypatch.setattr(ilinalg, "WIDE_N", wide_n)
     want = (GOLDEN / name).read_text(encoding="utf-8")
     assert_same_text(serialize(CASES[name]().certificate), want)
+
+
+@pytest.mark.parametrize("name", sorted(V1_SEGMENTS))
+def test_interval_jacobian_certificate_still_verifies(name):
+    cert = deserialize(
+        (V1_INTERVAL_JACOBIAN / name).read_text(encoding="utf-8"))
+    assert len(cert.segments) == V1_SEGMENTS[name]
+    assert verify(cert).ok

@@ -165,6 +165,38 @@ EXACT = {
 }
 
 
+def cancelling_operands(rng, k):
+    """k pairs of rectangles (a, b) whose two real products in Re(a*b)
+    or in Im(a*b) nearly cancel: one lies just above a power of two and
+    the other just below it.  Their difference is then exact and tiny, so
+    the outward rounding of the sum moves it by an ulp of the tiny
+    result, far less than the rounding of the product above the power of
+    two, whose ulp is twice the other's.  Each side is a point or a few
+    ulps wide."""
+    for _ in range(k):
+        e = 2.0 ** int(rng.integers(-6, 7))
+        above = 1.0 + 10.0 ** rng.uniform(-13, -6)
+        below = 1.0 - 10.0 ** rng.uniform(-13, -6)
+        if rng.random() < 0.5:
+            above, below = below, above
+        u, v = (float(x) for x in rng.uniform(1.0, 2.0, 2))
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        p, q = sign * e * above / u, sign * e * below / v
+        if rng.random() < 0.5:
+            # Re = ar*br - ai*bi with ar*br ~ ai*bi
+            ar, ai, br, bi = u, v, p, q
+        else:
+            # Im = ar*bi + ai*br with ar*bi ~ -ai*br
+            ar, ai, br, bi = u, v, -q, p
+        sides = []
+        for x in (ar, ai, br, bi):
+            hi = x
+            for _ in range(int(rng.integers(0, 3))):
+                hi = math.nextafter(hi, INF)
+            sides += [x, hi]
+        yield tuple(sides[:4]), tuple(sides[4:])
+
+
 class TestComplexOps:
     @pytest.mark.parametrize("op", list(EXACT))
     def test_matches_exact_endpoint_oracle(self, op):
@@ -172,12 +204,16 @@ class TestComplexOps:
         kernel that drops the outward rounding of a result endpoint
         leaves it rounded to nearest, inside the exact range for some of
         the draws.  In ``c_mul`` and ``cp_mul`` the rounding of the sum
-        mostly covers a dropped rounding of a product inside it."""
+        covers a dropped rounding of a product inside it for random
+        operands, so operands whose two products nearly cancel follow
+        (``cancelling_operands``)."""
         kernel, exact = EXACT[op]
         rng = np.random.default_rng(16)
-        for _ in range(1000):
-            a = tutil.random_complex_interval(rng, 3.0)
-            b = tutil.random_complex_interval(rng, 3.0)
+        draws = [(tutil.random_complex_interval(rng, 3.0),
+                  tutil.random_complex_interval(rng, 3.0))
+                 for _ in range(1000)]
+        draws += cancelling_operands(np.random.default_rng(17), 1000)
+        for a, b in draws:
             got = [tutil.fr(v) for v in kernel(a, b)]
             want = exact(a, b)
             assert got[0] <= want[0] and want[1] <= got[1], (a, b)

@@ -13,12 +13,14 @@ times its multiplicity.  The residual I - Y*M has two twins,
 ``residual_k`` and ``_batch.residual``, and ``ilinalg.residual_matrix``
 serves it from either side of ``WIDE_N``.  Both polynomial kernels have
 twins that loop over the same ``systems._Flat`` term lists with a segment
-axis: the box enclosure ``eval_terms_interval`` and ``_batch.eval_interval``,
-and the time enclosure at a point, ``eval_terms_tpoly``, which computes
-in plain complex floats and widens by an a priori bound, and
-``_batch.eval_tpoly``, which writes CPython's complex products out as real
-operations.  Each pair must agree, segment by segment, on random term
-lists whose coefficients and inputs hold special values.
+axis, each on its ``tpoly_table``: the time enclosure at a point,
+``eval_terms_tpoly``, which computes in plain complex floats and widens by
+an a priori bound, and ``_batch.eval_tpoly``, which writes CPython's
+complex products out as real operations; and the bound on how far a term
+list moves over a box about that point, ``eval_terms_deviation`` and
+``_batch.eval_deviation``, with their box radii ``box_radii``.  Each pair
+must agree, segment by segment, on random term lists whose coefficients
+and inputs hold special values, empty equations among them.
 """
 
 import math
@@ -144,17 +146,17 @@ def test_residual_matrix_on_both_sides_of_wide_n(side):
 
 
 # ---------------------------------------------------------------------------
-# polynomial evaluation: the time enclosure at a point and the box enclosure
+# polynomial evaluation: the time enclosure at a point and its deviation
 # ---------------------------------------------------------------------------
 
 def random_flat(rng, n, m, rate):
-    """n equations of 1..4 terms over n variables and m parameters, each
+    """n equations of 0..4 terms over n variables and m parameters, each
     of total degree <= 3 with multiplicity 1..3; a share ``rate`` of the
     coefficient parts are special values."""
     rows = []
     for _ in range(n):
         row = []
-        for _ in range(int(rng.integers(1, 5))):
+        for _ in range(int(rng.integers(0, 5))):
             expo = [0] * n
             for j in rng.integers(0, n, int(rng.integers(0, 4))):
                 expo[j] += 1
@@ -184,33 +186,55 @@ def test_tpoly_matches_batch(sheared, rate):
         t_hi = t_lo + np.where(rng.random(S) < 0.25, 0.0,
                                10.0 ** rng.uniform(-12, 0, S))
         with np.errstate(all="ignore"):
-            want = _batch.eval_tpoly(flat, x, sa, sb, p0, p1, t_lo, t_hi)
-        got = [_k.eval_terms_tpoly(
-            flat, x[s].tolist(), None if sa is None else sa[s].tolist(),
+            want = _batch.eval_tpoly(
+                flat, _batch.tpoly_table(x, sa, sb, p0, p1, t_lo, t_hi))
+        got = [_k.eval_terms_tpoly(flat, _k.tpoly_table(
+            x[s].tolist(), None if sa is None else sa[s].tolist(),
             None if sb is None else sb[s].tolist(), p0.tolist(), p1.tolist(),
-            float(t_lo[s]), float(t_hi[s])) for s in range(S)]
+            float(t_lo[s]), float(t_hi[s]))) for s in range(S)]
         assert same_bits(np.moveaxis(np.array(got), -1, 0), want)
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.05, 0.35])
-def test_interval_eval_matches_batch(rate):
-    # c_mul's operand order shows only where one operand has an infinite
-    # endpoint and the other a zero one, in about 1 of 2,000 segments at
-    # rate 0.35: hence the larger sample
-    rng = np.random.default_rng(600 + int(100 * rate))
-    S = 64
-    for _ in range(100):
+@pytest.mark.parametrize("sheared", [False, True],
+                         ids=["unsheared", "sheared"])
+def test_deviation_matches_batch(sheared, rate):
+    # boxes about x with special endpoints, 1e300 among them, and whole
+    # segments of non-finite boxes or points
+    rng = np.random.default_rng(700 + 10 * sheared + int(100 * rate))
+    S = 16
+    for _ in range(25):
         n, m = int(rng.integers(1, 4)), int(rng.integers(0, 3))
         flat = random_flat(rng, n, m, rate)
-        z = endpoints(rng, (4, S, n), rate)
-        pv = endpoints(rng, (4, S, m), rate)
+        x, sa, sb = (complex_operands(rng, S * n, rate).reshape(S, n)
+                     for _ in range(3))
+        if not sheared:
+            sa = sb = None
+        p0 = complex_operands(rng, m, rate)
+        p1 = complex_operands(rng, m, rate)
+        t_lo = rng.uniform(0.0, 1.0, S)
+        t_hi = t_lo + np.where(rng.random(S) < 0.25, 0.0,
+                               10.0 ** rng.uniform(-12, 0, S))
+        box = endpoints(rng, (4, S, n), rate)
+        big = rng.random((4, S, n)) < rate / 4
+        box[big] = rng.choice([1e300, -1e300], int(big.sum()))
+        bad = rng.random(S) < 0.1
+        box[:, bad] = rng.choice([math.nan, math.inf, -math.inf])
+        x[rng.random(S) < 0.05] = complex(math.inf, math.nan)
         with np.errstate(all="ignore"):
-            want = _batch.eval_interval(flat, z, pv)
-        got = [_k.eval_terms_interval(flat,
-                                      np.moveaxis(z[:, s], 0, -1).tolist(),
-                                      np.moveaxis(pv[:, s], 0, -1).tolist())
-               for s in range(S)]
-        assert same_bits(np.moveaxis(np.array(got), -1, 0), want)
+            want = _batch.eval_deviation(
+                flat, _batch.tpoly_table(x, sa, sb, p0, p1, t_lo, t_hi),
+                _batch.box_radii(box, x))
+        got = []
+        for s in range(S):
+            xs = x[s].tolist()
+            table = _k.tpoly_table(
+                xs, None if sa is None else sa[s].tolist(),
+                None if sb is None else sb[s].tolist(), p0.tolist(),
+                p1.tolist(), float(t_lo[s]), float(t_hi[s]))
+            rad = _k.box_radii(np.moveaxis(box[:, s], 0, -1).tolist(), xs)
+            got.append(_k.eval_terms_deviation(flat, table, rad))
+        assert same_bits(np.moveaxis(np.array(got), -1, 0), np.stack(want))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from pathcert.errors import (
     ParseError,
     UnsupportedDegree,
 )
+from pathcert.certificate import MODE_RECT, MODE_TILTED
 from pathcert.intervals import Box, RealInterval, box_centered
 from pathcert.systems import (
     MAX_DEGREE,
@@ -29,6 +30,7 @@ from pathcert.systems import (
     dump_system,
     load_system,
 )
+from pathcert.tracker import TrackerConfig, track
 
 
 def own_eval(system, x, p):
@@ -401,6 +403,179 @@ class TestTimeEnclosureExact:
         assert_exactly_enclosed(sh, zeros, T, rng, k=30)
         lazy = tutil.box_norm(sh.eval_interval(Box.degenerate(zeros), T))
         assert tutil.box_norm(sh.eval_over_time(zeros, T)) <= 0.01 * lazy
+
+
+# ---------------------------------------------------------------------------
+# the Jacobian enclosure over box x window against exact rational values
+# ---------------------------------------------------------------------------
+
+def box_samples(rng, box, k):
+    """k points of the box.  Each real and imaginary part sits at its low
+    end, its high end, its midpoint or uniformly in between, each with
+    probability 1/4, so corners and edge midpoints come up far more often
+    than uniform draws would make them."""
+    out = []
+    for _ in range(k):
+        z = []
+        for rl, rh, il, ih in box.rows:
+            parts = []
+            for lo, hi in ((rl, rh), (il, ih)):
+                pick = int(rng.integers(4))
+                parts.append((lo, hi, 0.5 * (lo + hi),
+                              float(rng.uniform(lo, hi)))[pick])
+            z.append(complex(*parts))
+        out.append(z)
+    return out
+
+
+def assert_jacobian_enclosed(h, box, T, rng, x=None, k=6):
+    """J(z + s(t), p(t)), computed exactly with fractions, lies inside
+    ``jac_x_interval(box, T, x)`` for t at both ends of T and two random
+    times in between, and k points z of the box at each."""
+    enc = h.jac_x_interval(box, T, x).rows
+    for t in [T.lo, T.hi] + [float(t) for t in rng.uniform(T.lo, T.hi, 2)]:
+        for z in box_samples(rng, box, k):
+            for i, row in enumerate(tutil.exact_homotopy_jac(h, z, t)):
+                for j, v in enumerate(row):
+                    assert tutil.row_in(enc[i][j], v), (i, j, t, z)
+
+
+def tracked_tests(gen, cfg, mode, count=5):
+    """(homotopy, expansion point, box, window) of ``count`` segments
+    spread over a tracked path, as the tracker tested them: the sheared
+    homotopy at 0 in tilted mode, the homotopy at the center in rect
+    mode."""
+    h, starts = gen()
+    segs = track(h, starts[0], cfg, mode=mode).certificate.segments
+    for k in np.linspace(0, len(segs) - 1, count).round().astype(int):
+        s = segs[k]
+        T = RealInterval(s.t_lo, s.t_hi)
+        if mode == MODE_TILTED:
+            g = h.sheared(s.shear_x0, s.shear_x1, s.t_lo, s.t_hi)
+            yield g, np.zeros(h.n, dtype=np.complex128), s.box, T
+        else:
+            yield h, s.center, s.box, T
+
+
+JAC_RUNS = {
+    "katsura3": (lambda: gen_katsura(3), TrackerConfig(), MODE_TILTED),
+    "random2": (lambda: gen_random_quadratic(2), TrackerConfig(),
+                MODE_TILTED),
+    "lowrank2": (lambda: gen_lowrank(2), TrackerConfig(dt0=0.2, r0=0.1),
+                 MODE_TILTED),
+    "newton10_tilted": (lambda: gen_newton_homotopy(10.0),
+                        TrackerConfig(dt0=0.02, r0=0.1), MODE_TILTED),
+    "newton10_rect": (lambda: gen_newton_homotopy(10.0),
+                      TrackerConfig(dt0=0.02, r0=0.1), MODE_RECT),
+}
+
+
+class TestJacobianEnclosureExact:
+    """``jac_x_interval`` widens the Jacobian's time enclosure at the
+    expansion point by a deviation bound over the box; every exact
+    Jacobian over box x window must still lie inside, without tolerance.
+    """
+
+    @pytest.mark.parametrize("name", sorted(JAC_RUNS))
+    def test_tracked_segments(self, name):
+        rng = np.random.default_rng(sorted(JAC_RUNS).index(name) + 80)
+        for h, x, box, T in tracked_tests(*JAC_RUNS[name]):
+            assert_jacobian_enclosed(h, box, T, rng, x)
+            # the box's midpoint as the expansion point
+            assert_jacobian_enclosed(h, box, T, rng)
+
+    @pytest.mark.parametrize("name", ["random2", "katsura3", "lowrank2"])
+    def test_wide_boxes_off_center(self, name):
+        # boxes far wider than the tracker's, expanded at a point away
+        # from their middle, over windows of every length
+        h, starts = FAMILIES[name]()
+        rng = np.random.default_rng(90 + len(name))
+        for T in windows(rng, 3):
+            c = starts[-1] + cnoise(rng, h.n, 0.05)
+            box = box_centered(c, 0.3)
+            x = c + 0.25 * (rng.uniform(-1, 1, h.n)
+                            + 1j * rng.uniform(-1, 1, h.n))
+            assert_jacobian_enclosed(h, box, T, rng, x)
+            sh = h.sheared(c, c + cnoise(rng, h.n, 0.2), T.lo, T.lo + 0.05)
+            assert_jacobian_enclosed(sh, box_centered(np.zeros(h.n), 0.2),
+                                     T, rng)
+
+    def test_window_variation(self):
+        # J = 2 p(t) x vanishes at the expansion point 0: over the box it
+        # is 2 p(t) delta, so the first order at the window's midpoint
+        # alone misses the corners at the window's far end
+        eqs = [[Term(1.0, 0, (2,))]]
+        h = Homotopy(ParametricSystem(1, 1, eqs), np.array([0.0j]),
+                     np.array([1.0 + 0.5j]))
+        rng = np.random.default_rng(93)
+        for T in (RealInterval(0.0, 1.0), RealInterval(0.5, 0.75)):
+            assert_jacobian_enclosed(h, box_centered(np.zeros(1), 0.5), T,
+                                     rng, np.zeros(1), k=12)
+
+    def test_higher_order(self):
+        # J = 3 x^2 + 2 x y has no first order at the expansion point 0:
+        # over the box it is all second order
+        eqs = [[Term(1.0, None, (3, 0)), Term(1.0, None, (2, 1))],
+               [Term(1.0, None, (1, 2)), Term(-1.0 + 2.0j, None, (0, 3))]]
+        h = Homotopy(ParametricSystem(2, 1, eqs), np.array([0.0j]),
+                     np.array([1.0 + 0.0j]))
+        rng = np.random.default_rng(94)
+        for r in (0.5, 3.0):
+            assert_jacobian_enclosed(h, box_centered(np.zeros(2), r),
+                                     RealInterval(0.2, 0.3), rng,
+                                     np.zeros(2), k=12)
+
+    def test_cancelling_coefficients_at_a_point(self):
+        # on a box of one point the enclosure is the time enclosure alone:
+        # 1e150-scale terms that cancel leave a value far below their
+        # rounding, which only rho covers
+        eqs = [[Term(1e150 / 3, None, (2, 1)), Term(-1e150 / 7, 0, (1, 2)),
+                Term(3e149, 0, (1, 0))],
+               [Term(-2e150, 0, (1, 1)), Term(1e150 + 1e135j, None, (0, 2)),
+                Term(1e150 / 3, None, (2, 0))]]
+        h = Homotopy(ParametricSystem(2, 1, eqs), np.array([7.0 / 3 + 0j]),
+                     np.array([1.0 / 3 + 1e-9j]))
+        rng = np.random.default_rng(95)
+        x = np.array([0.1 + 0.3j, 0.7 / 3 + 0.7j])
+        for T in windows(rng, 3):
+            assert_jacobian_enclosed(h, Box.degenerate(x), T, rng, x)
+            sh = h.sheared(x, x * (1 + 1e-3j), T.lo, T.lo + 0.01)
+            z = np.zeros(2, dtype=np.complex128)
+            assert_jacobian_enclosed(sh, Box.degenerate(z), T, rng, z)
+
+    def test_subnormal_and_near_overflow_coefficients(self):
+        subnormal = [[Term(5e-324, None, (1, 1)), Term(3e-310, 0, (2, 0)),
+                      Term(-1e-320, 0, (0, 1))],
+                     [Term(2.5e-323, 0, (0, 2)),
+                      Term(-7e-315j, None, (1, 1))]]
+        huge = [[Term(1e300, None, (2, 1)), Term(-3e299, 0, (1, 2))],
+                [Term(-2e300 + 1e299j, 0, (1, 1)),
+                 Term(1e300, None, (0, 2))]]
+        rng = np.random.default_rng(96)
+        for eqs in (subnormal, huge):
+            h = Homotopy(ParametricSystem(2, 1, eqs),
+                         np.array([0.3 + 0.1j]), np.array([-0.7 + 0.2j]))
+            x0 = np.array([0.6 - 0.2j, -1.3 + 0.4j])
+            for T in windows(rng, 2):
+                assert_jacobian_enclosed(h, box_centered(x0, 0.05), T, rng,
+                                         x0)
+                sh = h.sheared(x0, x0 + cnoise(rng, 2, 0.05), T.lo,
+                               T.lo + 0.01)
+                assert_jacobian_enclosed(
+                    sh, box_centered(np.zeros(2), 1e-3), T, rng)
+
+    def test_steep_shear(self):
+        # a shear of slope ~1e6 makes sa and tc*sb large and nearly
+        # opposite, so the factors' midpoint values round far above
+        # their size
+        h, starts = gen_katsura(3)
+        rng = np.random.default_rng(97)
+        for t0 in (0.3, 0.7):
+            sh = h.sheared(starts[0], starts[0] + cnoise(rng, h.n, 1.0),
+                           t0, t0 + 1e-6)
+            for T in (RealInterval(t0), RealInterval(t0, t0 + 1e-6)):
+                assert_jacobian_enclosed(
+                    sh, box_centered(cnoise(rng, h.n, 1e-3), 1e-3), T, rng)
 
 
 class TestSerialization:

@@ -159,6 +159,39 @@ def exact_homotopy_eval(h, x, t):
     return exact_eval(h.system, xq, exact_params_at(h, t))
 
 
+def exact_jacobian(system, xq, pq):
+    """Exact dF/dx at Fraction-pair points xq (vars) and pq (params), as
+    rows of Fraction pairs."""
+    n = system.n
+    out = [[(Fraction(0), Fraction(0))] * n for _ in range(n)]
+    for i, eq in enumerate(system.equations):
+        for term in eq:
+            base = c_pair(term.coeff)
+            if term.param is not None:
+                base = c_mul(base, pq[term.param])
+            for k, ek in enumerate(term.expo):
+                if ek == 0:
+                    continue
+                v = c_scale(base, ek)
+                for j, (xj, e) in enumerate(zip(xq, term.expo)):
+                    for _ in range(e - (j == k)):
+                        v = c_mul(v, xj)
+                out[i][k] = c_add(out[i][k], v)
+    return out
+
+
+def exact_homotopy_jac(h, x, t):
+    """Exact dH/dx at (x + s(t), t), floats in, rows of Fraction pairs
+    out, where s(t) = sa + t*sb is the homotopy's shear (zero when
+    unsheared)."""
+    xq = [c_pair(xi) for xi in np.asarray(x, dtype=np.complex128)]
+    if h.shear is not None:
+        ft = fr(t)
+        xq = [c_add(v, c_add(c_pair(a), c_scale(c_pair(b), ft)))
+              for v, a, b in zip(xq, h._sa, h._sb)]
+    return exact_jacobian(h.system, xq, exact_params_at(h, t))
+
+
 def eval_contained(h, box, x, t, scale_hint=None):
     """Exact containment of H(x, t) in an eval enclosure box (unsheared)."""
     z = h.eval_point(x, t)
