@@ -14,19 +14,21 @@ polynomial twins ``eval_tpoly`` (the time enclosure at a point, of H and
 of its Jacobian) and ``eval_deviation`` (how far the Jacobian moves over
 the box) batch over segments only: they loop over a ``systems._Flat``
 term list in Python, term by term and factor by factor, as their scalar
-twins do, on one factor table (``tpoly_table``).
+twins do, on one factor table (``tpoly_table``).  ``shear_regions``,
+the region a sheared segment certifies at a given time, serves the
+verifier's hand-off and endpoint checks alone and has no scalar twin.
 
-Each array function performs, element by element, the same IEEE
+Each array twin performs, element by element, the same IEEE
 operations in the same order as its scalar twin: the same term order,
 the same k-order sums, ``nextafter`` where the twin rounds outward or up,
 the real operations of CPython's complex ``*`` and ``+`` where it
 computes in plain complex floats (``eval_tpoly``, the first order of
 ``eval_deviation``), and Python's ``min``/``max`` semantics for NaN (keep
 the first operand unless the second compares below/above it).  A
-replayed Krawczyk image and
-contraction norm are therefore bit-identical to what
-``krawczyk.parametric_krawczyk_test`` computes for the same segment;
-``tests/test_kernels.py`` checks the arithmetic twins on special values.
+replayed Krawczyk image and contraction norm are therefore bit-identical
+to what ``krawczyk.parametric_krawczyk_test`` computes for the same
+segment; ``tests/test_kernels.py`` checks the arithmetic twins on special
+values.
 """
 
 import numpy as np
@@ -187,17 +189,6 @@ def inorm(mat):
     for i in range(mags.shape[1]):
         best = np.where(s[:, i] > best, s[:, i], best)
     return best
-
-
-# ---------------------------------------------------------------------------
-# homotopy prelude
-# ---------------------------------------------------------------------------
-
-def shear_box(box, sa, sb, t_lo, t_hi):
-    """shear_box_k for each segment: box + (a + T*b), box (4, S, n)."""
-    s = c_mul(real(t_lo, t_hi)[..., None], point(sb.real, sb.imag))
-    s = c_add(s, point(sa.real, sa.imag))
-    return c_add(box, s)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +470,11 @@ def krawczyk_images(h, x, y, box, t_lo, t_hi, sa=None, sb=None):
 
 
 def shear_regions(box, sa, sb, t):
-    """Region box + s(t) of each sheared segment at its time t[s]."""
+    """Region box + s(t) of each sheared segment at its time t[s]: box
+    (S, n, 4), sa and sb (S, n) complex, s(t) = sa + t*sb enclosed in
+    outward-rounded interval arithmetic."""
     with np.errstate(all="ignore"):
-        out = shear_box(np.moveaxis(box, -1, 0), sa, sb, t, t)
+        s = c_mul(real(t, t)[..., None], point(sb.real, sb.imag))
+        s = c_add(s, point(sa.real, sa.imag))
+        out = c_add(np.moveaxis(box, -1, 0), s)
     return np.moveaxis(out, 0, -1)

@@ -24,17 +24,17 @@ gradual underflow:
   past the neighbouring representable, so the widened interval encloses
   the exact real result.  The same rounding up keeps every magnitude of
   ``eval_terms_deviation`` an upper bound.
-- An a priori rounding bound, for the time enclosures of H and of its
-  Jacobian at a point (``eval_terms_tpoly``): its operands are points, so
-  it computes the polynomial's coefficients in plain complex floats and
-  widens them by a bound on their accumulated rounding error (Higham,
-  *Accuracy and Stability of Numerical Algorithms*, 2002, sections 3.1
-  and 3.6), a midpoint-radius enclosure (Rump, BIT 1999).  Only the
-  substitution of the time range is outward-rounded per operation.  Its
-  docstring proves the bound.  The Jacobian's enclosure over a box adds
-  ``eval_terms_deviation``, a bound on how far the term list moves over
-  the box about that point, whose docstring proves it; the two share one
-  factor table (``tpoly_table``).
+- An a priori rounding bound, for every enclosure of a term list (H or
+  its Jacobian): a midpoint-radius enclosure (Rump, BIT 1999) about a
+  point x.  ``eval_terms_tpoly`` encloses the term list at x over a time
+  window: its operands are points, so it computes the polynomial's
+  coefficients in plain complex floats and widens them by a bound on
+  their accumulated rounding error (Higham, *Accuracy and Stability of
+  Numerical Algorithms*, 2002, sections 3.1 and 3.6); only the
+  substitution of the time range is outward-rounded per operation.  Over
+  a box about x, ``eval_terms_deviation`` adds a bound on how far the
+  term list moves.  Each docstring proves its bound, and the two share
+  one factor table (``tpoly_table``).
 
 The endpoint min/max of a product keep Python's ``min``/``max`` semantics
 (keep a unless b < a), which fixes where a NaN ends up.  ``_batch`` holds
@@ -279,58 +279,8 @@ def residual_k(y, mat):
 
 
 # ---------------------------------------------------------------------------
-# homotopy preludes
-# ---------------------------------------------------------------------------
-
-def param_interval_k(p0, p1, tlo, thi):
-    # (1 - T)*p0 + T*p1 entrywise for complex vectors p0, p1, T = [tlo, thi]
-    ul, uh = r_sub(1.0, 1.0, tlo, thi)
-    u = (ul, uh, 0.0, 0.0)
-    t = (tlo, thi, 0.0, 0.0)
-    return [c_add(cp_mul(u, a), cp_mul(t, b)) for a, b in zip(p0, p1)]
-
-
-def shear_box_k(box, sa, sb, tlo, thi):
-    # box + (a + T*b) entrywise, the interval image of a time-linear shift
-    t = (tlo, thi, 0.0, 0.0)
-    return [c_add(p, c_add(cp_mul(t, b), (a.real, a.real, a.imag, a.imag)))
-            for p, a, b in zip(box, sa, sb)]
-
-
-# ---------------------------------------------------------------------------
 # polynomial evaluation over a systems._Flat term list
 # ---------------------------------------------------------------------------
-
-def eval_terms_interval(flat, z, pv):
-    """Interval evaluation of a flattened term list.
-
-    Equation i is the sum, in term order, of
-      coef * pv[par] * prod_j z[j]^e_j
-    over ``flat.terms[i]``, with the parameter factor skipped when
-    par < 0.  ``coef`` is the term's coefficient times its exact
-    small-integer multiplicity ``fac`` (from differentiation), a rectangle
-    that ``systems._Flat`` forms once with interval semantics, so no
-    rounding is silently dropped.  z and pv are boxes (lists of
-    rectangles); the result has one rectangle per equation.
-    """
-    zpow = []
-    for zj in z:
-        powers = [ONE]
-        for _ in range(flat.max_expo):
-            powers.append(c_mul(powers[-1], zj))
-        zpow.append(powers)
-    out = []
-    for terms in flat.terms:
-        acc = ZERO
-        for v, par, factors, _ in terms:
-            if par >= 0:
-                v = c_mul(v, pv[par])
-            for j, e in factors:
-                v = c_mul(v, zpow[j][e])
-            acc = c_add(acc, v)
-        out.append(acc)
-    return out
-
 
 # unit roundoff of binary64 and the smallest subnormal, 2 * 2^-1075, where
 # 2^-1075 bounds the absolute error of a product in the subnormal range
@@ -736,7 +686,7 @@ def eval_terms_point(flat, z, pv):
     out = []
     for terms in flat.terms:
         acc = 0.0 + 0.0j
-        for _, par, factors, coef in terms:
+        for par, factors, coef in terms:
             v = coef
             if par >= 0:
                 v = v * pv[par]

@@ -61,13 +61,12 @@ class _Flat:
     ``rows[i]`` holds equation i's terms as (coeff, fac, param, expo):
     ``fac`` is the term's exact small-integer multiplicity (from
     differentiation) and ``param`` None or a parameter index.
-    ``terms[i]`` lists equation i's terms as Python values: (coef, par,
-    factors, coef_point), with ``coef`` the rectangle coeff * fac (the
-    coefficient itself when fac is 1), ``par`` -1 for no parameter,
+    ``terms[i]`` lists equation i's terms for point evaluation as Python
+    values: (par, factors, coef_point), with ``par`` -1 for no parameter,
     ``factors`` the (j, e) pairs with e > 0 and ``coef_point`` the complex
     float coeff * fac.  ``tpoly`` and ``dev`` are built on first use:
-    only the term lists of F and of its Jacobian are enclosed over time,
-    and only the Jacobian's over a box.  The scalar kernels of
+    only the term lists of F and of its Jacobian are enclosed, ``dev``
+    only once one is enclosed over a box.  The scalar kernels of
     ``_kernels`` and their ``_batch`` twins loop over the same lists.
     """
 
@@ -84,19 +83,11 @@ class _Flat:
         self.tdeg = max((sum(expo) + (param is not None)
                          for row in rows for _, _, param, expo in row),
                         default=0)
-        self.terms = []
-        for row in rows:
-            terms = []
-            for coeff, fac, param, expo in row:
-                cre, cim, f = coeff.real, coeff.imag, float(fac)
-                coef = (cre, cre, cim, cim)
-                if f != 1.0:
-                    coef = _k.c_mul(coef, (f, f, 0.0, 0.0))
-                terms.append((coef, -1 if param is None else param,
-                              tuple((j, e) for j, e in enumerate(expo)
-                                    if e > 0),
-                              coeff * fac))
-            self.terms.append(terms)
+        self.terms = [[(-1 if param is None else param,
+                        tuple((j, e) for j, e in enumerate(expo) if e > 0),
+                        coeff * fac)
+                       for coeff, fac, param, expo in row]
+                      for row in rows]
 
     @property
     def tpoly(self):
@@ -410,37 +401,60 @@ class Homotopy:
     # -- interval evaluation (certified enclosures) --------------------------
 
     def eval_interval(self, box, T):
-        """Enclosure of { H(x, t) : x in box, t in T }, componentwise, in
-        outward-rounded interval arithmetic throughout."""
-        if box.n != self.n:
-            raise DimensionMismatch("box dimension differs from system")
-        if not isinstance(T, RealInterval):
-            T = RealInterval(T)
-        z = box.rows
-        if self.shear is not None:
-            z = _k.shear_box_k(z, self._sa, self._sb, T.lo, T.hi)
-        pv = _k.param_interval_k(self._p0, self._p1, T.lo, T.hi)
-        return Box.of_rows(_k.eval_terms_interval(self.system._flat_f, z, pv))
+        """Enclosure of { H(x, t) : x in box, t in T }, componentwise:
+        ``_enclose`` of H's term list at the box's midpoint."""
+        return Box.of_rows(self._enclose(self.system._flat_f, box, T))
 
     def eval_over_time(self, x, T):
         """Enclosure of { H(x, t) : t in T } at a fixed point x.
 
-        Collects the composed terms into powers of the offset from the
-        midpoint of T before substituting the offset range (odd powers
-        straddle zero, even powers do not).  For a sheared homotopy the
-        linear coefficient nearly cancels (the secant slope tracks the
-        path), a cancellation the plain box evaluation cannot see because
-        the shear and the parameter path consume two independent copies
-        of T there.  x is a point, so the coefficients are plain complex
-        floats widened by an a priori bound on their rounding error; only
-        the substitution of the offset range rounds outward per operation
-        (``_kernels.eval_terms_tpoly`` proves the bound).
+        The time polynomial of ``_enclose`` with no box.  For a sheared
+        homotopy its linear coefficient nearly cancels (the secant slope
+        tracks the path), so the enclosure shrinks to the secant's sag far
+        below the raw drift of H over T.
         """
-        x = self._point(x)
+        return Box.of_rows(self._enclose(self.system._flat_f, None, T, x))
+
+    def jac_x_interval(self, box, T, x=None):
+        """Enclosure of the x-Jacobian over box x T as an IntervalMatrix:
+        ``_enclose`` of the Jacobian's term list at the point x (by
+        default the box's midpoint)."""
+        out = self._enclose(self.system._flat_jac, box, T, x)
+        n = self.n
+        return IntervalMatrix.of_rows([out[i:i + n]
+                                       for i in range(0, n * n, n)])
+
+    def _enclose(self, flat, box, T, x=None):
+        """Enclosure of the term list ``flat`` over box x T, one rectangle
+        per equation, expanded at the point x (by default the box's
+        midpoint); with no box, its enclosure at x over T.
+
+        The term list's time polynomial at x is enclosed over T with float
+        coefficients and an a priori rounding bound
+        (``_kernels.eval_terms_tpoly``), and each entry is widened by a
+        proven bound on how far it moves over box - x and T
+        (``_kernels.eval_terms_deviation``): the first order at the window
+        midpoint componentwise, the window variation and the higher orders
+        in |.|_1 products, every magnitude rounded up.  The time
+        polynomial keeps the shear's cancellation with the parameter drift
+        that separate interval copies of T would lose.
+        """
+        if box is not None and box.n != self.n:
+            raise DimensionMismatch("box dimension differs from system")
         if not isinstance(T, RealInterval):
             T = RealInterval(T)
-        return Box.of_rows(_k.eval_terms_tpoly(self.system._flat_f,
-                                               self._tpoly_table(x, T)))
+        if x is None:
+            x = [complex(0.5 * (rl + rh), 0.5 * (il + ih))
+                 for rl, rh, il, ih in box.rows]
+        else:
+            x = self._point(x)
+        table = self._tpoly_table(x, T)
+        out = _k.eval_terms_tpoly(flat, table)
+        if box is None:
+            return out
+        dev = _k.eval_terms_deviation(flat, table, _k.box_radii(box.rows, x))
+        return [_k.c_add(r, (-er, er, -ei, ei))
+                for r, (er, ei) in zip(out, dev)]
 
     def _tpoly_table(self, x, T):
         """``_kernels.tpoly_table`` at the point x over T.  A Krawczyk
@@ -454,38 +468,6 @@ class Homotopy:
                                T.lo, T.hi)
         self._table = key, table
         return table
-
-    def jac_x_interval(self, box, T, x=None):
-        """Enclosure of the x-Jacobian over box x T as an IntervalMatrix.
-
-        The Jacobian's term list is expanded at the point x (by default
-        the box's midpoint): its time polynomial at x is enclosed over T
-        as ``eval_over_time`` encloses H, with float coefficients and an
-        a priori rounding bound (``_kernels.eval_terms_tpoly``), and each
-        entry is widened by a proven bound on how far it moves over
-        box - x and T (``_kernels.eval_terms_deviation``): the first order
-        at the window midpoint componentwise, the window variation and the
-        higher orders in |.|_1 products, every magnitude rounded up.  The
-        time polynomial keeps the shear's cancellation with the parameter
-        drift that separate interval copies of T would lose.
-        """
-        if box.n != self.n:
-            raise DimensionMismatch("box dimension differs from system")
-        if not isinstance(T, RealInterval):
-            T = RealInterval(T)
-        if x is None:
-            x = [complex(0.5 * (rl + rh), 0.5 * (il + ih))
-                 for rl, rh, il, ih in box.rows]
-        else:
-            x = self._point(x)
-        flat = self.system._flat_jac
-        table = self._tpoly_table(x, T)
-        dev = _k.eval_terms_deviation(flat, table, _k.box_radii(box.rows, x))
-        out = [_k.c_add(r, (-er, er, -ei, ei))
-               for r, (er, ei) in zip(_k.eval_terms_tpoly(flat, table), dev)]
-        n = self.n
-        return IntervalMatrix.of_rows([out[i:i + n]
-                                       for i in range(0, n * n, n)])
 
     # -- JSON ---------------------------------------------------------------
 

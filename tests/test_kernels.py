@@ -7,11 +7,9 @@ subnormals and values near overflow, which pins the min/max NaN semantics
 (keep the first operand unless the second compares below/above it) and
 the sign of zero through every ``nextafter``.  ``cp_mul``, the scalar
 shortcut for a rectangle times a complex point, must equal ``c_mul`` with
-the point as a degenerate rectangle on either side, and the coefficient
-rectangle ``systems._Flat`` holds per term must equal the coefficient
-times its multiplicity.  The residual I - Y*M has two twins,
-``residual_k`` and ``_batch.residual``, and ``ilinalg.residual_matrix``
-serves it from either side of ``WIDE_N``.  Both polynomial kernels have
+the point as a degenerate rectangle on either side.  The residual
+I - Y*M has two twins, ``residual_k`` and ``_batch.residual``, and
+``ilinalg.residual_matrix`` serves it from either side of ``WIDE_N``.  Both polynomial kernels have
 twins that loop over the same ``systems._Flat`` term lists with a segment
 axis, each on its ``tpoly_table``: the time enclosure at a point,
 ``eval_terms_tpoly``, which computes in plain complex floats and widens by
@@ -98,20 +96,6 @@ def test_point_product_matches_c_mul_on_both_sides(operands):
         left.append(_k.c_mul(point, p))
         right.append(_k.c_mul(p, point))
     assert same_bits(got, left) and same_bits(got, right)
-
-
-def test_flat_coefficient_is_coef_times_fac():
-    values = SPECIAL.tolist() + [0.3, -2.5e-300]
-    coefs = [complex(re, im) for re in values for im in values]
-    facs = [1, 2, 3, 7]
-    rows = [[(c, fac, None, (1,)) for c in coefs] for fac in facs]
-    flat = _Flat(rows, 1)
-    for fac, terms in zip(facs, flat.terms):
-        for c, (got, _, _, _) in zip(coefs, terms):
-            want = (c.real, c.real, c.imag, c.imag)
-            if fac != 1:
-                want = _k.c_mul(want, (fac, fac, 0.0, 0.0))
-            assert same_bits(got, want)
 
 
 # ---------------------------------------------------------------------------

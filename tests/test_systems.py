@@ -189,8 +189,7 @@ class TestIntervalEval:
         T = RealInterval(0.0, dt)
         zeros = np.zeros(1, dtype=np.complex128)
         tight = tutil.box_norm(sh.eval_over_time(zeros, T))
-        lazy = tutil.box_norm(sh.eval_interval(Box.degenerate(zeros), T))
-        assert tight <= 0.01 * lazy
+        assert tight <= 0.01 * m * dt
         # the sag enclosure still contains the values along the secant
         enc = sh.eval_over_time(zeros, T)
         for t in np.linspace(0.0, dt, 100):
@@ -267,15 +266,9 @@ class TestShear:
         ys = tutil.sample_box(rng, box, 40)
         ts = tutil.sample_interval(rng, t0, t1, 40)
         for y, t in zip(ys, ts):
-            v = sh.eval_point(y, float(t))
-            for i in range(2):
-                scale = float(np.abs(y).sum() + np.abs(v).max() + 1.0)
-                # float reference against a fattened enclosure: the shear
-                # itself is defined by the stored float line, so the point
-                # evaluation is the reference up to its own rounding
-                row = enc.data[i]
-                assert row[0] - 1e-12 * scale <= v[i].real <= row[1] + 1e-12 * scale
-                assert row[2] - 1e-12 * scale <= v[i].imag <= row[3] + 1e-12 * scale
+            # exact H(y + s(t), t) on the stored float line s
+            for i, v in enumerate(tutil.exact_homotopy_eval(sh, y, float(t))):
+                assert tutil.row_in(enc.data[i], v), (i, t)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +384,8 @@ class TestTimeEnclosureExact:
     @pytest.mark.parametrize("m", [10.0, 1e4])
     def test_secant_cancellation(self, m):
         # along the secant through two path points the enclosure at the
-        # origin is the tiny sag; the exact values stay inside it
+        # origin is the tiny sag, far below the raw drift m*dt; the exact
+        # values stay inside it
         h, starts = gen_newton_homotopy(m)
         t0, dt = 0.3, 0.02 / m ** 0.5
         x0 = tutil.plain_newton_solve(h, starts[0], t0, tol=1e-14)
@@ -401,8 +395,7 @@ class TestTimeEnclosureExact:
         T = RealInterval(t0, t0 + dt)
         rng = np.random.default_rng(73)
         assert_exactly_enclosed(sh, zeros, T, rng, k=30)
-        lazy = tutil.box_norm(sh.eval_interval(Box.degenerate(zeros), T))
-        assert tutil.box_norm(sh.eval_over_time(zeros, T)) <= 0.01 * lazy
+        assert tutil.box_norm(sh.eval_over_time(zeros, T)) <= 0.01 * m * dt
 
 
 # ---------------------------------------------------------------------------
@@ -428,14 +421,21 @@ def box_samples(rng, box, k):
     return out
 
 
-def assert_jacobian_enclosed(h, box, T, rng, x=None, k=6):
+def assert_box_enclosed(h, box, T, rng, x=None, k=6, jac=True):
     """J(z + s(t), p(t)), computed exactly with fractions, lies inside
     ``jac_x_interval(box, T, x)`` for t at both ends of T and two random
-    times in between, and k points z of the box at each."""
-    enc = h.jac_x_interval(box, T, x).rows
+    times in between, and k points z of the box at each.  With
+    ``jac=False`` the same holds for H(z + s(t), t) and
+    ``eval_interval(box, T)``, which expands at the box's midpoint."""
+    if jac:
+        enc = h.jac_x_interval(box, T, x).rows
+        exact = tutil.exact_homotopy_jac
+    else:
+        enc = [h.eval_interval(box, T).rows]
+        exact = lambda g, z, t: [tutil.exact_homotopy_eval(g, z, t)]
     for t in [T.lo, T.hi] + [float(t) for t in rng.uniform(T.lo, T.hi, 2)]:
         for z in box_samples(rng, box, k):
-            for i, row in enumerate(tutil.exact_homotopy_jac(h, z, t)):
+            for i, row in enumerate(exact(h, z, t)):
                 for j, v in enumerate(row):
                     assert tutil.row_in(enc[i][j], v), (i, j, t, z)
 
@@ -474,15 +474,18 @@ class TestJacobianEnclosureExact:
     """``jac_x_interval`` widens the Jacobian's time enclosure at the
     expansion point by a deviation bound over the box; every exact
     Jacobian over box x window must still lie inside, without tolerance.
+    ``eval_interval`` encloses H over box x window the same way, and the
+    tracked and wide boxes check it too.
     """
 
     @pytest.mark.parametrize("name", sorted(JAC_RUNS))
     def test_tracked_segments(self, name):
         rng = np.random.default_rng(sorted(JAC_RUNS).index(name) + 80)
         for h, x, box, T in tracked_tests(*JAC_RUNS[name]):
-            assert_jacobian_enclosed(h, box, T, rng, x)
+            assert_box_enclosed(h, box, T, rng, x)
             # the box's midpoint as the expansion point
-            assert_jacobian_enclosed(h, box, T, rng)
+            assert_box_enclosed(h, box, T, rng)
+            assert_box_enclosed(h, box, T, rng, jac=False)
 
     @pytest.mark.parametrize("name", ["random2", "katsura3", "lowrank2"])
     def test_wide_boxes_off_center(self, name):
@@ -495,10 +498,12 @@ class TestJacobianEnclosureExact:
             box = box_centered(c, 0.3)
             x = c + 0.25 * (rng.uniform(-1, 1, h.n)
                             + 1j * rng.uniform(-1, 1, h.n))
-            assert_jacobian_enclosed(h, box, T, rng, x)
+            assert_box_enclosed(h, box, T, rng, x)
+            assert_box_enclosed(h, box, T, rng, jac=False)
             sh = h.sheared(c, c + cnoise(rng, h.n, 0.2), T.lo, T.lo + 0.05)
-            assert_jacobian_enclosed(sh, box_centered(np.zeros(h.n), 0.2),
-                                     T, rng)
+            sbox = box_centered(np.zeros(h.n), 0.2)
+            assert_box_enclosed(sh, sbox, T, rng)
+            assert_box_enclosed(sh, sbox, T, rng, jac=False)
 
     def test_window_variation(self):
         # J = 2 p(t) x vanishes at the expansion point 0: over the box it
@@ -509,8 +514,8 @@ class TestJacobianEnclosureExact:
                      np.array([1.0 + 0.5j]))
         rng = np.random.default_rng(93)
         for T in (RealInterval(0.0, 1.0), RealInterval(0.5, 0.75)):
-            assert_jacobian_enclosed(h, box_centered(np.zeros(1), 0.5), T,
-                                     rng, np.zeros(1), k=12)
+            assert_box_enclosed(h, box_centered(np.zeros(1), 0.5), T, rng,
+                                np.zeros(1), k=12)
 
     def test_higher_order(self):
         # J = 3 x^2 + 2 x y has no first order at the expansion point 0:
@@ -521,9 +526,9 @@ class TestJacobianEnclosureExact:
                      np.array([1.0 + 0.0j]))
         rng = np.random.default_rng(94)
         for r in (0.5, 3.0):
-            assert_jacobian_enclosed(h, box_centered(np.zeros(2), r),
-                                     RealInterval(0.2, 0.3), rng,
-                                     np.zeros(2), k=12)
+            assert_box_enclosed(h, box_centered(np.zeros(2), r),
+                                RealInterval(0.2, 0.3), rng, np.zeros(2),
+                                k=12)
 
     def test_cancelling_coefficients_at_a_point(self):
         # on a box of one point the enclosure is the time enclosure alone:
@@ -538,10 +543,10 @@ class TestJacobianEnclosureExact:
         rng = np.random.default_rng(95)
         x = np.array([0.1 + 0.3j, 0.7 / 3 + 0.7j])
         for T in windows(rng, 3):
-            assert_jacobian_enclosed(h, Box.degenerate(x), T, rng, x)
+            assert_box_enclosed(h, Box.degenerate(x), T, rng, x)
             sh = h.sheared(x, x * (1 + 1e-3j), T.lo, T.lo + 0.01)
             z = np.zeros(2, dtype=np.complex128)
-            assert_jacobian_enclosed(sh, Box.degenerate(z), T, rng, z)
+            assert_box_enclosed(sh, Box.degenerate(z), T, rng, z)
 
     def test_subnormal_and_near_overflow_coefficients(self):
         subnormal = [[Term(5e-324, None, (1, 1)), Term(3e-310, 0, (2, 0)),
@@ -557,11 +562,10 @@ class TestJacobianEnclosureExact:
                          np.array([0.3 + 0.1j]), np.array([-0.7 + 0.2j]))
             x0 = np.array([0.6 - 0.2j, -1.3 + 0.4j])
             for T in windows(rng, 2):
-                assert_jacobian_enclosed(h, box_centered(x0, 0.05), T, rng,
-                                         x0)
+                assert_box_enclosed(h, box_centered(x0, 0.05), T, rng, x0)
                 sh = h.sheared(x0, x0 + cnoise(rng, 2, 0.05), T.lo,
                                T.lo + 0.01)
-                assert_jacobian_enclosed(
+                assert_box_enclosed(
                     sh, box_centered(np.zeros(2), 1e-3), T, rng)
 
     def test_steep_shear(self):
@@ -574,7 +578,7 @@ class TestJacobianEnclosureExact:
             sh = h.sheared(starts[0], starts[0] + cnoise(rng, h.n, 1.0),
                            t0, t0 + 1e-6)
             for T in (RealInterval(t0), RealInterval(t0, t0 + 1e-6)):
-                assert_jacobian_enclosed(
+                assert_box_enclosed(
                     sh, box_centered(cnoise(rng, h.n, 1e-3), 1e-3), T, rng)
 
 
