@@ -2,21 +2,21 @@
 
 The tracker runs one Krawczyk test at a time on the scalar kernels of
 ``_kernels``.  The segments of a certificate are independent claims, so
-``verify`` replays all of them at once with the array versions here, the
-verifier's throughput layer, in blocks of ``_BLOCK`` segments that
-``_pool.pool_map`` spreads over the usable cores.  The tracker also
-forms its residual I - Y*J here, with a segment axis of 1, once a system
-has ``ilinalg.WIDE_N`` unknowns or more: there the n^3 products outweigh
-numpy's per-call cost.  A complex interval array has shape (4, ...)
-with re_lo, re_hi, im_lo, im_hi along the first axis; every other axis is
-a batch axis (segments, then equations or matrix entries).  The
-polynomial twins ``eval_tpoly`` (the time enclosure at a point, of H and
-of its Jacobian) and ``eval_deviation`` (how far the Jacobian moves over
-the box) batch over segments only: they loop over a ``systems._Flat``
-term list in Python, term by term and factor by factor, as their scalar
-twins do, on one factor table (``tpoly_table``).  ``shear_regions``,
-the region a sheared segment certifies at a given time, serves the
-verifier's hand-off and endpoint checks alone and has no scalar twin.
+``verify`` replays all of them as one batch with the array versions
+here, the verifier's throughput layer, in the process that verifies the
+certificate.  The tracker also forms its residual I - Y*J here, with a
+segment axis of 1, once a system has ``ilinalg.WIDE_N`` unknowns or
+more: there the n^3 products outweigh numpy's per-call cost.  A complex
+interval array has shape (4, ...) with re_lo, re_hi, im_lo, im_hi along
+the first axis; every other axis is a batch axis (segments, then
+equations or matrix entries).  The polynomial twins ``eval_tpoly`` (the
+time enclosure at a point, of H and of its Jacobian) and
+``eval_deviation`` (how far the Jacobian moves over the box) batch over
+segments only: they loop over a ``systems._Flat`` term list in Python,
+term by term and factor by factor, as their scalar twins do, on one
+factor table (``tpoly_table``).  ``shear_regions``, the region a sheared
+segment certifies at a given time, serves the verifier's hand-off and
+endpoint checks alone and has no scalar twin.
 
 Each array twin performs, element by element, the same IEEE
 operations in the same order as its scalar twin: the same term order,
@@ -34,7 +34,6 @@ values.
 import numpy as np
 
 from . import _kernels
-from ._pool import pool_map
 
 _INF = np.inf
 # the smallest subnormal, and the constant of ``_kernels._factor``
@@ -42,10 +41,8 @@ _TINY = _kernels._TINY
 _EPS3 = _kernels._EPS3
 _OUTWARD = np.array([-_INF, _INF, -_INF, _INF])
 
-# segments per block; bounds the block's temporaries, (4, S, n, n) at widest
-_BLOCK = 256
 # products per slice of ``residual``; bounds its (2, 4, s, n, n, n)
-# temporaries, which grow with n^3 where the block's others grow with n^2
+# temporaries, which grow with n^3 where a batch's others grow with n^2
 _PRODUCTS = 2 ** 14
 
 
@@ -437,11 +434,6 @@ def _images_block(h, x, y, box, t_lo, t_hi, sa, sb):
     return np.moveaxis(image, 0, -1), inorm(resid)
 
 
-def _images_task(args):
-    with np.errstate(all="ignore"):
-        return _images_block(*args)
-
-
 def krawczyk_images(h, x, y, box, t_lo, t_hi, sa=None, sb=None):
     """Krawczyk images and contraction norms of S stacked tests.
 
@@ -449,24 +441,11 @@ def krawczyk_images(h, x, y, box, t_lo, t_hi, sa=None, sb=None):
     s(t) = sa[s] + t*sb[s] when ``sa`` is given, at the point x[s] with
     matrix y[s] over box[s] and time [t_lo[s], t_hi[s]].  Shapes: x, sa,
     sb (S, n) complex; y (S, n, n) complex; box (S, n, 4); t_lo, t_hi
-    (S,).  Returns the images (S, n, 4) and the norms |I - Y*J| (S,).
-    The blocks of ``_BLOCK`` segments are independent tasks for
-    ``pool_map``, so a certificate of two or more blocks replays on
-    several cores.
+    (S,).  Returns the images (S, n, 4) and the norms |I - Y*J| (S,), all
+    S segments computed as one batch.
     """
-    S = x.shape[0]
-    starts = range(0, S, _BLOCK)
-    blocks = []
-    for lo in starts:
-        sl = slice(lo, lo + _BLOCK)
-        blocks.append((h, x[sl], y[sl], box[sl], t_lo[sl], t_hi[sl],
-                       None if sa is None else sa[sl],
-                       None if sb is None else sb[sl]))
-    image = np.empty((S, h.n, 4))
-    norm = np.empty(S)
-    for lo, (im, nm) in zip(starts, pool_map(_images_task, blocks)):
-        image[lo:lo + _BLOCK], norm[lo:lo + _BLOCK] = im, nm
-    return image, norm
+    with np.errstate(all="ignore"):
+        return _images_block(h, x, y, box, t_lo, t_hi, sa, sb)
 
 
 def shear_regions(box, sa, sb, t):

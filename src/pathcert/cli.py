@@ -7,10 +7,9 @@
 
 ``verify`` exits 0 only when every check passes.  When the process may
 use more than one core, ``bench run`` tracks a family's paths and
-``bench verify`` checks a run's certificates in a process pool, and a
-certificate of more than 256 segments that is verified outside a pool
-worker replays its segment blocks in one.  The output is the same as on
-one core.
+``bench verify`` checks a run's certificates in a process pool; ``verify``
+replays a certificate's segments as one batch in its own process.  The
+output is the same as on one core.
 """
 
 import argparse

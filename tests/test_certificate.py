@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import multiprocessing
 import warnings
 from pathlib import Path
 
@@ -9,8 +10,12 @@ import numpy as np
 import pytest
 
 import tutil
-from pathcert import _batch, _pool
-from pathcert.bench import gen_newton_homotopy, gen_random_quadratic
+from pathcert import _pool
+from pathcert.bench import (
+    gen_lowrank,
+    gen_newton_homotopy,
+    gen_random_quadratic,
+)
 from pathcert.certificate import (
     MODE_RECT,
     MODE_TILTED,
@@ -400,24 +405,20 @@ class TestBatchedReplay:
                 assert np.array_equal(v.operator_image.data,
                                       scalar_replay(cert, j).operator_image.data)
 
-    @pytest.mark.parametrize("mode", ["rect", "tilted"])
-    def test_blocks_on_one_and_two_cores(self, newton_certs, monkeypatch,
-                                         mode):
-        # segment i's operands raise (rect) or its test fails (tilted)
-        _, tilted, rect, _ = newton_certs
-        cert = rect if mode == "rect" else tilted
-        i = len(cert.segments) // 2
-        s = cert.segments[i]
-        cert = with_segment(cert, i, **({"center": s.center + 1.0}
-                                        if mode == "rect" else {"y": s.y * 2}))
-        whole = replay(cert)
-        assert (isinstance(whole[i], PathcertError) if mode == "rect"
-                else not whole[i].passed)
-        monkeypatch.setattr(_batch, "_BLOCK", 3)
-        assert len(cert.segments) > 3 * 3
-        for cores in (1, 2):
-            monkeypatch.setattr(_pool, "_usable_cores", lambda c=cores: c)
-            assert verdict_bits(replay(cert)) == verdict_bits(whole)
+    def test_long_certificate_replays_in_this_process(self, monkeypatch):
+        # 267 segments in 8 unknowns replay in this process, even where
+        # the pool would use two cores
+        h, starts = gen_lowrank(4)
+        cert = track(h, starts[0], TrackerConfig(dt0=0.2, r0=0.1),
+                     mode=MODE_TILTED).certificate
+        assert len(cert.segments) > 256
+        monkeypatch.setattr(_pool, "_usable_cores", lambda: 2)
+        (rep, batch), started = tutil.starts_while(
+            lambda: (verify(cert), replay(cert)))
+        assert started == 0 and multiprocessing.active_children() == []
+        assert rep.ok
+        assert verdict_bits(batch) == verdict_bits(
+            [scalar_replay(cert, i) for i in range(len(cert.segments))])
 
     def test_overflow_is_that_segments_replay_error(self, newton_certs):
         _, tilted, _, _ = newton_certs

@@ -3,7 +3,6 @@
 import dataclasses
 import math
 import multiprocessing
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -467,21 +466,6 @@ def outcome(monkeypatch, run):
     return got, [repr(r) for r in states[-1].step_log]
 
 
-def starts_while(run):
-    """run()'s result and the number of processes started meanwhile."""
-    started = []
-    real_start = multiprocessing.process.BaseProcess.start
-
-    def start(self):
-        started.append(self)
-        real_start(self)
-
-    with mock.patch.object(multiprocessing.process.BaseProcess, "start",
-                           start):
-        got = run()
-    return got, len(started)
-
-
 def fail_precondition_at(monkeypatch, hit, error):
     """Make precondition raise error for every (t0, t1) with hit(t0, t1)."""
     real = tracker_mod.precondition
@@ -595,6 +579,6 @@ class TestSiblingAttempts:
     def test_track_starts_no_process(self, monkeypatch):
         # even where the pool would use two cores
         monkeypatch.setattr(_pool, "_usable_cores", lambda: 2)
-        res, started = starts_while(random2)
+        res, started = tutil.starts_while(random2)
         assert started == 0 and multiprocessing.active_children() == []
         assert verify(res.certificate).ok

@@ -1,4 +1,5 @@
-"""Shared test helpers: exact-arithmetic oracles and tiny system builders.
+"""Shared test helpers: exact-arithmetic oracles, tiny system builders
+and a count of the processes a call starts.
 
 The containment oracles decide membership of an EXACT real/complex result
 in a computed interval.  A cheap float screen with a deliberately huge
@@ -11,7 +12,9 @@ always the exact one.
 """
 
 import math
+import multiprocessing
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 
@@ -320,3 +323,20 @@ def plain_newton_solve(h, x, t, tol=1e-14, max_iter=100):
             return x
         x = x - np.linalg.solve(h.jac_x_point(x, t), fx)
     return x
+
+
+# --- processes ----------------------------------------------------------------
+
+def starts_while(run):
+    """run()'s result and the number of processes started meanwhile."""
+    started = []
+    real_start = multiprocessing.process.BaseProcess.start
+
+    def start(self):
+        started.append(self)
+        real_start(self)
+
+    with mock.patch.object(multiprocessing.process.BaseProcess, "start",
+                           start):
+        got = run()
+    return got, len(started)
