@@ -65,6 +65,7 @@ from .ilinalg import (
     solve_point,
 )
 from .intervals import (
+    Ball,
     Box,
     RealInterval,
     box_centered,
@@ -106,7 +107,7 @@ __all__ = [
     "UnsupportedDegree", "UnsupportedN",
     "IntervalMatrix", "imatvec", "mid_inverse", "point_matvec_box",
     "residual_matrix", "solve_point",
-    "Box", "RealInterval", "box_centered",
+    "Ball", "Box", "RealInterval", "box_centered",
     "KrawczykVerdict", "parametric_krawczyk_test",
     "Homotopy", "ParametricSystem", "Term", "dump_system", "load_system",
     "TrackerConfig", "TrackResult", "TrackState", "make_state",

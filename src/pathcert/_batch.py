@@ -4,31 +4,32 @@ The tracker runs one Krawczyk test at a time on the scalar kernels of
 ``_kernels``.  The segments of a certificate are independent claims, so
 ``verify`` replays all of them as one batch with the array versions
 here, the verifier's throughput layer, in the process that verifies the
-certificate.  The tracker also forms its residual I - Y*J here, with a
-segment axis of 1, once a system has ``ilinalg.WIDE_N`` unknowns or
-more: there the n^3 products outweigh numpy's per-call cost.  A complex
-interval array has shape (4, ...) with re_lo, re_hi, im_lo, im_hi along
-the first axis; every other axis is a batch axis (segments, then
-equations or matrix entries).  The polynomial twins ``eval_tpoly`` (the
-time enclosure at a point, of H and of its Jacobian) and
-``eval_deviation`` (how far the Jacobian moves over the box) batch over
-segments only: they loop over a ``systems._Flat`` term list in Python,
-term by term and factor by factor, as their scalar twins do, on one
-factor table (``tpoly_table``).  ``shear_regions``, the region a sheared
-segment certifies at a given time, serves the verifier's hand-off and
-endpoint checks alone and has no scalar twin.
+certificate.  A complex interval array has shape (4, ...) with re_lo,
+re_hi, im_lo, im_hi along the first axis, and an array in midpoint-radius
+form the same shape with Re c, Im c, r_re, r_im; every other axis is a
+batch axis (segments, then equations or matrix entries).  The polynomial
+twins ``eval_tpoly`` (the time enclosure at a point, of H and of its
+Jacobian) and ``eval_deviation`` (how far the Jacobian moves over the box)
+batch over segments only: they loop over a ``systems._Flat`` term list in
+Python, term by term and factor by factor, as their scalar twins do, on
+one factor table (``tpoly_table``).  The tail's twins ``sub_pmul`` (I -
+Y*J and Y*H), ``contract`` (the contraction term and the norm) and
+``image`` loop over the summation index in ascending order, with the
+segments and the other indices as array axes.  ``shear_regions``, the
+region a sheared segment certifies at a given time, serves the
+verifier's hand-off and endpoint checks alone and has no scalar twin.
 
 Each array twin performs, element by element, the same IEEE
 operations in the same order as its scalar twin: the same term order,
 the same k-order sums, ``nextafter`` where the twin rounds outward or up,
 the real operations of CPython's complex ``*`` and ``+`` where it
 computes in plain complex floats (``eval_tpoly``, the first order of
-``eval_deviation``), and Python's ``min``/``max`` semantics for NaN (keep
-the first operand unless the second compares below/above it).  A
-replayed Krawczyk image and contraction norm are therefore bit-identical
-to what ``krawczyk.parametric_krawczyk_test`` computes for the same
-segment; ``tests/test_kernels.py`` checks the arithmetic twins on special
-values.
+``eval_deviation``, the centers of ``sub_pmul``), and Python's
+``min``/``max`` semantics for NaN (keep the first operand unless the
+second compares below/above it).  A replayed Krawczyk image and
+contraction norm are therefore bit-identical to what
+``krawczyk.parametric_krawczyk_test`` computes for the same segment;
+``tests/test_kernels.py`` checks the arithmetic twins on special values.
 """
 
 import numpy as np
@@ -40,10 +41,6 @@ _INF = np.inf
 _TINY = _kernels._TINY
 _EPS3 = _kernels._EPS3
 _OUTWARD = np.array([-_INF, _INF, -_INF, _INF])
-
-# products per slice of ``residual``; bounds its (2, 4, s, n, n, n)
-# temporaries, which grow with n^3 where a batch's others grow with n^2
-_PRODUCTS = 2 ** 14
 
 
 # ---------------------------------------------------------------------------
@@ -145,47 +142,87 @@ def real(lo, hi):
 
 
 # ---------------------------------------------------------------------------
-# matrix-vector layer: Y is (4, S, n, n), vectors are (4, S, n)
+# midpoint-radius layer: an array (4, ...) holds Re c, Im c, r_re, r_im
 # ---------------------------------------------------------------------------
 
-def matvec(mat, vec):
-    """pmatvec_k / imatvec_k: row sums accumulated in column order."""
-    acc = np.zeros(vec.shape[:2] + mat.shape[2:3])
-    for j in range(mat.shape[3]):
-        acc = c_add(acc, c_mul(mat[..., j], vec[..., j:j + 1]))
-    return acc
+def midrad(rect):
+    """``_kernels.midrad_k``: rectangles (4, ...) as centers and radii."""
+    cr = 0.5 * (rect[0] + rect[1])
+    ci = 0.5 * (rect[2] + rect[3])
+    r = _max(cr - rect[0], rect[1] - cr)
+    i = _max(ci - rect[2], rect[3] - ci)
+    return np.stack((cr, ci, np.where(r != 0, _up(r), r),
+                     np.where(i != 0, _up(i), i)))
 
 
-def residual(y, mat):
-    """residual_k: I - Y*M for complex Y (S, n, n) and M (4, S, n, n).
-
-    All n^3 products Y[i, k] * M[k, j] of a slice of segments at once,
-    then the k-sums in ascending k, each addition rounded outward.
-    """
+def sub_pmul(y, m, eye):
+    """``_kernels.sub_pmul_k`` for each segment: E - Y*M for complex Y
+    (S, n, n) and M (4, S, n, c) in midpoint-radius form, E the identity
+    when ``eye`` (then c = n) and 0 otherwise.  The sums run in ascending
+    k, one (n, c, S) step per k with the segments on the last axis, where
+    numpy's loops run longest, and CPython's complex products written out
+    as ``_cmul`` writes them."""
     n = y.shape[2]
-    step = max(1, _PRODUCTS // n ** 3)
-    acc = np.empty(mat.shape)
-    for lo in range(0, y.shape[0], step):
-        sl = slice(lo, lo + step)
-        prod = cp_mul(mat[:, sl, None], y[sl, ..., None])   # (4, s, i, k, j)
-        part = np.zeros(prod.shape[:3] + prod.shape[4:])
-        for k in range(n):
-            part = _outward(part + prod[:, :, :, k])
-        acc[:, sl] = part
-    eye = np.eye(n)
-    return c_sub(real(eye, eye)[:, None], acc)
+    g, f, e0, e1 = _kernels._dot_constants(n)
+    cr, ci, rr, ri = np.ascontiguousarray(np.moveaxis(m, 1, -1))  # (k, c, S)
+    t = g * (np.abs(cr) + np.abs(ci)) + _TINY
+    p = rr + t
+    q = ri + t
+    yr = np.ascontiguousarray(np.moveaxis(y.real, 0, -1))   # (i, k, S)
+    yi = np.ascontiguousarray(np.moveaxis(y.imag, 0, -1))
+    ar, ai = np.abs(yr), np.abs(yi)
+    shape = (n,) + m.shape[3:] + (y.shape[0],)
+    diag = np.eye(n, dtype=bool) if eye else np.zeros(shape[:2], dtype=bool)
+    acc_r = np.where(diag, 1.0, 0.0)[..., None] + np.zeros(shape)
+    acc_i = np.zeros(shape)
+    sr = np.zeros(shape)
+    si = np.zeros(shape)
+    for k in range(n):
+        zr, zi = yr[:, k, None], yi[:, k, None]
+        a, b = ar[:, k, None], ai[:, k, None]
+        vr, vi = _cmul(zr, zi, cr[k], ci[k])
+        acc_r = acc_r - vr
+        acc_i = acc_i - vi
+        sr = sr + (a * p[k] + b * q[k])
+        si = si + (a * q[k] + b * p[k])
+    e = np.where(diag, e1, e0)[..., None]
+    return np.moveaxis(np.stack((acc_r, acc_i, f * sr + e, f * si + e)),
+                       -1, 1)
 
 
-def inorm(mat):
-    """inorm_k: largest row sum of entry magnitudes, rounded up."""
-    mags = c_mag(mat)                       # (S, r, c)
-    s = np.zeros(mags.shape[:2])
-    for j in range(mags.shape[2]):
-        s = _up(s + mags[..., j])
-    best = np.zeros(mags.shape[0])
-    for i in range(mags.shape[1]):
-        best = np.where(s[:, i] > best, s[:, i], best)
-    return best
+def contract(m, dr, di):
+    """``_kernels.contract_k`` for each segment: M (4, S, n, n) in
+    midpoint-radius form times the vectors centered at 0 with radii dr,
+    di (S, n).  Returns the product's radii (2, S, n) and the norms
+    (S,)."""
+    cr, ci, rr, ri = m
+    n = dr.shape[1]
+    f, e, en = _kernels._contract_constants(n)
+    sr = si = s = np.zeros(cr.shape[:2])
+    for j in range(n):
+        p = np.abs(cr[..., j]) + rr[..., j]
+        q = np.abs(ci[..., j]) + ri[..., j]
+        d_r, d_i = dr[:, j, None], di[:, j, None]
+        sr = sr + (p * d_r + q * d_i)
+        si = si + (p * d_i + q * d_r)
+        s = s + np.sqrt(p * p + q * q)
+    best = np.zeros(s.shape[0])
+    for i in range(s.shape[1]):
+        row = s[:, i]
+        best = np.where((row > best) | np.isnan(row), row, best)
+    return np.stack((f * sr + e, f * si + e)), f * best + en
+
+
+def image(x, a, b):
+    """``_kernels.image_k`` for each segment: x (S, n) complex, a (4, S, n)
+    in midpoint-radius form and the radii b (2, S, n) of a vector centered
+    at 0; returns the rectangles (4, S, n)."""
+    r = _up(a[2] + b[0])
+    i = _up(a[3] + b[1])
+    dr = x.real - a[0]
+    di = x.imag - a[1]
+    return np.stack((_down(_down(dr) - r), _up(_up(dr) + r),
+                     _down(_down(di) - i), _up(_up(di) + i)))
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +285,10 @@ def tpoly_table(x, sa, sb, p0, p1, t_lo, t_hi):
 
 def eval_tpoly(flat, table):
     """``_kernels.eval_terms_tpoly`` for each segment, on ``tpoly_table``'s
-    table; returns (4, S, neq).  The scalar kernel's complex float
-    products are written out as the real operations of CPython's complex
-    ``*`` (``_cmul``), not left to numpy's complex loops."""
+    table; returns (4, S, neq) in midpoint-radius form.  The scalar
+    kernel's complex float products are written out as the real
+    operations of CPython's complex ``*`` (``_cmul``), not left to numpy's
+    complex loops."""
     facs, tau_lo, tau_hi, tmax = table
     S = tau_lo.shape[0]
     nd = flat.tdeg + 1
@@ -336,7 +374,7 @@ def eval_tpoly(flat, table):
         ih = np.where(keep, _up(ih + _up(np.where(q > p, q, p))), ih)
     out = np.stack((rl, rh, il, ih))
     out[:, :, [not eq[4] for eq in flat.tpoly]] = 0.0
-    return out
+    return midrad(out)
 
 
 def box_radii(box, x):
@@ -420,18 +458,18 @@ def eval_deviation(flat, table, rad):
 def _images_block(h, x, y, box, t_lo, t_hi, sa, sb):
     n = h.n
     S = x.shape[0]
-    ib = np.moveaxis(box, -1, 0)
-    ypt = point(y.real, y.imag)
-    xpt = point(x.real, x.imag)
     table = tpoly_table(x, sa, sb, h.p0, h.p1, t_lo, t_hi)
-    a = matvec(ypt, eval_tpoly(h.system._flat_f, table))
+    dr, di = box_radii(np.moveaxis(box, -1, 0), x)
     flat = h.system._flat_jac
-    er, ei = eval_deviation(flat, table, box_radii(ib, x))
-    jac = c_add(eval_tpoly(flat, table), np.stack((-er, er, -ei, ei)))
-    resid = residual(y, jac.reshape(4, S, n, n))
-    b = matvec(resid, c_sub(ib, xpt))
-    image = c_add(c_sub(xpt, a), b)
-    return np.moveaxis(image, 0, -1), inorm(resid)
+    er, ei = eval_deviation(flat, table, (dr, di))
+    jac = eval_tpoly(flat, table)
+    jac[2] = _up(jac[2] + er)
+    jac[3] = _up(jac[3] + ei)
+    resid = sub_pmul(y, jac.reshape(4, S, n, n), True)
+    a = sub_pmul(y, eval_tpoly(h.system._flat_f, table)[..., None], False)
+    a[:2] = -a[:2]
+    b, norm = contract(resid, dr, di)
+    return np.moveaxis(image(x, a[..., 0], b), 0, -1), norm
 
 
 def krawczyk_images(h, x, y, box, t_lo, t_hi, sa=None, sb=None):

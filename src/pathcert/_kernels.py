@@ -3,27 +3,30 @@
 The tracker tests one small problem at a time, so these kernels are plain
 Python, and Python lists are their one representation.  A complex
 rectangle [re_lo, re_hi] + i*[im_lo, im_hi] is a 4-tuple of floats, a box
-over C^n a list of n rectangles, an interval matrix a list of rows of
-rectangles, a complex vector a list of Python complex and a point matrix
-a list of rows of them.  Every kernel takes and returns these lists; numpy
-arrays are made only at the public boundary (``intervals``, ``ilinalg``,
-``systems``) when a caller asks for one.  Python floats are IEEE binary64
-like numpy's, but their arithmetic skips numpy's scalar dispatch and never
-warns on overflow.  The package has no interval number type: these
-functions are its scalar interval arithmetic, and the division kernels
-``r_div``, ``c_den`` and ``c_div`` are kept for the interval soundness
-guarantee alone (see ``r_div``).
+over C^n a list of n rectangles, a complex vector a list of Python
+complex and a point matrix a list of rows of them.  In midpoint-radius
+form a rectangle is a complex center and a pair of radii (r_re, r_im), and
+a vector or a matrix keeps a list (of rows) of each.  Every kernel takes
+and returns these lists; numpy arrays are made only at the public
+boundary (``intervals``, ``ilinalg``, ``systems``) when a caller asks for
+one.  Python floats are IEEE binary64 like numpy's, but their arithmetic
+skips numpy's scalar dispatch and never warns on overflow.  The package
+has no interval number type: these functions are its scalar interval
+arithmetic, and the division kernels ``r_div``, ``c_den`` and ``c_div``
+are kept for the interval soundness guarantee alone (see ``r_div``).
 
-Two soundness conventions, both for IEEE-754 round-to-nearest with
+Three soundness conventions, all for IEEE-754 round-to-nearest with
 gradual underflow:
 
-- Per-operation outward rounding, for boxes and interval matrices: each
+- Per-operation outward rounding, for rectangles and boxes: each
   arithmetic result is widened outward by one ulp per endpoint
   (``math.nextafter`` toward the respective infinity) AFTER the
   rounded-to-nearest float computation.  Round to nearest never strays
   past the neighbouring representable, so the widened interval encloses
   the exact real result.  The same rounding up keeps every magnitude of
-  ``eval_terms_deviation`` an upper bound.
+  ``eval_terms_deviation`` an upper bound, and it makes the Krawczyk
+  image's rectangles (``image_k``) and the rectangles of a center and its
+  radii (``rects_k``).
 - An a priori rounding bound, for every enclosure of a term list (H or
   its Jacobian): a midpoint-radius enclosure (Rump, BIT 1999) about a
   point x.  ``eval_terms_tpoly`` encloses the term list at x over a time
@@ -35,24 +38,33 @@ gradual underflow:
   a box about x, ``eval_terms_deviation`` adds a bound on how far the
   term list moves.  Each docstring proves its bound, and the two share
   one factor table (``tpoly_table``).
+- One a priori bound per dot product, for the operator's tail in
+  midpoint-radius form: ``sub_pmul_k`` (I - Y*J and Y*H) computes each
+  center in plain complex floats and each radius as a nonnegative sum in
+  round-to-nearest, scaled once by a rounded-up 1 + gamma_k and raised by
+  an underflow term, which together cover the center's rounding
+  (gamma_k times the sum of the terms' magnitudes) and the radius sum's
+  own; ``contract_k`` (the contraction term and the norm) bounds its
+  nonnegative sums the same way.  No sum is rounded with ``nextafter``.
 
 The endpoint min/max of a product keep Python's ``min``/``max`` semantics
 (keep a unless b < a), which fixes where a NaN ends up.  ``_batch`` holds
 the array twins of these kernels and performs the same IEEE operations in
 the same order, so the two agree bit for bit.  The polynomial kernels loop
 over the term lists of a ``systems._Flat``, and their twins loop over the
-same lists with a segment axis on every value.  The verifier replays with
-the twins, and the tracker's residual ``residual_k`` gives way to its twin
-once a system has ``ilinalg.WIDE_N`` unknowns or more.
+same lists with a segment axis on every value; the tail's twins loop over
+the summation index with the other indices as array axes.  The verifier
+replays with the twins.
 """
 
+import functools
 import math
 
 _INF = math.inf
 _next = math.nextafter
 
 ZERO = (0.0, 0.0, 0.0, 0.0)
-ONE = (1.0, 1.0, 0.0, 0.0)
+_ONE = 1.0 + 0.0j
 
 
 # ---------------------------------------------------------------------------
@@ -218,68 +230,15 @@ def c_mag(a):
 
 
 # ---------------------------------------------------------------------------
-# boxes (lists of rectangles) and interval matrices (lists of their rows)
-# ---------------------------------------------------------------------------
-
-def box_add(a, b):
-    return [c_add(p, q) for p, q in zip(a, b)]
-
-
-def box_sub(a, b):
-    return [c_sub(p, q) for p, q in zip(a, b)]
-
-
-def inorm_k(mat):
-    # max row sum of entry magnitudes, rounded up
-    best = 0.0
-    for row in mat:
-        s = 0.0
-        for entry in row:
-            s = _next(s + c_mag(entry), _INF)
-        if s > best:
-            best = s
-    return best
-
-
-def imatvec_k(mat, vec):
-    # interval matrix times interval vector, row sums in column order
-    out = []
-    for row in mat:
-        acc = ZERO
-        for m, v in zip(row, vec):
-            acc = c_add(acc, c_mul(m, v))
-        out.append(acc)
-    return out
-
-
-def pmatvec_k(y, vec):
-    # complex point matrix times interval vector
-    out = []
-    for row in y:
-        acc = ZERO
-        for z, v in zip(row, vec):
-            acc = c_add(acc, cp_mul(v, z))
-        out.append(acc)
-    return out
-
-
-def residual_k(y, mat):
-    # identity minus (complex point matrix Y) * (interval matrix)
-    cols = list(zip(*mat))
-    out = []
-    for i, row in enumerate(y):
-        res = []
-        for j, col in enumerate(cols):
-            acc = ZERO
-            for z, m in zip(row, col):
-                acc = c_add(acc, cp_mul(m, z))
-            res.append(c_sub(ONE if i == j else ZERO, acc))
-        out.append(res)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# polynomial evaluation over a systems._Flat term list
+# midpoint-radius entries: the operator tail of a Krawczyk test
+#
+# An entry in midpoint-radius form is a complex center c and a pair of
+# radii (r_re, r_im): the rectangle [Re c - r_re, Re c + r_re] +
+# i[Im c - r_im, Im c + r_im], held by its center.  A vector is a list of
+# centers and a list of radius pairs, a matrix the rows of both.  Products
+# compute their centers in plain complex floats and bound each dot
+# product's rounding once, a priori, instead of rounding every operation
+# outward.
 # ---------------------------------------------------------------------------
 
 # unit roundoff of binary64 and the smallest subnormal, 2 * 2^-1075, where
@@ -292,6 +251,205 @@ def _gamma(k):
     """gamma_k = k*u / (1 - k*u) rounded up; k*u and 1 - k*u are exact."""
     return _next(k * _U / (1.0 - k * _U), _INF)
 
+
+def midrad_k(rects):
+    """The rectangles of a list as (centers, radius pairs): center
+    fl(0.5 * fl(lo + hi)) per part, which lies in [lo, hi], and radius the
+    larger distance to an endpoint, rounded up unless it is 0 (a
+    difference of floats is 0 only when they are equal)."""
+    mids = []
+    rads = []
+    for rl, rh, il, ih in rects:
+        cr = 0.5 * (rl + rh)
+        ci = 0.5 * (il + ih)
+        r = cr - rl
+        q = rh - cr
+        if q > r:
+            r = q
+        i = ci - il
+        q = ih - ci
+        if q > i:
+            i = q
+        mids.append(complex(cr, ci))
+        rads.append((_next(r, _INF) if r else r, _next(i, _INF) if i else i))
+    return mids, rads
+
+
+def rects_k(mids, rads):
+    """The rectangles of a list of centers and radius pairs, each endpoint
+    rounded outward."""
+    return [(_next(c.real - r, -_INF), _next(c.real + r, _INF),
+             _next(c.imag - i, -_INF), _next(c.imag + i, _INF))
+            for c, (r, i) in zip(mids, rads)]
+
+
+@functools.lru_cache(maxsize=None)
+def _dot_constants(n):
+    """(g, f, e0, e1) of ``sub_pmul_k`` for n products per dot product."""
+    g = _gamma(n + 2)
+    e0 = (3 * n + 1) * 2.0 ** -1072
+    return g, _next(1.0 + _gamma(n + 7), _INF), e0, _next(2.0 * g + e0, _INF)
+
+
+def sub_pmul_k(y, mid, rad, eye):
+    """E - Y*M in midpoint-radius form, for a point matrix Y (rows of
+    complex) and an interval matrix M given by its columns: the j-th item
+    of the iterable ``mid`` holds the centers of column j, and that of
+    ``rad`` their radius pairs.  E is
+    the identity when ``eye`` is true and 0 otherwise.  Returns the rows
+    of the result's centers and the rows of its radius pairs.
+
+    Entry (i, j) has the center z~ = fl(E_ij - sum_k y_ik c_kj), summed
+    in ascending k in Python complex arithmetic, and radii (rho_re,
+    rho_im) such that E_ij - sum_k y_ik m_kj differs from z~ by at most
+    rho_re in its real part and rho_im in its imaginary part for every
+    m_kj with |Re(m_kj - c_kj)| <= r_re,kj and |Im(m_kj - c_kj)| <=
+    r_im,kj.
+
+    The bound (Rump, BIT 39, 1999; Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, sections 2.2, 3.1 and 3.6).  Let u =
+    2^-53, gamma_k = k u / (1 - k u), |z|_1 = |Re z| + |Im z|, n the
+    number of products per dot product, and fl(a op b) = (a op b)(1 + d)
+    + e with |d| <= u, e = 0 for + and -, and |e| <= 2^-1075 for a
+    product (gradual underflow).
+    1. Propagation.  E - sum y m = (E - sum y c) - sum y (m - c), and
+       |Re(y w)| <= |Re y| |Re w| + |Im y| |Im w|, |Im(y w)| <= |Re y|
+       |Im w| + |Im y| |Re w|: the radii move as sum_k (|Re y_ik|
+       r_re,kj + |Im y_ik| r_im,kj) in the real part and the mirror in
+       the imaginary part.
+    2. The center's rounding.  A part of y*c is a sum or difference of
+       two rounded products, and the running value subtracts it, so each
+       monomial of the exact center passes at most n + 2 roundings (E_ij
+       at most n).  By Lemma 3.1 each part of z~ is off by at most g
+       (E_ij + sum_k |y_ik|_1 |c_kj|_1), g = gamma_(n+2), plus the 2n
+       products' e, each amplified by at most (1 + u)^(n+1) <= 2: n
+       2^-1073 in all.
+    3. So each radius may be any rho >= B + g E_ij + n 2^-1073, where B =
+       sum_k (|Re y_ik| (r_re,kj + g |c_kj|_1) + |Im y_ik| (r_im,kj + g
+       |c_kj|_1)) for the real part (the mirror for the imaginary part)
+       covers 1 and the sum of 2, as |y|_1 = |Re y| + |Im y|.
+    4. B in floats.  Per entry of M the kernel forms w = fl(|Re c| + |Im
+       c|) and t = fl(fl(g w) + 2^-1074) >= g w (1 - u)^2, since fl(g w)
+       >= g w (1 - u) - 2^-1075; then p = fl(r_re + t) and q = fl(r_im +
+       t).  Per k it adds fl(fl(|Re y| p) + fl(|Im y| q)) to a running
+       sum that starts at 0.  Every value is nonnegative, every monomial
+       of B passes at most n + 5 roundings, and the 2n products' e add at
+       least -n 2^-1073, so the sum s~ >= (1 - u)^(n+5) B - n 2^-1073;
+       that is, B <= (1 + gamma_(n+5)) s~ + n 2^-1072.
+    5. The radius is fl(fl(f s~) + e), with f = 1 + gamma_(n+7) rounded
+       up, which is at least (1 + gamma_(n+5)) / (1 - u)^2, and e =
+       (3n + 1) 2^-1072 off the diagonal of E and e + 2g, rounded up, on
+       it, which covers ((3n 2^-1073 + g E_ij) / (1 - u) + 2^-1075): the
+       radius is at least f s~ (1 - u)^2 + (e - 2^-1075)(1 - u), which is
+       at least the bound of 3.
+    Nothing is rounded with ``nextafter`` inside the sums.  An overflow or
+    a NaN makes a center or a radius non-finite.
+    """
+    g, f, e0, e1 = _dot_constants(len(y[0]))
+    cols = []
+    for cc, rc in zip(mid, rad):
+        ps = []
+        qs = []
+        for c, (r, i) in zip(cc, rc):
+            t = g * (abs(c.real) + abs(c.imag)) + _TINY
+            ps.append(r + t)
+            qs.append(i + t)
+        cols.append((cc, ps, qs))
+    mids = []
+    rads = []
+    for i, row in enumerate(y):
+        ar = [abs(z.real) for z in row]
+        ai = [abs(z.imag) for z in row]
+        mrow = []
+        rrow = []
+        for j, (cc, ps, qs) in enumerate(cols):
+            diag = eye and i == j
+            acc = _ONE if diag else 0j
+            sr = si = 0.0
+            for z, a, b, c, p, q in zip(row, ar, ai, cc, ps, qs):
+                acc = acc - z * c
+                sr = sr + (a * p + b * q)
+                si = si + (a * q + b * p)
+            e = e1 if diag else e0
+            mrow.append(acc)
+            rrow.append((f * sr + e, f * si + e))
+        mids.append(mrow)
+        rads.append(rrow)
+    return mids, rads
+
+
+@functools.lru_cache(maxsize=None)
+def _contract_constants(n):
+    """(f, e, e_norm) of ``contract_k`` for rows of n entries."""
+    return (_next(1.0 + _gamma(n + 4), _INF), (n + 1) * 2.0 ** -1071,
+            (n + 1) * 2.0 ** -535)
+
+
+def contract_k(mid, rad, d):
+    """M * v for an interval matrix M (rows of centers and of radius
+    pairs) and a vector v centered at 0 with the radius pairs d, with the
+    row-sum norm of M's entry magnitudes from the same magnitudes.
+    Returns the product's radius pairs (its centers are 0) and the norm.
+
+    With P = |Re c| + r_re and Q = |Im c| + r_im, every entry m of M has
+    |Re m| <= P and |Im m| <= Q, so |Re(m v_j)| <= P d_re,j + Q d_im,j
+    and |Im(m v_j)| <= P d_im,j + Q d_re,j: as the Krawczyk test's I - x
+    lies in [-d, d] per part, its contraction term needs no complex
+    interval product.  And |m| <= sqrt(P^2 + Q^2).
+    The bound, in the model of ``sub_pmul_k``.  The kernel forms p =
+    fl(|Re c| + r_re) >= P (1 - u), q likewise, and adds fl(fl(p d_re)
+    + fl(q d_im)) to a running sum from 0 in ascending j: every monomial
+    passes at most n + 2 roundings and the 2n products' e add at least
+    -n 2^-1073, so the exact part is at most (1 + gamma_(n+2)) s~ + n
+    2^-1072, and the radius fl(fl(f s~) + e) with f = 1 + gamma_(n+4)
+    rounded up and e = (n + 1) 2^-1071 covers it (step 5 of
+    ``sub_pmul_k``).  The norm: m~ = fl(sqrt(fl(fl(p p) + fl(q q))))
+    bounds sqrt(P^2 + Q^2) <= m~ / (1 - u)^3 + 2^-537 / (1 - u)^2 (the
+    two products' e add at most 2^-1074 under the root), and the row's
+    running sum of its n values adds at most n - 1 roundings, so a row
+    sums to at most (1 + gamma_(n+2)) s~ + n 2^-536; the norm is
+    fl(fl(f s~_max) + e') with e' = (n + 1) 2^-535.  A row whose sum is
+    NaN makes the norm NaN: a row replaces the largest so far when it
+    compares above it or is NaN.
+    """
+    f, e, en = _contract_constants(len(d))
+    out = []
+    best = 0.0
+    for crow, rrow in zip(mid, rad):
+        sr = si = s = 0.0
+        for c, (r, i), (dr, di) in zip(crow, rrow, d):
+            p = abs(c.real) + r
+            q = abs(c.imag) + i
+            sr = sr + (p * dr + q * di)
+            si = si + (p * di + q * dr)
+            s = s + math.sqrt(p * p + q * q)
+        out.append((f * sr + e, f * si + e))
+        if s > best or s != s:
+            best = s
+    return out, f * best + en
+
+
+def image_k(x, amid, arad, brad):
+    """The Krawczyk image x - a + b as rectangles, for the point x, the
+    vector a (centers and radius pairs) and the vector b centered at 0
+    (radius pairs): each part is x - Re a (or Im) rounded down and up,
+    widened by the two radii's sum rounded up, and rounded outward."""
+    out = []
+    for z, a, (ar, ai), (br, bi) in zip(x, amid, arad, brad):
+        r = _next(ar + br, _INF)
+        i = _next(ai + bi, _INF)
+        dr = z.real - a.real
+        di = z.imag - a.imag
+        out.append((_next(_next(dr, -_INF) - r, -_INF),
+                    _next(_next(dr, _INF) + r, _INF),
+                    _next(_next(di, -_INF) - i, -_INF),
+                    _next(_next(di, _INF) + i, _INF)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# polynomial evaluation over a systems._Flat term list
+# ---------------------------------------------------------------------------
 
 def _below_one_minus(g):
     return _next(1.0 - g, -_INF)
@@ -385,7 +543,9 @@ def eval_terms_tpoly(flat, table):
     and imaginary parts of c~_0 widened by rho_i; an equation without
     terms is exactly 0.  Cancellations between the shear slope and the
     parameter drift happen in the coefficients instead of being lost to
-    independent copies of the time interval.
+    independent copies of the time interval.  The rectangles are returned
+    in midpoint-radius form (``midrad_k``), as the operator tail takes
+    them.
 
     ``tpoly_table`` takes x, p0, p1 as lists of complex and the shear
     s(t) = sa + t*sb as lists sa, sb, or both None when unsheared, and
@@ -531,7 +691,7 @@ def eval_terms_tpoly(flat, table):
             il = _next(il + _next(q if q < p else p, -_INF), -_INF)
             ih = _next(ih + _next(q if q > p else p, _INF), _INF)
         out.append((rl, rh, il, ih))
-    return out
+    return midrad_k(out)
 
 
 def box_radii(box, x):

@@ -3,41 +3,35 @@
 Point matrices are ``numpy.complex128`` arrays or, in the kernels' form,
 lists of rows of Python complex (``intervals.point_rows``); every function
 here takes either, and returns point results as arrays.  An interval
-matrix, like ``Box``, keeps rows of kernel rectangles
-(``intervals.KernelRows``); ``data``, the same values as a float64 array
-of shape (rows, cols, 4), is built from them when first asked for.  The
-kernels are the scalar ones of ``_kernels``, except the residual I - Y*M
-of a matrix with ``WIDE_N`` rows or more, which ``_batch`` forms as one
-array computation with the same bits.
+matrix, like ``intervals.Ball``, keeps its entries in midpoint-radius
+form (``intervals.MidRad``): rows of complex centers and rows of radius
+pairs, from which ``rows`` (kernel rectangles rounded outward) and
+``data`` are built when asked for.  The products are the tail of a
+Krawczyk test, and each computes in one pass of the scalar kernels of
+``_kernels`` at every n: ``residual_matrix`` and ``point_matvec_box`` in
+``sub_pmul_k``, ``imatvec`` in ``contract_k``, which also forms the
+matrix's norm.
 """
 
 import cmath
+import math
 from itertools import chain
 
 import numpy as np
 
-from . import _batch
 from . import _kernels as _k
 from .errors import DimensionMismatch, NonFiniteEndpoint, SingularMatrix
-from .intervals import Box, KernelRows, check_rects, point_list, point_rows
+from .intervals import Ball, MidRad, check_rects, point_list, point_rows
 
 _chain = chain.from_iterable
 
-# Smallest n for which the residual is the array computation.  With the
-# operands as the tracker holds them (Y as rows, the Jacobian enclosure
-# as kernel rows), one residual takes 73-81 us on the scalar kernel
-# against 75-83 us on the array one at n = 4, 143-154 against 102-111 us
-# at n = 5 and 539-593 against 183-208 us at n = 8 (BENCH_27.json): the
-# array residual, which pays for reading its operands' rows and listing
-# its result, first wins at n = 5.
-WIDE_N = 5
 
+class IntervalMatrix(MidRad):
+    """Rows of complex rectangles in midpoint-radius form (``MidRad``).
+    ``IntervalMatrix(data)`` checks an (r, c, 4) array of finite nonempty
+    rectangles and holds each by its center and radii, rounded up."""
 
-class IntervalMatrix(KernelRows):
-    """Rows of complex rectangles (``KernelRows``); ``IntervalMatrix(data)``
-    checks an (r, c, 4) array of finite nonempty rectangles."""
-
-    __slots__ = ()
+    __slots__ = ("_norm",)
 
     def __init__(self, data):
         data = np.ascontiguousarray(data, dtype=np.float64)
@@ -46,15 +40,28 @@ class IntervalMatrix(KernelRows):
                 f"interval matrix data must be (r, c, 4), got {data.shape}")
         rows = data.tolist()
         check_rects(list(_chain(rows)), "interval matrix", "entry")
-        self.rows = rows
+        pairs = [_k.midrad_k(row) for row in rows]
+        self.mid = [m for m, _ in pairs]
+        self.rad = [r for _, r in pairs]
         self._data = None
 
     @property
     def shape(self):
-        return len(self.rows), len(self.rows[0]) if self.rows else 0
+        return len(self.mid), len(self.mid[0]) if self.mid else 0
 
     def norm(self):
-        return _k.inorm_k(self.rows)
+        """Largest row sum of the entries' magnitude bounds, rounded up
+        (``_kernels.contract_k``).  ``imatvec`` forms it in the pass that
+        multiplies, and keeps it here."""
+        try:
+            return self._norm
+        except AttributeError:
+            _, self._norm = _k.contract_k(self.mid, self.rad,
+                                          [(0.0, 0.0)] * self.shape[1])
+            return self._norm
+
+    def _rects(self):
+        return [_k.rects_k(m, r) for m, r in zip(self.mid, self.rad)]
 
     def __repr__(self):
         return f"IntervalMatrix(shape={self.shape})"
@@ -114,29 +121,40 @@ def residual_matrix(y, m):
     if r != c or not _square(y, r):
         raise DimensionMismatch(
             f"residual needs square shapes, got {_shape(y)} and {m.shape}")
-    if r < WIDE_N:
-        return IntervalMatrix.of_rows(_k.residual_k(y, m.rows))
-    # read the operands' rows straight into flat arrays (np.array on
-    # nested lists costs twice as much) and list the result's rows
-    ya = np.fromiter(_chain(y), np.complex128, r * r).reshape(1, r, r)
-    ma = np.fromiter(_chain(_chain(m.rows)), np.float64, 4 * r * r)
-    with np.errstate(all="ignore"):
-        out = _batch.residual(ya, ma.reshape(r * r, 4).T.reshape(4, 1, r, r))
-    return IntervalMatrix.of_rows(out[:, 0].transpose(1, 2, 0).tolist())
+    return IntervalMatrix.of_midrad(
+        *_k.sub_pmul_k(y, zip(*m.mid), zip(*m.rad), True))
 
 
 def imatvec(m, v):
-    """Interval matrix times interval vector (a Box), outward rounded."""
+    """Interval matrix times interval vector (a Ball or a Box) as a Ball.
+
+    M*v = M*c + M*(v - c) for the centers c of v: the first is the point
+    product (``_kernels.sub_pmul_k``), and v - c is centered at 0, so the
+    second is ``_kernels.contract_k``, whose pass also gives M's norm.  A
+    vector centered at 0, such as the Krawczyk test's I - x, needs no
+    point product.
+    """
+    v = v.ball()
     r, c = m.shape
     if v.n != c:
         raise DimensionMismatch(f"matvec shapes {m.shape} and {v.n} differ")
-    return Box.of_rows(_k.imatvec_k(m.rows, v.rows))
+    rad, m._norm = _k.contract_k(m.mid, m.rad, v.rad)
+    if not any(v.mid):
+        return Ball.of_midrad([0j] * r, rad)
+    mid, prad = _k.sub_pmul_k([v.mid], m.mid, m.rad, False)
+    up = math.inf
+    return Ball.of_midrad(
+        [-z for z in mid[0]],
+        [(math.nextafter(a + b, up), math.nextafter(p + q, up))
+         for (a, p), (b, q) in zip(rad, prad[0])])
 
 
 def point_matvec_box(y, v):
-    """Point matrix times interval vector, outward rounded."""
+    """Point matrix times interval vector (a Ball or a Box) as a Ball."""
     y = point_rows(y)
+    v = v.ball()
     if not y or any(len(row) != v.n for row in y):
         raise DimensionMismatch(
             f"matvec shapes {_shape(y)} and {v.n} differ")
-    return Box.of_rows(_k.pmatvec_k(y, v.rows))
+    mid, rad = _k.sub_pmul_k(y, [v.mid], [v.rad], False)
+    return Ball.of_midrad([-row[0] for row in mid], [row[0] for row in rad])

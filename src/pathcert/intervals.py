@@ -1,16 +1,19 @@
-"""Time windows, and boxes of complex rectangles over C^n.
+"""Time windows, boxes of complex rectangles over C^n, and balls.
 
 A time window is a ``RealInterval``, a closed segment [lo, hi] of finite
 binary64 numbers; it carries no arithmetic.  A complex rectangle
 [re_lo, re_hi] + i*[im_lo, im_hi] is the kernels' 4-tuple, and a box is a
-vector of them, kept as the kernels' rows whoever made the box
-(``KernelRows``); ``data``, the same values as a float64 array of shape
-(n, 4), is built from the rows when first asked for.
+vector of them, kept as the kernels' rows whoever made the box; ``data``,
+the same values as a float64 array of shape (n, 4), is built from the rows
+when first asked for.  Boxes are what a test certifies and a certificate
+stores, and a Krawczyk image is a box.
 
-The arithmetic on rectangles is the kernels' in ``_kernels``, which widen
-every result outward by one ulp per endpoint, so the returned set always
-encloses the exact image of the operands; a box adds and subtracts with
-them.  ``point_list`` and ``point_rows`` give the kernels' form of a
+A ``Ball`` is a vector of the same rectangles held by their centers and
+the radii of their parts (``MidRad``): the form in which the operator's
+enclosures and mat-vecs compute (``_kernels.sub_pmul_k``), whose centers
+are plain complex floats and whose radii carry one a priori rounding
+bound per dot product.  ``Box.ball`` and ``ball_about`` make balls from
+boxes.  ``point_list`` and ``point_rows`` give the kernels' form of a
 complex vector and of a point matrix.
 """
 
@@ -93,22 +96,41 @@ def check_rects(rects, what, part="component"):
             raise EmptyInterval(f"{what} has an empty {part}")
 
 
-class KernelRows:
-    """Storage of ``Box`` and ``ilinalg.IntervalMatrix``: ``rows``, the
-    kernels' rectangles (a list of them for a box, a list of lists for a
-    matrix), whoever made the object.  ``data`` is the same values as a
-    float64 array, built on first use and kept; the rows must not change
-    after that."""
+class Box:
+    """Vector of complex rectangles; the basic enclosure over C^n, kept
+    as the kernels' list of rectangles, ``rows``, whoever made the box.
+    ``data`` is the same values as a float64 array of shape (n, 4), built
+    on first use and kept; the rows must not change after that.
+    ``Box(data)`` checks that data is an (n, 4) array, n >= 1, of finite
+    nonempty rectangles."""
 
     __slots__ = ("rows", "_data")
 
+    def __init__(self, data):
+        data = np.ascontiguousarray(data, dtype=np.float64)
+        if data.ndim != 2 or data.shape[1] != 4 or data.shape[0] == 0:
+            raise DimensionMismatch(f"box data must be (n, 4), got {data.shape}")
+        rows = data.tolist()
+        check_rects(rows, "box")
+        self.rows = rows
+        self._data = None
+
     @classmethod
     def of_rows(cls, rows):
-        """The object over nonempty kernel rows, unchecked."""
+        """The box over nonempty kernel rows, unchecked."""
         obj = cls.__new__(cls)
         obj.rows = rows
         obj._data = None
         return obj
+
+    @classmethod
+    def degenerate(cls, x):
+        """Zero-width box at the point vector x (no widening)."""
+        rows = [(z.real, z.real, z.imag, z.imag) for z in point_list(x)]
+        if not rows:
+            raise DimensionMismatch("box data must be (n, 4), got (0, 4)")
+        check_rects(rows, "box")
+        return cls.of_rows(rows)
 
     @property
     def data(self):
@@ -121,38 +143,16 @@ class KernelRows:
             return NotImplemented
         return np.array_equal(self.data, other.data)
 
-
-class Box(KernelRows):
-    """Vector of complex rectangles; the basic enclosure over C^n, kept
-    as a list of rectangles (``KernelRows``).  ``Box(data)`` checks that
-    data is an (n, 4) array, n >= 1, of finite nonempty rectangles."""
-
-    __slots__ = ()
-
-    def __init__(self, data):
-        data = np.ascontiguousarray(data, dtype=np.float64)
-        if data.ndim != 2 or data.shape[1] != 4 or data.shape[0] == 0:
-            raise DimensionMismatch(f"box data must be (n, 4), got {data.shape}")
-        rows = data.tolist()
-        check_rects(rows, "box")
-        self.rows = rows
-        self._data = None
-
-    @classmethod
-    def degenerate(cls, x):
-        """Zero-width box at the point vector x (no widening)."""
-        rows = [(z.real, z.real, z.imag, z.imag) for z in point_list(x)]
-        if not rows:
-            raise DimensionMismatch("box data must be (n, 4), got (0, 4)")
-        check_rects(rows, "box")
-        return cls.of_rows(rows)
-
     def __repr__(self):
         return f"Box({self.data!r})"
 
     @property
     def n(self):
         return len(self.rows)
+
+    def ball(self):
+        """The same rectangles in midpoint-radius form, radii rounded up."""
+        return Ball.of_midrad(*_k.midrad_k(self.rows))
 
     def contains_point(self, x):
         x = point_list(x)
@@ -171,19 +171,59 @@ class Box(KernelRows):
                 return False
         return True
 
-    def __add__(self, other):
-        if not isinstance(other, Box):
-            return NotImplemented
-        if other.n != self.n:
-            raise DimensionMismatch("box dimensions differ")
-        return Box.of_rows(_k.box_add(self.rows, other.rows))
 
-    def __sub__(self, other):
-        if not isinstance(other, Box):
-            return NotImplemented
-        if other.n != self.n:
-            raise DimensionMismatch("box dimensions differ")
-        return Box.of_rows(_k.box_sub(self.rows, other.rows))
+class MidRad:
+    """Storage of ``Ball`` and ``ilinalg.IntervalMatrix``: entries in
+    the kernels' midpoint-radius form (``_kernels.midrad_k``), ``mid``
+    the complex centers and ``rad`` the pairs (real radius, imaginary
+    radius), a list of each for a vector and a list of rows for a matrix.
+    ``rows`` gives the same entries as kernel rectangles rounded outward,
+    and ``data`` those as a float64 array, built on first use."""
+
+    __slots__ = ("mid", "rad", "_data")
+
+    @classmethod
+    def of_midrad(cls, mid, rad):
+        """The object over centers and radius pairs, unchecked."""
+        obj = cls.__new__(cls)
+        obj.mid = mid
+        obj.rad = rad
+        obj._data = None
+        return obj
+
+    @property
+    def rows(self):
+        return self._rects()
+
+    @property
+    def data(self):
+        if self._data is None:
+            self._data = np.array(self.rows, dtype=np.float64)
+        return self._data
+
+
+class Ball(MidRad):
+    """Vector of complex rectangles in midpoint-radius form (``MidRad``):
+    what the enclosures of H and the operator's mat-vecs return."""
+
+    __slots__ = ()
+
+    @property
+    def n(self):
+        return len(self.mid)
+
+    def ball(self):
+        return self
+
+    def _rects(self):
+        return _k.rects_k(self.mid, self.rad)
+
+
+def ball_about(box, x):
+    """The ball centered at 0 that holds box - x: its radii are the
+    distances from the point x to the box's far sides, rounded up
+    (``_kernels.box_radii``)."""
+    return Ball.of_midrad([0j] * box.n, _k.box_radii(box.rows, x))
 
 
 def box_centered(x, r):

@@ -16,15 +16,33 @@ the row-sum norm, that solution is the only one in I for each t.  The
 sqrt(2) factor is the price of testing complex rectangles instead of
 discs; it is always applied.
 
-A test computes in the kernels' lists from its operands to its verdict.
+The operator's tail computes in midpoint-radius form (Rump, BIT 39,
+1999): the enclosures come as centers and radii, Y * encl(H) and
+Id - Y * encl(dH/dx) are complex float products with one a priori
+rounding bound per dot product (``ilinalg.point_matvec_box``,
+``ilinalg.residual_matrix``), and since I - x lies in a ball centered at
+0 (``intervals.ball_about``), the contraction term is a sum of the
+residual's entry magnitudes times the box's radii, which also give the
+norm (``ilinalg.imatvec``; Neumaier 1990 for the operator on boxes
+symmetric about x).  The image is a box, rounded outward
+(``_kernels.image_k``).  A test computes in the kernels' lists from its
+operands to its verdict.
 """
 
 import math
 from dataclasses import dataclass
 
+from . import _kernels as _k
 from .errors import DimensionMismatch, NonFiniteEndpoint, PathcertError
 from .ilinalg import imatvec, point_matvec_box, residual_matrix
-from .intervals import Box, RealInterval, check_rects, point_list, point_rows
+from .intervals import (
+    Box,
+    RealInterval,
+    ball_about,
+    check_rects,
+    point_list,
+    point_rows,
+)
 
 _SQRT2_UP = math.nextafter(math.sqrt(2.0), math.inf)
 
@@ -76,10 +94,10 @@ def parametric_krawczyk_test(h, x, y, box, T):
     """
     x, y, T = check_operands(h.n, x, y, box, T)
     resid = residual_matrix(y, h.jac_x_interval(box, T, x))
-    x_box = Box.degenerate(x)
     a = point_matvec_box(y, h.eval_over_time(x, T))
-    b = imatvec(resid, box - x_box)
-    return verdict_from(box, (x_box - a) + b, resid.norm())
+    b = imatvec(resid, ball_about(box, x))
+    image = Box.of_rows(_k.image_k(x, a.mid, a.rad, b.rad))
+    return verdict_from(box, image, resid.norm())
 
 
 def _contracts(rn):

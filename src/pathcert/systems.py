@@ -14,7 +14,7 @@ its argument shifts).
 A homotopy keeps its parameters and shear as lists of Python complex, the
 kernels' form.  Its private point maps (``_eval``, ``_jac``, ``_f1``) take
 and return lists for the tracker's step loop; the public methods take
-arrays or lists and return arrays and boxes.  Products of a float and a
+arrays or lists and return arrays and balls.  Products of a float and a
 complex are written ``complex(t) * z``: that is numpy's float-to-complex
 product, with the same bits on every Python version.
 """
@@ -39,7 +39,7 @@ from .errors import (
     UnsupportedDegree,
 )
 from .ilinalg import IntervalMatrix
-from .intervals import Box, RealInterval, point_list
+from .intervals import Ball, RealInterval, point_list
 
 # Largest total degree of a term.  Evaluation allocates powers up to the
 # largest exponent, so a cap keeps a hostile system file or certificate
@@ -401,43 +401,45 @@ class Homotopy:
     # -- interval evaluation (certified enclosures) --------------------------
 
     def eval_interval(self, box, T):
-        """Enclosure of { H(x, t) : x in box, t in T }, componentwise:
-        ``_enclose`` of H's term list at the box's midpoint."""
-        return Box.of_rows(self._enclose(self.system._flat_f, box, T))
+        """Enclosure of { H(x, t) : x in box, t in T }, componentwise, as
+        a Ball: ``_enclose`` of H's term list at the box's midpoint."""
+        return Ball.of_midrad(*self._enclose(self.system._flat_f, box, T))
 
     def eval_over_time(self, x, T):
-        """Enclosure of { H(x, t) : t in T } at a fixed point x.
+        """Enclosure of { H(x, t) : t in T } at a fixed point x, as a Ball.
 
         The time polynomial of ``_enclose`` with no box.  For a sheared
         homotopy its linear coefficient nearly cancels (the secant slope
         tracks the path), so the enclosure shrinks to the secant's sag far
         below the raw drift of H over T.
         """
-        return Box.of_rows(self._enclose(self.system._flat_f, None, T, x))
+        return Ball.of_midrad(*self._enclose(self.system._flat_f, None, T, x))
 
     def jac_x_interval(self, box, T, x=None):
         """Enclosure of the x-Jacobian over box x T as an IntervalMatrix:
         ``_enclose`` of the Jacobian's term list at the point x (by
         default the box's midpoint)."""
-        out = self._enclose(self.system._flat_jac, box, T, x)
+        mid, rad = self._enclose(self.system._flat_jac, box, T, x)
         n = self.n
-        return IntervalMatrix.of_rows([out[i:i + n]
-                                       for i in range(0, n * n, n)])
+        return IntervalMatrix.of_midrad(
+            [mid[i:i + n] for i in range(0, n * n, n)],
+            [rad[i:i + n] for i in range(0, n * n, n)])
 
     def _enclose(self, flat, box, T, x=None):
-        """Enclosure of the term list ``flat`` over box x T, one rectangle
-        per equation, expanded at the point x (by default the box's
-        midpoint); with no box, its enclosure at x over T.
+        """Enclosure of the term list ``flat`` over box x T, one entry per
+        equation as a center and a pair of radii (``_kernels.midrad_k``),
+        expanded at the point x (by default the box's midpoint); with no
+        box, its enclosure at x over T.
 
         The term list's time polynomial at x is enclosed over T with float
         coefficients and an a priori rounding bound
-        (``_kernels.eval_terms_tpoly``), and each entry is widened by a
-        proven bound on how far it moves over box - x and T
-        (``_kernels.eval_terms_deviation``): the first order at the window
-        midpoint componentwise, the window variation and the higher orders
-        in |.|_1 products, every magnitude rounded up.  The time
-        polynomial keeps the shear's cancellation with the parameter drift
-        that separate interval copies of T would lose.
+        (``_kernels.eval_terms_tpoly``), and each entry's radii are
+        widened, rounded up, by a proven bound on how far it moves over
+        box - x and T (``_kernels.eval_terms_deviation``): the first order
+        at the window midpoint componentwise, the window variation and the
+        higher orders in |.|_1 products, every magnitude rounded up.  The
+        time polynomial keeps the shear's cancellation with the parameter
+        drift that separate interval copies of T would lose.
         """
         if box is not None and box.n != self.n:
             raise DimensionMismatch("box dimension differs from system")
@@ -449,12 +451,13 @@ class Homotopy:
         else:
             x = self._point(x)
         table = self._tpoly_table(x, T)
-        out = _k.eval_terms_tpoly(flat, table)
+        mid, rad = _k.eval_terms_tpoly(flat, table)
         if box is None:
-            return out
+            return mid, rad
         dev = _k.eval_terms_deviation(flat, table, _k.box_radii(box.rows, x))
-        return [_k.c_add(r, (-er, er, -ei, ei))
-                for r, (er, ei) in zip(out, dev)]
+        nxt = math.nextafter
+        return mid, [(nxt(r + er, math.inf), nxt(i + ei, math.inf))
+                     for (r, i), (er, ei) in zip(rad, dev)]
 
     def _tpoly_table(self, x, T):
         """``_kernels.tpoly_table`` at the point x over T.  A Krawczyk

@@ -6,7 +6,7 @@ what the package re-exports from its submodules, not the submodules
 import pathcert
 
 PUBLIC = [
-    "BenchmarkReport", "BenchmarkSpec", "Box", "CertificateError",
+    "Ball", "BenchmarkReport", "BenchmarkSpec", "Box", "CertificateError",
     "DegenerateStart", "DegenerateTimeInterval", "DimensionMismatch",
     "EmptyInterval", "Homotopy", "IntervalError", "IntervalMatrix",
     "InvalidM", "KrawczykVerdict", "MODE_RECT", "MODE_TILTED",

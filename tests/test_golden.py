@@ -1,7 +1,7 @@
 """Golden certificates: tracking must reproduce the frozen files byte for byte.
 
-The newton files in ``data/golden`` were written by ``serialize`` before
-the scalar kernels moved from numpy scalars to Python floats.  The
+The newton files in ``data/golden`` were first written by ``serialize``
+before the scalar kernels moved from numpy scalars to Python floats.  The
 random and lowrank files (2 and 4 unknowns) were written again when the
 step schedule stopped growing after an accepted test without contraction
 margin: the old rule's files reproduced byte for byte on the code that
@@ -10,8 +10,8 @@ All four were written indented until ``serialize`` switched to compact
 JSON; they were then re-laid out mechanically, each as
 ``json.dumps(json.loads(old), separators=(",", ":")) + "\n"``, with every
 value unchanged.  The katsura file (3 unknowns, path 0 of the
-benchmark's katsura3 run, 125 segments) was written compact, before the
-tracker's step loop moved from numpy arrays to Python lists.
+benchmark's katsura3 run) was written compact, before the tracker's step
+loop moved from numpy arrays to Python lists.
 These five track at lambda = 3, the step factor they were written with,
 so they keep pinning the arithmetic when the default schedule moves: when
 the default lambda became 1.25 they reproduced byte for byte at
@@ -19,19 +19,20 @@ the default lambda became 1.25 they reproduced byte for byte at
 run again) pins the default ``TrackerConfig()`` itself.
 All six were written again, by design, when the Jacobian's enclosure
 became its time polynomial at the Krawczyk point plus a deviation bound
-over the box (``Homotopy.jac_x_interval``) and the time enclosure's
-substitution stopped at each equation's degree: the arithmetic they pin
-changed, and so did the steps it accepts (katsura3 path 0 at the default
-went 86 -> 55 segments, at lambda = 3 125 -> 95).  The files they
-replaced, written with the interval Jacobian, are kept in
-``data/golden/v1_interval_jacobian``: every certificate an earlier
-version wrote must still verify.
+over the box (``Homotopy.jac_x_interval``); the files they replaced,
+written with the interval Jacobian, are kept in
+``data/golden/v1_interval_jacobian``.  They were written again when the
+operator's tail moved from rectangle products, each operation rounded
+outward, to midpoint-radius products with one a priori bound per dot
+product (``ilinalg.residual_matrix``): only each segment's stored
+``residual_norm`` moved, in its last bits, and no segment count changed.
+The files they replaced are kept in ``data/golden/v2_rect_operator``.
+Every certificate an earlier version wrote must still verify, with the
+segment count it was written with.
 Any change to the order or rounding of an interval operation on the
-tracking path shows up here as a byte difference.  Each case also runs
-with every residual forced onto the array kernels and onto the scalar
-kernels.  Nothing ``track`` calls reads the number of usable cores, so
-the pool against one core is checked where a pool runs, in
-``test_bench.py``.
+tracking path shows up here as a byte difference.  Nothing ``track``
+calls reads the number of usable cores, so the pool against one core is
+checked where a pool runs, in ``test_bench.py``.
 """
 
 import json
@@ -39,7 +40,6 @@ from pathlib import Path
 
 import pytest
 
-from pathcert import ilinalg
 from pathcert.bench import (
     gen_katsura,
     gen_lowrank,
@@ -61,6 +61,11 @@ V1_INTERVAL_JACOBIAN = GOLDEN / "v1_interval_jacobian"
 V1_SEGMENTS = {"katsura3_tilted.json": 125, "katsura3_tilted_default.json": 86,
                "lowrank2_tilted.json": 135, "newton10_rect.json": 21,
                "newton10_tilted.json": 12, "random2_tilted.json": 132}
+# the same six cases again, written with the rectangle operator tail
+V2_RECT_OPERATOR = GOLDEN / "v2_rect_operator"
+V2_SEGMENTS = {"katsura3_tilted.json": 95, "katsura3_tilted_default.json": 55,
+               "lowrank2_tilted.json": 119, "newton10_rect.json": 21,
+               "newton10_tilted.json": 12, "random2_tilted.json": 86}
 
 
 def newton10(mode):
@@ -119,17 +124,16 @@ def test_fresh_track_matches_golden_file(name):
     assert verify(deserialize(want)).ok
 
 
-@pytest.mark.parametrize("wide_n", [1, 10**6], ids=["array", "scalar"])
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_both_residual_branches_match_golden_file(name, wide_n, monkeypatch):
-    monkeypatch.setattr(ilinalg, "WIDE_N", wide_n)
-    want = (GOLDEN / name).read_text(encoding="utf-8")
-    assert_same_text(serialize(CASES[name]().certificate), want)
-
-
 @pytest.mark.parametrize("name", sorted(V1_SEGMENTS))
 def test_interval_jacobian_certificate_still_verifies(name):
     cert = deserialize(
         (V1_INTERVAL_JACOBIAN / name).read_text(encoding="utf-8"))
     assert len(cert.segments) == V1_SEGMENTS[name]
+    assert verify(cert).ok
+
+
+@pytest.mark.parametrize("name", sorted(V2_SEGMENTS))
+def test_rect_operator_certificate_still_verifies(name):
+    cert = deserialize((V2_RECT_OPERATOR / name).read_text(encoding="utf-8"))
+    assert len(cert.segments) == V2_SEGMENTS[name]
     assert verify(cert).ok

@@ -1,6 +1,8 @@
 """Interval matrices: norm, approximate inverse, residual enclosure, matvec."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,14 +17,14 @@ from pathcert.ilinalg import (
     residual_matrix,
     solve_point,
 )
-from pathcert.intervals import box_centered
+from pathcert.intervals import Ball, Box, box_centered
 
 
 def point_matrix(a):
     """Degenerate IntervalMatrix at the complex point matrix a."""
-    return IntervalMatrix.of_rows([[(z.real, z.real, z.imag, z.imag)
-                                    for z in row]
-                                   for row in np.asarray(a, complex).tolist()])
+    mid = np.asarray(a, complex).tolist()
+    return IntervalMatrix.of_midrad(mid, [[(0.0, 0.0)] * len(row)
+                                          for row in mid])
 
 
 def holds(rect, z):
@@ -186,14 +188,14 @@ class TestMatvec:
     def test_identity(self):
         b = box_centered(np.array([1.0 + 1.0j, 2.0 - 1.0j]), 0.25)
         m = point_matrix(np.eye(2, dtype=complex))
-        r = imatvec(m, b)
+        r = Box(imatvec(m, b).data)
         assert r.encloses(b)
         assert tutil.box_radius(r) <= 0.2501
 
     def test_zero_matrix(self):
         b = box_centered(np.array([1.0 + 1.0j, 2.0 - 1.0j]), 0.25)
         m = point_matrix(np.zeros((2, 2), dtype=complex))
-        r = imatvec(m, b)
+        r = Box(imatvec(m, b).data)
         assert r.contains_point(np.zeros(2, dtype=complex))
         assert tutil.box_norm(r) <= 1e-12
 
@@ -253,8 +255,8 @@ class TestMatvec:
         center = np.array([1.0 + 0.5j, -0.5j, 0.25 + 0j])
         inner_box = box_centered(center, 0.1)
         outer_box = box_centered(center, 0.25)
-        inner = imatvec(m_small, inner_box)
-        outer = imatvec(m_outer, outer_box)
+        inner = Box(imatvec(m_small, inner_box).data)
+        outer = Box(imatvec(m_outer, outer_box).data)
         assert outer.encloses(inner)
 
     def test_dimension_checks(self):
@@ -263,3 +265,112 @@ class TestMatvec:
             imatvec(m, box_centered(np.zeros(3, complex), 1.0))
         with pytest.raises(DimensionMismatch):
             residual_matrix(np.eye(3, dtype=complex), m)
+
+
+def in_ball(c, r, v):
+    """The exact (re, im) Fraction pair v lies within the radii r = (re,
+    im) of the center c, decided exactly: the midpoint-radius enclosure
+    itself, before any rounding out to rectangles."""
+    return (abs(v[0] - Fraction(c.real)) <= Fraction(r[0])
+            and abs(v[1] - Fraction(c.imag)) <= Fraction(r[1]))
+
+
+def exact_eye_minus(y, m):
+    """I - Y*M exactly for point matrices given as lists of complex."""
+    n = len(y)
+    return [[tutil.c_sub((Fraction(int(i == j)), Fraction(0)),
+                         _exact_dot(y[i], [row[j] for row in m]))
+             for j in range(n)] for i in range(n)]
+
+
+def _exact_dot(a, b):
+    acc = (Fraction(0), Fraction(0))
+    for p, q in zip(a, b):
+        acc = tutil.c_add(acc, tutil.c_mul(tutil.c_pair(p), tutil.c_pair(q)))
+    return acc
+
+
+# each column's products are 1, 2^53 and -2^53 times a power of two and a
+# unit: summed in floats, the 2^53 swallows the 1 and the pair cancels
+CANCEL_Y = [[1.0, 1.0, 1.0], [2.0, 0.5j, -2.0], [1j, -1.0, 1.0 + 0j]]
+CANCEL_M = [[1.0, 2.0 ** -30, 3.0j],
+            [2.0 ** 53, 2.0 ** 23, 2.0 ** 54 * 1j],
+            [-(2.0 ** 53), -(2.0 ** 23), -(2.0 ** 54) * 1j]]
+# products of two of these lie below the smallest subnormal: they round
+# to 0, and only the underflow terms of the bounds hold their exact values
+TINY = 2.0 ** -600
+
+
+class TestCancellation:
+    """Operands whose dot products cancel across powers of two, so that
+    the float centers lose whole terms and only the a priori bound of
+    ``_kernels.sub_pmul_k`` covers the loss, and operands whose products
+    underflow.  Each enclosure is checked exactly on its centers and
+    radii, before ``rows`` rounds them out to rectangles."""
+
+    def test_residual_covers_cancelled_terms(self):
+        m = point_matrix(CANCEL_M)
+        r = residual_matrix(CANCEL_Y, m)
+        exact = exact_eye_minus(CANCEL_Y, CANCEL_M)
+        lost = 0
+        for i in range(3):
+            for j in range(3):
+                assert in_ball(r.mid[i][j], r.rad[i][j], exact[i][j]), (i, j)
+                lost += tutil.c_pair(r.mid[i][j]) != exact[i][j]
+        assert lost >= 3      # the floats really lost terms
+
+    def test_point_matvec_covers_cancelled_terms(self):
+        for j in range(3):
+            v = [row[j] for row in CANCEL_M]
+            a = point_matvec_box(CANCEL_Y, Ball.of_midrad(v, [(0.0, 0.0)] * 3))
+            for i in range(3):
+                assert in_ball(a.mid[i], a.rad[i],
+                               _exact_dot(CANCEL_Y[i], v)), (i, j)
+
+    def test_underflowing_products_enclosed(self):
+        y = [[TINY, TINY * 1j], [-TINY, TINY]]
+        v = [TINY * (1 + 1j), -TINY]
+        a = point_matvec_box(y, Ball.of_midrad(v, [(0.0, 0.0)] * 2))
+        r = residual_matrix(y, point_matrix([v, v]))
+        exact = exact_eye_minus(y, [v, v])
+        for i in range(2):
+            assert a.mid[i] == 0j
+            assert in_ball(a.mid[i], a.rad[i], _exact_dot(y[i], v))
+            for j in range(2):
+                assert in_ball(r.mid[i][j], r.rad[i][j], exact[i][j])
+
+    def test_subnormal_operands_under_huge_rows(self):
+        # Y near 2^1023 times subnormal v: the products are normal and
+        # round, while g |v|_1 underflows to 0, so only the 2^-1074 the
+        # kernel adds to it, times |Y|, bounds their rounding
+        big = math.ldexp(1 + 2.0 ** -52, 1023)
+        c1 = (2 ** 49 + 2 ** 23 + 1) * 5e-324
+        c2 = (2 ** 48 + 3) * 5e-324
+        y = [[big + 0j, -0.75 * big + 0j], [big * 1j, big + 0j]]
+        v = [complex(c1, c2), complex(-c2, c1)]
+        a = point_matvec_box(y, Ball.of_midrad(v, [(0.0, 0.0)] * 2))
+        for i in range(2):
+            exact = _exact_dot(y[i], v)
+            assert tutil.c_pair(a.mid[i]) != exact      # the center rounded
+            assert in_ball(a.mid[i], a.rad[i], exact), i
+
+    def test_underflowing_contraction_and_norm(self):
+        # M*v for v centered at 0 with radii TINY, at every corner of v
+        m = point_matrix([[TINY * (1 + 1j), -TINY], [TINY, TINY * 1j]])
+        b = imatvec(m, Ball.of_midrad([0j, 0j], [(TINY, TINY)] * 2))
+        corners = [complex(p, q) for p in (-TINY, TINY) for q in (-TINY, TINY)]
+        for i, row in enumerate(m.mid):
+            for v in itertools.product(corners, repeat=2):
+                assert in_ball(b.mid[i], b.rad[i], _exact_dot(row, v)), i
+        # row 0 sums to (sqrt(2) + 1) TINY > 2.41 TINY
+        assert Fraction(m.norm()) >= Fraction(241, 100) * Fraction(TINY)
+
+
+def test_norm_of_a_matrix_with_a_nan_entry_is_nan():
+    # a NaN row sum never compares above the largest so far, so a norm
+    # that kept only rows comparing above would read as if it were absent
+    for row in (0, 1):
+        mid = [[1.0 + 0j, 0.5j], [0.25 + 0j, 2.0 + 0j]]
+        mid[row][1] = complex(math.nan, 0.0)
+        m = IntervalMatrix.of_midrad(mid, [[(0.0, 0.0)] * 2] * 2)
+        assert math.isnan(m.norm())

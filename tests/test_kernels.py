@@ -7,18 +7,24 @@ subnormals and values near overflow, which pins the min/max NaN semantics
 (keep the first operand unless the second compares below/above it) and
 the sign of zero through every ``nextafter``.  ``cp_mul``, the scalar
 shortcut for a rectangle times a complex point, must equal ``c_mul`` with
-the point as a degenerate rectangle on either side.  The residual
-I - Y*M has two twins, ``residual_k`` and ``_batch.residual``, and
-``ilinalg.residual_matrix`` serves it from either side of ``WIDE_N``.  Both polynomial kernels have
-twins that loop over the same ``systems._Flat`` term lists with a segment
-axis, each on its ``tpoly_table``: the time enclosure at a point,
-``eval_terms_tpoly``, which computes in plain complex floats and widens by
-an a priori bound, and ``_batch.eval_tpoly``, which writes CPython's
-complex products out as real operations; and the bound on how far a term
-list moves over a box about that point, ``eval_terms_deviation`` and
-``_batch.eval_deviation``, with their box radii ``box_radii``.  Each pair
-must agree, segment by segment, on random term lists whose coefficients
-and inputs hold special values, empty equations among them.
+the point as a degenerate rectangle on either side.  The operator's tail
+is in midpoint-radius form, and each of its kernels has one twin that
+serves every n: ``sub_pmul_k`` and ``_batch.sub_pmul`` form I - Y*M and
+-Y*v with their sums in ascending k, ``contract_k`` and
+``_batch.contract`` the contraction term and the norm, ``image_k`` and
+``_batch.image`` the image's rectangles, and ``midrad_k`` and
+``_batch.midrad`` turn rectangles into centers and radii; the operands
+of each carry the same special values, radii included.  Both polynomial
+kernels have twins that loop over the same ``systems._Flat`` term lists
+with a segment axis, each on its ``tpoly_table``: the time enclosure at
+a point, ``eval_terms_tpoly``, which computes in plain complex floats and
+widens by an a priori bound, and ``_batch.eval_tpoly``, which writes
+CPython's complex products out as real operations; and the bound on how
+far a term list moves over a box about that point,
+``eval_terms_deviation`` and ``_batch.eval_deviation``, with their box
+radii ``box_radii``.  Each pair must agree, segment by segment, on random
+term lists whose coefficients and inputs hold special values, empty
+equations among them.
 """
 
 import math
@@ -26,7 +32,7 @@ import math
 import numpy as np
 import pytest
 
-from pathcert import _batch, ilinalg
+from pathcert import _batch
 from pathcert import _kernels as _k
 from pathcert.systems import _Flat
 
@@ -99,34 +105,89 @@ def test_point_product_matches_c_mul_on_both_sides(operands):
 
 
 # ---------------------------------------------------------------------------
-# the residual I - Y*M
+# the midpoint-radius tail: E - Y*M, the contraction term and the image
 # ---------------------------------------------------------------------------
 
-def residual_operands(rng, count, n):
-    """Complex point matrices (count, n, n) and interval matrices
-    (4, count, n, n), both with special values."""
-    y = complex_operands(rng, count * n * n).reshape(count, n, n)
-    return y, endpoints(rng, (4, count, n, n))
+def midrad_array(mids, rads):
+    """The scalar kernels' centers and radius pairs (nested alike) as a
+    (4, ...) array of Re c, Im c, r_re, r_im."""
+    c = np.array(mids, dtype=np.complex128)
+    r = np.array(rads, dtype=np.float64)
+    return np.stack((c.real, c.imag, r[..., 0], r[..., 1]))
+
+
+def scalar_midrad(a):
+    """Lines of a (4, k, c) array as the kernels' lists: per line, its
+    complex centers and its radius pairs."""
+    mid = [[complex(p, q) for p, q in zip(re, im)]
+           for re, im in zip(a[0].tolist(), a[1].tolist())]
+    rad = [list(zip(r, i)) for r, i in zip(a[2].tolist(), a[3].tolist())]
+    return mid, rad
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9])
 def test_residual_matches_batch(n):
-    y, mat = residual_operands(np.random.default_rng(300 + n), 60, n)
+    # I - Y*M: the kernel takes M by its columns
+    rng = np.random.default_rng(300 + n)
+    y = complex_operands(rng, 60 * n * n).reshape(60, n, n)
+    m = endpoints(rng, (4, 60, n, n))
     with np.errstate(all="ignore"):
-        want = _batch.residual(y, mat)
-    got = [_k.residual_k(ys.tolist(), np.moveaxis(ms, 0, -1).tolist())
-           for ys, ms in zip(y, np.moveaxis(mat, 1, 0))]
+        want = _batch.sub_pmul(y, m, True)
+    got = [midrad_array(*_k.sub_pmul_k(
+        ys.tolist(), *scalar_midrad(np.swapaxes(ms, 1, 2)), True))
+        for ys, ms in zip(y, np.moveaxis(m, 1, 0))]
+    assert same_bits(np.stack(got, axis=1), want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_point_matvec_matches_batch(n):
+    # -Y*v: one column, no identity
+    rng = np.random.default_rng(350 + n)
+    y = complex_operands(rng, 60 * n * n).reshape(60, n, n)
+    v = endpoints(rng, (4, 60, n, 1))
+    with np.errstate(all="ignore"):
+        want = _batch.sub_pmul(y, v, False)
+    got = [midrad_array(*_k.sub_pmul_k(
+        ys.tolist(), *scalar_midrad(np.swapaxes(vs, 1, 2)), False))
+        for ys, vs in zip(y, np.moveaxis(v, 1, 0))]
+    assert same_bits(np.stack(got, axis=1), want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_contract_matches_batch(n):
+    rng = np.random.default_rng(380 + n)
+    m = endpoints(rng, (4, 60, n, n))
+    d = endpoints(rng, (2, 60, n))
+    with np.errstate(all="ignore"):
+        want_rad, want_norm = _batch.contract(m, d[0], d[1])
+    got_rad, got_norm = [], []
+    for ms, dr, di in zip(np.moveaxis(m, 1, 0), d[0].tolist(), d[1].tolist()):
+        rad, norm = _k.contract_k(*scalar_midrad(ms), list(zip(dr, di)))
+        got_rad.append(rad)
+        got_norm.append(norm)
+    assert same_bits(np.moveaxis(np.array(got_rad), -1, 0), want_rad)
+    assert same_bits(got_norm, want_norm)
+
+
+def test_image_matches_batch():
+    rng = np.random.default_rng(390)
+    x = complex_operands(rng, 60 * 4).reshape(60, 4)
+    a = endpoints(rng, (4, 60, 4))
+    b = endpoints(rng, (2, 60, 4))
+    with np.errstate(all="ignore"):
+        want = _batch.image(x, a, b)
+    mid, rad = scalar_midrad(a)
+    got = [_k.image_k(xs.tolist(), ms, rs, list(zip(br, bi)))
+           for xs, ms, rs, br, bi in zip(x, mid, rad, b[0].tolist(),
+                                         b[1].tolist())]
     assert same_bits(np.moveaxis(np.array(got), -1, 0), want)
 
 
-@pytest.mark.parametrize("side", [-1, 0], ids=["scalar", "array"])
-def test_residual_matrix_on_both_sides_of_wide_n(side):
-    n = ilinalg.WIDE_N + side
-    y, mat = residual_operands(np.random.default_rng(400 + n), 60, n)
-    for ys, ms in zip(y, np.moveaxis(mat, 1, 0)):
-        rows = np.moveaxis(ms, 0, -1).tolist()
-        got = ilinalg.residual_matrix(ys, ilinalg.IntervalMatrix.of_rows(rows))
-        assert same_bits(got.data, _k.residual_k(ys.tolist(), rows))
+def test_midrad_matches_batch(operands):
+    a, _ = operands
+    with np.errstate(all="ignore"):
+        want = _batch.midrad(a)
+    assert same_bits(midrad_array(*_k.midrad_k(a.T.tolist())), want)
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +233,11 @@ def test_tpoly_matches_batch(sheared, rate):
         with np.errstate(all="ignore"):
             want = _batch.eval_tpoly(
                 flat, _batch.tpoly_table(x, sa, sb, p0, p1, t_lo, t_hi))
-        got = [_k.eval_terms_tpoly(flat, _k.tpoly_table(
+        got = [midrad_array(*_k.eval_terms_tpoly(flat, _k.tpoly_table(
             x[s].tolist(), None if sa is None else sa[s].tolist(),
             None if sb is None else sb[s].tolist(), p0.tolist(), p1.tolist(),
-            float(t_lo[s]), float(t_hi[s]))) for s in range(S)]
-        assert same_bits(np.moveaxis(np.array(got), -1, 0), want)
+            float(t_lo[s]), float(t_hi[s])))) for s in range(S)]
+        assert same_bits(np.stack(got, axis=1), want)
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.05, 0.35])

@@ -1,18 +1,20 @@
 """Krawczyk operator and the combined existence/uniqueness test."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import tutil
 from pathcert import _kernels as _k
-from pathcert.bench import gen_newton_homotopy
+from pathcert.bench import gen_katsura, gen_lowrank, gen_newton_homotopy
+from pathcert.certificate import MODE_RECT, MODE_TILTED, replay
 from pathcert.errors import DimensionMismatch, NonFiniteEndpoint, PathcertError
 from pathcert.intervals import Box, RealInterval, box_centered
-from pathcert.ilinalg import mid_inverse
+from pathcert.ilinalg import mid_inverse, point_matvec_box, residual_matrix
 from pathcert.krawczyk import parametric_krawczyk_test
-from pathcert.tracker import newton_refine
+from pathcert.tracker import TrackerConfig, newton_refine
 
 SQRT2 = math.sqrt(2.0)
 
@@ -200,3 +202,80 @@ class TestFailedContraction:
         with pytest.raises(NonFiniteEndpoint):
             parametric_krawczyk_test(h, x, 2.0 * y, box,
                                      RealInterval(0.0, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# the operator's tail against exact rational values
+# ---------------------------------------------------------------------------
+
+OPERATOR_RUNS = {
+    "katsura3": (lambda: gen_katsura(3), TrackerConfig(), MODE_TILTED),
+    "lowrank2": (lambda: gen_lowrank(2), TrackerConfig(dt0=0.2, r0=0.1),
+                 MODE_TILTED),
+    "newton10_tilted": (lambda: gen_newton_homotopy(10.0),
+                        TrackerConfig(dt0=0.02, r0=0.1), MODE_TILTED),
+    "newton10_rect": (lambda: gen_newton_homotopy(10.0),
+                      TrackerConfig(dt0=0.02, r0=0.1), MODE_RECT),
+}
+
+
+def exact_matvec(a, v, start=None):
+    """start - a*v (or a*v without start), exactly: a is rows of Fraction
+    pairs and v a list of them."""
+    out = []
+    for i, row in enumerate(a):
+        acc = (Fraction(0), Fraction(0)) if start is None else start[i]
+        for m, w in zip(row, v):
+            p = tutil.c_mul(m, w)
+            acc = tutil.c_add(acc, p) if start is None else tutil.c_sub(acc, p)
+        out.append(acc)
+    return out
+
+
+class TestOperatorExact:
+    """Each part of the midpoint-radius tail, on segments tracked in both
+    modes, against exact values with no tolerance: for times t at both
+    ends of the window and in between and points xi, z of the box (corners
+    and edges over-sampled, ``tutil.box_samples``), the entries of
+    I - Y*J(xi, t) lie in ``residual_matrix``'s, Y*H(x, t) in
+    ``point_matvec_box``'s, and x - Y*H(x, t) + (I - Y*J(xi, t))(z - x)
+    in the image that ``certificate.replay`` returns for the segment."""
+
+    @pytest.mark.parametrize("name", sorted(OPERATOR_RUNS))
+    def test_tracked_segments(self, name):
+        rng = np.random.default_rng(sorted(OPERATOR_RUNS).index(name) + 120)
+        verdicts = {}
+        for cert, k, h, x in tutil.tracked_segments(*OPERATOR_RUNS[name]):
+            if id(cert) not in verdicts:
+                verdicts[id(cert)] = replay(cert)
+            s = cert.segments[k]
+            T = RealInterval(s.t_lo, s.t_hi)
+            resid = residual_matrix(s.y, h.jac_x_interval(s.box, T, x)).rows
+            point = point_matvec_box(s.y, h.eval_over_time(x, T)).rows
+            image = verdicts[id(cert)][k].operator_image.rows
+            yq = [[tutil.c_pair(v) for v in row] for row in s.y]
+            xq = [tutil.c_pair(v) for v in x]
+            eye = [[(Fraction(int(i == j)), Fraction(0)) for j in range(h.n)]
+                   for i in range(h.n)]
+            for t in [T.lo, T.hi] + [float(v) for v in
+                                     rng.uniform(T.lo, T.hi, 2)]:
+                yh = exact_matvec(yq, tutil.exact_homotopy_eval(h, x, t))
+                for i, v in enumerate(yh):
+                    assert tutil.row_in(point[i], v), (k, i, t)
+                for xi in tutil.box_samples(rng, s.box, 4):
+                    jac = tutil.exact_homotopy_jac(h, xi, t)
+                    # column j of I - Y*J is e_j - Y*(column j of J)
+                    m = list(zip(*(exact_matvec(yq, col, e) for col, e
+                                   in zip(zip(*jac), eye))))
+                    for i in range(h.n):
+                        for j in range(h.n):
+                            assert tutil.row_in(resid[i][j], m[i][j]), \
+                                (k, i, j, t)
+                    for z in tutil.box_samples(rng, s.box, 3):
+                        dz = [tutil.c_sub(tutil.c_pair(v), w)
+                              for v, w in zip(z, xq)]
+                        kv = [tutil.c_add(tutil.c_sub(a, b), c)
+                              for a, b, c in zip(xq, yh,
+                                                 exact_matvec(m, dz))]
+                        for i, v in enumerate(kv):
+                            assert tutil.row_in(image[i], v), (k, i, t)

@@ -30,7 +30,7 @@ from pathcert.systems import (
     dump_system,
     load_system,
 )
-from pathcert.tracker import TrackerConfig, track
+from pathcert.tracker import TrackerConfig
 
 
 def own_eval(system, x, p):
@@ -148,7 +148,7 @@ class TestIntervalEval:
         h, starts = gen_newton_homotopy(m)
         x = tutil.plain_newton_solve(h, starts[0], 0.0, tol=1e-14)
         box = Box.degenerate(x)
-        r = h.eval_interval(box, RealInterval(0.0, dt))
+        r = Box(h.eval_interval(box, RealInterval(0.0, dt)).data)
         assert tutil.box_norm(r) <= m * dt * (1 + 1e-9) + 1e-9
         assert r.contains_point(h.eval_point(x, 0.0))
         assert r.contains_point(h.eval_point(x, dt))
@@ -402,25 +402,6 @@ class TestTimeEnclosureExact:
 # the Jacobian enclosure over box x window against exact rational values
 # ---------------------------------------------------------------------------
 
-def box_samples(rng, box, k):
-    """k points of the box.  Each real and imaginary part sits at its low
-    end, its high end, its midpoint or uniformly in between, each with
-    probability 1/4, so corners and edge midpoints come up far more often
-    than uniform draws would make them."""
-    out = []
-    for _ in range(k):
-        z = []
-        for rl, rh, il, ih in box.rows:
-            parts = []
-            for lo, hi in ((rl, rh), (il, ih)):
-                pick = int(rng.integers(4))
-                parts.append((lo, hi, 0.5 * (lo + hi),
-                              float(rng.uniform(lo, hi)))[pick])
-            z.append(complex(*parts))
-        out.append(z)
-    return out
-
-
 def assert_box_enclosed(h, box, T, rng, x=None, k=6, jac=True):
     """J(z + s(t), p(t)), computed exactly with fractions, lies inside
     ``jac_x_interval(box, T, x)`` for t at both ends of T and two random
@@ -434,27 +415,10 @@ def assert_box_enclosed(h, box, T, rng, x=None, k=6, jac=True):
         enc = [h.eval_interval(box, T).rows]
         exact = lambda g, z, t: [tutil.exact_homotopy_eval(g, z, t)]
     for t in [T.lo, T.hi] + [float(t) for t in rng.uniform(T.lo, T.hi, 2)]:
-        for z in box_samples(rng, box, k):
+        for z in tutil.box_samples(rng, box, k):
             for i, row in enumerate(exact(h, z, t)):
                 for j, v in enumerate(row):
                     assert tutil.row_in(enc[i][j], v), (i, j, t, z)
-
-
-def tracked_tests(gen, cfg, mode, count=5):
-    """(homotopy, expansion point, box, window) of ``count`` segments
-    spread over a tracked path, as the tracker tested them: the sheared
-    homotopy at 0 in tilted mode, the homotopy at the center in rect
-    mode."""
-    h, starts = gen()
-    segs = track(h, starts[0], cfg, mode=mode).certificate.segments
-    for k in np.linspace(0, len(segs) - 1, count).round().astype(int):
-        s = segs[k]
-        T = RealInterval(s.t_lo, s.t_hi)
-        if mode == MODE_TILTED:
-            g = h.sheared(s.shear_x0, s.shear_x1, s.t_lo, s.t_hi)
-            yield g, np.zeros(h.n, dtype=np.complex128), s.box, T
-        else:
-            yield h, s.center, s.box, T
 
 
 JAC_RUNS = {
@@ -481,7 +445,7 @@ class TestJacobianEnclosureExact:
     @pytest.mark.parametrize("name", sorted(JAC_RUNS))
     def test_tracked_segments(self, name):
         rng = np.random.default_rng(sorted(JAC_RUNS).index(name) + 80)
-        for h, x, box, T in tracked_tests(*JAC_RUNS[name]):
+        for h, x, box, T in tutil.tracked_tests(*JAC_RUNS[name]):
             assert_box_enclosed(h, box, T, rng, x)
             # the box's midpoint as the expansion point
             assert_box_enclosed(h, box, T, rng)

@@ -19,7 +19,10 @@ from unittest import mock
 import numpy as np
 
 from pathcert import _kernels
+from pathcert.certificate import MODE_TILTED
+from pathcert.intervals import RealInterval
 from pathcert.systems import Homotopy, ParametricSystem, Term
+from pathcert.tracker import track
 
 SCREEN_REL = 1e-12
 SCREEN_ABS = 1e-300
@@ -276,6 +279,50 @@ def sample_box(rng, box, k):
         out[:, i] = (sample_interval(rng, d[i, 0], d[i, 1], k)
                      + 1j * sample_interval(rng, d[i, 2], d[i, 3], k))
     return out
+
+
+def box_samples(rng, box, k):
+    """k points of the box.  Each real and imaginary part sits at its low
+    end, its high end, its midpoint or uniformly in between, each with
+    probability 1/4, so corners and edge midpoints come up far more often
+    than uniform draws would make them."""
+    out = []
+    for _ in range(k):
+        z = []
+        for rl, rh, il, ih in box.rows:
+            parts = []
+            for lo, hi in ((rl, rh), (il, ih)):
+                pick = int(rng.integers(4))
+                parts.append((lo, hi, 0.5 * (lo + hi),
+                              float(rng.uniform(lo, hi)))[pick])
+            z.append(complex(*parts))
+        out.append(z)
+    return out
+
+
+def tracked_segments(gen, cfg, mode, count=5):
+    """``count`` segments spread over a tracked path, each as
+    (certificate, index, homotopy, expansion point) with the homotopy and
+    point the tracker tested it at: the sheared homotopy at 0 in tilted
+    mode, the homotopy at the center in rect mode."""
+    h, starts = gen()
+    cert = track(h, starts[0], cfg, mode=mode).certificate
+    segs = cert.segments
+    for k in np.linspace(0, len(segs) - 1, count).round().astype(int):
+        s = segs[k]
+        if mode == MODE_TILTED:
+            g = h.sheared(s.shear_x0, s.shear_x1, s.t_lo, s.t_hi)
+            yield cert, k, g, np.zeros(h.n, dtype=np.complex128)
+        else:
+            yield cert, k, h, s.center
+
+
+def tracked_tests(gen, cfg, mode, count=5):
+    """(homotopy, expansion point, box, window) of the segments of
+    ``tracked_segments``."""
+    for cert, k, g, x in tracked_segments(gen, cfg, mode, count):
+        s = cert.segments[k]
+        yield g, x, s.box, RealInterval(s.t_lo, s.t_hi)
 
 
 def random_real_interval(rng, scale=1.0):
