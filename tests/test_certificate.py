@@ -34,8 +34,7 @@ from pathcert.errors import (
     ParseError,
     PathcertError,
 )
-from pathcert.intervals import Box, RealInterval
-from pathcert.krawczyk import parametric_krawczyk_test
+from pathcert.intervals import Box
 from pathcert.systems import Term
 from pathcert.tracker import TrackerConfig, track
 
@@ -323,21 +322,6 @@ def replay_certs(newton_certs):
     }
 
 
-def scalar_replay(cert, i):
-    """Segment i's test through the per-test path the tracker uses."""
-    s = cert.segments[i]
-    if cert.mode == MODE_TILTED:
-        h = cert.homotopy.sheared(s.shear_x0, s.shear_x1, s.t_lo, s.t_hi)
-        x = np.zeros(h.n, dtype=complex)
-    else:
-        h, x = cert.homotopy, s.center
-    T = RealInterval(s.t_lo, s.t_hi)
-    try:
-        return parametric_krawczyk_test(h, x, s.y, s.box, T)
-    except PathcertError as e:
-        return e
-
-
 def verdict_bits(verdicts):
     """Each replay entry as exact bits: an error's type and text, or a
     verdict's flags, norm and image."""
@@ -363,7 +347,7 @@ class TestBatchedReplay:
             batch = replay(cert)
             assert len(batch) == len(cert.segments) > 1, label
             for i, got in enumerate(batch):
-                want = scalar_replay(cert, i)
+                want = tutil.scalar_replay(cert, i)
                 where = f"{label} segments[{i}]"
                 assert np.array_equal(got.operator_image.data,
                                       want.operator_image.data), where
@@ -379,7 +363,7 @@ class TestBatchedReplay:
         for changes in ({"y": s.y * 2.0}, {"box": shrink_box(s.box, 1e-6)},
                         {"t_hi": s.t_hi + 0.5}):
             cert = with_segment(tilted, i, **changes)
-            got, want = replay(cert)[i], scalar_replay(cert, i)
+            got, want = replay(cert)[i], tutil.scalar_replay(cert, i)
             assert np.array_equal(got.operator_image.data,
                                   want.operator_image.data)
             assert got.residual_norm == want.residual_norm
@@ -393,7 +377,7 @@ class TestBatchedReplay:
         cert = with_segment(rect, i, center=s.center + 1.0)
         batch = replay(cert)
         assert isinstance(batch[i], PathcertError)
-        assert str(batch[i]) == str(scalar_replay(cert, i))
+        assert str(batch[i]) == str(tutil.scalar_replay(cert, i))
         rep = verify(cert)
         assert rep.segment_ok == [j != i for j in range(len(rect.segments))]
         assert f"segments[{i}]: replay error: expansion point x lies " \
@@ -403,7 +387,7 @@ class TestBatchedReplay:
             if j != i:
                 assert v.passed
                 assert np.array_equal(v.operator_image.data,
-                                      scalar_replay(cert, j).operator_image.data)
+                                      tutil.scalar_replay(cert, j).operator_image.data)
 
     def test_long_certificate_replays_in_this_process(self, monkeypatch):
         # 267 segments in 8 unknowns replay in this process, even where
@@ -418,7 +402,7 @@ class TestBatchedReplay:
         assert started == 0 and multiprocessing.active_children() == []
         assert rep.ok
         assert verdict_bits(batch) == verdict_bits(
-            [scalar_replay(cert, i) for i in range(len(cert.segments))])
+            [tutil.scalar_replay(cert, i) for i in range(len(cert.segments))])
 
     def test_overflow_is_that_segments_replay_error(self, newton_certs):
         _, tilted, _, _ = newton_certs
@@ -428,7 +412,7 @@ class TestBatchedReplay:
             # the scalar kernels overflow to inf silently, as floats do
             warnings.simplefilter("error", RuntimeWarning)
             batch = replay(cert)
-            want = scalar_replay(cert, i)
+            want = tutil.scalar_replay(cert, i)
         assert isinstance(want, NonFiniteEndpoint)
         assert type(batch[i]) is type(want) and str(batch[i]) == str(want)
         rep = verify(cert)

@@ -30,7 +30,10 @@ The files they replaced are kept in ``data/golden/v2_rect_operator``.
 Every certificate an earlier version wrote must still verify, with the
 segment count it was written with.
 Any change to the order or rounding of an interval operation on the
-tracking path shows up here as a byte difference.  Nothing ``track``
+tracking path shows up here as a byte difference.  Each file's stored
+residual norms are also rebuilt bit for bit by both residual branches:
+the verifier's batch over the segment axis (``certificate.replay``) and
+the tracker's per-test kernels.  Nothing ``track``
 calls reads the number of usable cores, so the pool against one core is
 checked where a pool runs, in ``test_bench.py``.
 """
@@ -38,7 +41,10 @@ checked where a pool runs, in ``test_bench.py``.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import tutil
 
 from pathcert.bench import (
     gen_katsura,
@@ -50,6 +56,7 @@ from pathcert.certificate import (
     MODE_RECT,
     MODE_TILTED,
     deserialize,
+    replay,
     serialize,
     verify,
 )
@@ -122,6 +129,24 @@ def test_fresh_track_matches_golden_file(name):
     want = (GOLDEN / name).read_text(encoding="utf-8")
     assert_same_text(serialize(CASES[name]().certificate), want)
     assert verify(deserialize(want)).ok
+
+
+@pytest.mark.parametrize("branch", ["array", "scalar"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_both_residual_branches_match_golden_file(name, branch):
+    # the verifier's batch over the segment axis ("array") and the
+    # tracker's per-test kernels ("scalar") each rebuild every stored
+    # residual norm bit for bit and accept every segment
+    cert = deserialize((GOLDEN / name).read_text(encoding="utf-8"))
+    segs = cert.segments
+    if branch == "array":
+        verdicts = replay(cert)
+    else:
+        verdicts = [tutil.scalar_replay(cert, i) for i in range(len(segs))]
+    got = np.array([v.residual_norm for v in verdicts])
+    want = np.array([s.residual_norm for s in segs])
+    assert (got.view(np.uint64) == want.view(np.uint64)).all()
+    assert all(v.existence and v.uniqueness for v in verdicts)
 
 
 @pytest.mark.parametrize("name", sorted(V1_SEGMENTS))

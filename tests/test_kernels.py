@@ -14,7 +14,9 @@ serves every n: ``sub_pmul_k`` and ``_batch.sub_pmul`` form I - Y*M and
 ``_batch.contract`` the contraction term and the norm, ``image_k`` and
 ``_batch.image`` the image's rectangles, and ``midrad_k`` and
 ``_batch.midrad`` turn rectangles into centers and radii; the operands
-of each carry the same special values, radii included.  Both polynomial
+of each carry the same special values, radii included.
+``ilinalg.residual_matrix``, which once switched to array kernels at
+n = 5, must match ``_batch.sub_pmul`` on both sides of that bound.  Both polynomial
 kernels have twins that loop over the same ``systems._Flat`` term lists
 with a segment axis, each on its ``tpoly_table``: the time enclosure at
 a point, ``eval_terms_tpoly``, which computes in plain complex floats and
@@ -32,7 +34,7 @@ import math
 import numpy as np
 import pytest
 
-from pathcert import _batch
+from pathcert import _batch, ilinalg
 from pathcert import _kernels as _k
 from pathcert.systems import _Flat
 
@@ -137,6 +139,21 @@ def test_residual_matches_batch(n):
         ys.tolist(), *scalar_midrad(np.swapaxes(ms, 1, 2)), True))
         for ys, ms in zip(y, np.moveaxis(m, 1, 0))]
     assert same_bits(np.stack(got, axis=1), want)
+
+
+# ilinalg once sent n >= 5 to array kernels and smaller n to scalar
+# ones; the one scalar kernel now serves both sides of that bound
+@pytest.mark.parametrize("n", [4, 5], ids=["scalar", "array"])
+def test_residual_matrix_on_both_sides_of_wide_n(n):
+    rng = np.random.default_rng(400 + n)
+    y = complex_operands(rng, 60 * n * n).reshape(60, n, n)
+    m = endpoints(rng, (4, 60, n, n))
+    with np.errstate(all="ignore"):
+        want = _batch.sub_pmul(y, m, True)
+    for s, (ys, ms) in enumerate(zip(y, np.moveaxis(m, 1, 0))):
+        got = ilinalg.residual_matrix(
+            ys, ilinalg.IntervalMatrix.of_midrad(*scalar_midrad(ms)))
+        assert same_bits(midrad_array(got.mid, got.rad), want[:, s])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8])

@@ -20,7 +20,9 @@ import numpy as np
 
 from pathcert import _kernels
 from pathcert.certificate import MODE_TILTED
+from pathcert.errors import PathcertError
 from pathcert.intervals import RealInterval
+from pathcert.krawczyk import parametric_krawczyk_test
 from pathcert.systems import Homotopy, ParametricSystem, Term
 from pathcert.tracker import track
 
@@ -323,6 +325,22 @@ def tracked_tests(gen, cfg, mode, count=5):
     for cert, k, g, x in tracked_segments(gen, cfg, mode, count):
         s = cert.segments[k]
         yield g, x, s.box, RealInterval(s.t_lo, s.t_hi)
+
+
+def scalar_replay(cert, i):
+    """Segment i's test through the per-test path the tracker uses: its
+    KrawczykVerdict, or the PathcertError it raised."""
+    s = cert.segments[i]
+    if cert.mode == MODE_TILTED:
+        h = cert.homotopy.sheared(s.shear_x0, s.shear_x1, s.t_lo, s.t_hi)
+        x = np.zeros(h.n, dtype=complex)
+    else:
+        h, x = cert.homotopy, s.center
+    T = RealInterval(s.t_lo, s.t_hi)
+    try:
+        return parametric_krawczyk_test(h, x, s.y, s.box, T)
+    except PathcertError as e:
+        return e
 
 
 def random_real_interval(rng, scale=1.0):
