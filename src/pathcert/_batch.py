@@ -15,9 +15,12 @@ Python, term by term and factor by factor, as their scalar twins do, on
 one factor table (``tpoly_table``).  The tail's twins ``sub_pmul`` (I -
 Y*J and Y*H), ``contract`` (the contraction term and the norm) and
 ``image`` loop over the summation index in ascending order, with the
-segments and the other indices as array axes.  ``shear_regions``, the
-region a sheared segment certifies at a given time, serves the
-verifier's hand-off and endpoint checks alone and has no scalar twin.
+segments and the other indices as array axes.  Every segment is
+tested in one frame, a box about a point under a shear s(t) = sa + t*sb:
+a tilted segment's shear comes from its anchors, and a rect segment's is
+zero, so its factors carry a zero slope.  ``shear_regions``, the region
+box + s(t) a segment certifies at a given time, serves the verifier's
+hand-off and endpoint checks alone and has no scalar twin.
 
 Each array twin performs, element by element, the same IEEE
 operations in the same order as its scalar twin: the same term order,
@@ -40,11 +43,10 @@ _INF = np.inf
 # the smallest subnormal, and the constant of ``_kernels._factor``
 _TINY = _kernels._TINY
 _EPS3 = _kernels._EPS3
-_OUTWARD = np.array([-_INF, _INF, -_INF, _INF])
 
 
 # ---------------------------------------------------------------------------
-# real and complex interval arithmetic over arrays
+# outward rounding over arrays
 # ---------------------------------------------------------------------------
 
 def _down(x):
@@ -55,90 +57,13 @@ def _up(x):
     return np.nextafter(x, _INF)
 
 
-def _min(a, b):
-    # Python's min(a, b): keep a unless b < a, so NaNs behave the same
-    return np.where(b < a, b, a)
-
-
 def _max(a, b):
+    # Python's max(a, b): keep a unless b > a, so NaNs behave the same
     return np.where(b > a, b, a)
-
-
-def _outward(x):
-    """Round the rows re_lo, re_hi, im_lo, im_hi of x (4, ...) outward."""
-    return np.nextafter(x, _OUTWARD.reshape((4,) + (1,) * (x.ndim - 1)))
 
 
 def r_sub(al, ah, bl, bh):
     return _down(al - bh), _up(ah - bl)
-
-
-def r_mul(al, ah, bl, bh):
-    p1 = al * bl
-    p2 = al * bh
-    p3 = ah * bl
-    p4 = ah * bh
-    return (_down(_min(_min(p1, p2), _min(p3, p4))),
-            _up(_max(_max(p1, p2), _max(p3, p4))))
-
-
-def c_add(a, b):
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    out[0::2] = _down(a[0::2] + b[0::2])
-    out[1::2] = _up(a[1::2] + b[1::2])
-    return out
-
-
-def c_sub(a, b):
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    out[0::2] = _down(a[0::2] - b[1::2])
-    out[1::2] = _up(a[1::2] - b[0::2])
-    return out
-
-
-def c_mul(a, b):
-    # the four real products re*re, im*im, re*im, im*re as one r_mul
-    pl, ph = r_mul(a[[0, 2, 0, 2]], a[[1, 3, 1, 3]],
-                   b[[0, 2, 2, 0]], b[[1, 3, 3, 1]])
-    out = np.empty(pl.shape)
-    out[0] = _down(pl[0] - ph[1])
-    out[1] = _up(ph[0] - pl[1])
-    out[2] = _down(pl[2] + pl[3])
-    out[3] = _up(ph[2] + ph[3])
-    return out
-
-
-def cp_mul(a, z):
-    """cp_mul: rectangles a (4, ...) times the complex points z (...).
-
-    Rows of ``lo``/``hi``: Re_a*Re_z, Im_a*Im_z, Re_a*Im_z, Im_a*Re_z.
-    """
-    prod = a * np.stack((z.real, z.imag))[:, None]      # (2, 4, ...)
-    p = prod[[0, 1, 1, 0], [0, 2, 0, 2]]
-    q = prod[[0, 1, 1, 0], [1, 3, 1, 3]]
-    lo = _down(np.where(q < p, q, p))
-    hi = _up(np.where(q > p, q, p))
-    return _outward(np.stack((lo[0] - hi[1], hi[0] - lo[1],
-                              lo[2] + lo[3], hi[2] + hi[3])))
-
-
-def c_mag(a):
-    re = _max(np.abs(a[0]), np.abs(a[1]))
-    im = _max(np.abs(a[2]), np.abs(a[3]))
-    s = _up(_up(re * re) + _up(im * im))
-    return _up(np.sqrt(s))
-
-
-def point(re, im):
-    """Degenerate complex intervals at the points re + i*im."""
-    return np.stack((re, re, im, im))
-
-
-def real(lo, hi):
-    """Complex intervals [lo, hi] + i[0, 0]."""
-    lo, hi = np.broadcast_arrays(lo, hi)
-    zero = np.zeros(lo.shape)
-    return np.stack((lo, hi, zero, zero))
 
 
 # ---------------------------------------------------------------------------
@@ -244,17 +169,16 @@ def _factor(ar, ai, br, bi, bm, g, tmax):
 
 
 def _columns(table, count):
-    """Split a factor table by factor: column k of each array whose last
-    axis runs over the ``count`` factors, copied to be contiguous; None
-    and 0-d entries are shared by every factor."""
-    return [tuple(v if np.ndim(v) == 0 else v[..., k].copy() for v in table)
-            for k in range(count)]
+    """Split a factor table by factor: column k of each array, whose last
+    axis runs over the ``count`` factors, copied to be contiguous."""
+    return [tuple(v[..., k].copy() for v in table) for k in range(count)]
 
 
 def tpoly_table(x, sa, sb, p0, p1, t_lo, t_hi):
-    """``_kernels.tpoly_table`` for each segment: x, sa, sb (S, n) complex
-    (sa = sb = None when unsheared), t_lo and t_hi (S,).  Each factor is
-    (Re A, Im A, Re B, Im B, h, h + eps, eps, a, v), arrays of (S,)."""
+    """``_kernels.tpoly_table`` for each segment: x, sa, sb (S, n) complex,
+    t_lo and t_hi (S,).  Each factor is (Re A, Im A, Re B, Im B, h, h +
+    eps, eps, a, v), arrays of (S,) (Re B and Im B of a parameter, shared
+    by the segments, are 0-d)."""
     n = x.shape[1]
     m = p0.shape[0]
     tc = 0.5 * (t_lo + t_hi)
@@ -266,14 +190,11 @@ def tpoly_table(x, sa, sb, p0, p1, t_lo, t_hi):
     atc = np.abs(tcol)
     tm = tmax[:, None]
     xm = np.abs(x.real) + np.abs(x.imag)
-    if sa is None:
-        var = (x.real, x.imag, None, None, xm, xm, 0.0, _up(xm), 0.0)
-    else:
-        mb = np.abs(sb.real) + np.abs(sb.imag)
-        g = ((atc * mb + (np.abs(sa.real) + np.abs(sa.imag))) + xm) + mb * tm
-        var = _factor((tcol * sb.real + sa.real) + x.real,
-                      (tcol * sb.imag + sa.imag) + x.imag,
-                      sb.real, sb.imag, mb, g, tm)
+    mb = np.abs(sb.real) + np.abs(sb.imag)
+    g = ((atc * mb + (np.abs(sa.real) + np.abs(sa.imag))) + xm) + mb * tm
+    var = _factor((tcol * sb.real + sa.real) + x.real,
+                  (tcol * sb.imag + sa.imag) + x.imag,
+                  sb.real, sb.imag, mb, g, tm)
     br = p1.real - p0.real
     bi = p1.imag - p0.imag
     a0 = np.abs(p0.real) + np.abs(p0.imag)
@@ -302,9 +223,8 @@ def eval_tpoly(flat, table):
     gpow = np.stack(gpow, axis=1)
 
     # each term multiplies its coefficient polynomial by A + B*tau for
-    # every moving factor (slot 0 takes w_0*A, slots 1..deg w_d*A +
-    # w_(d-1)*B, slot deg + 1 w_deg*B) and by A for a variable that does
-    # not move; each slot sums its terms in order
+    # every factor (slot 0 takes w_0*A, slots 1..deg w_d*A + w_(d-1)*B,
+    # slot deg + 1 w_deg*B); each slot sums its terms in order
     zero = np.zeros(S)
     re, im, msums, dsums = [], [], [], []
     for *_, terms in flat.tpoly:
@@ -318,9 +238,6 @@ def eval_tpoly(flat, table):
                 ar, ai, br, bi, h, he, e, _, _ = facs[f]
                 dev = dev * he + mag * e
                 mag = mag * h
-                if br is None:
-                    w = [_cmul(*v, ar, ai) for v in w]
-                    continue
                 u = w[0]
                 w1 = [_cmul(*u, ar, ai)]
                 for v in w[1:]:
@@ -472,26 +389,35 @@ def _images_block(h, x, y, box, t_lo, t_hi, sa, sb):
     return np.moveaxis(image(x, a[..., 0], b), 0, -1), norm
 
 
-def krawczyk_images(h, x, y, box, t_lo, t_hi, sa=None, sb=None):
+def krawczyk_images(h, x, y, box, t_lo, t_hi, sa, sb):
     """Krawczyk images and contraction norms of S stacked tests.
 
-    Segment s tests the unsheared homotopy h, sheared by
-    s(t) = sa[s] + t*sb[s] when ``sa`` is given, at the point x[s] with
-    matrix y[s] over box[s] and time [t_lo[s], t_hi[s]].  Shapes: x, sa,
-    sb (S, n) complex; y (S, n, n) complex; box (S, n, 4); t_lo, t_hi
-    (S,).  Returns the images (S, n, 4) and the norms |I - Y*J| (S,), all
-    S segments computed as one batch.
+    Segment s tests the unsheared homotopy h, sheared by s(t) = sa[s] +
+    t*sb[s] (zero for a rect segment), at the point x[s] with matrix y[s]
+    over box[s] and time [t_lo[s], t_hi[s]].  Shapes: x, sa, sb (S, n)
+    complex; y (S, n, n) complex; box (S, n, 4); t_lo, t_hi (S,).  Returns
+    the images (S, n, 4) and the norms |I - Y*J| (S,), all S segments
+    computed as one batch.
     """
     with np.errstate(all="ignore"):
         return _images_block(h, x, y, box, t_lo, t_hi, sa, sb)
 
 
 def shear_regions(box, sa, sb, t):
-    """Region box + s(t) of each sheared segment at its time t[s]: box
-    (S, n, 4), sa and sb (S, n) complex, s(t) = sa + t*sb enclosed in
-    outward-rounded interval arithmetic."""
+    """Region box + s(t) of each segment at its time t[s]: box (S, n, 4),
+    sa and sb (S, n) complex and s(t) = sa + t*sb.  Per part, t*sb is one
+    real product, rounded outward, then sa and the box's endpoints are
+    added, each sum rounded outward.  Where a part's sa and sb are both 0,
+    box + 0 is exact and the box's endpoints stand: a rect segment's
+    region is its box."""
     with np.errstate(all="ignore"):
-        s = c_mul(real(t, t)[..., None], point(sb.real, sb.imag))
-        s = c_add(s, point(sa.real, sa.imag))
-        out = c_add(np.moveaxis(box, -1, 0), s)
-    return np.moveaxis(out, 0, -1)
+        tc = t[:, None]
+        b = np.moveaxis(box, -1, 0)
+        out = []
+        for k, (a, v) in enumerate(((sa.real, sb.real), (sa.imag, sb.imag))):
+            p = tc * v
+            exact = (a == 0) & (v == 0)
+            lo, hi = b[2 * k], b[2 * k + 1]
+            out.append(np.where(exact, lo, _down(lo + _down(_down(p) + a))))
+            out.append(np.where(exact, hi, _up(hi + _up(_up(p) + a))))
+    return np.stack(out, axis=-1)

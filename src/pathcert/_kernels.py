@@ -12,8 +12,10 @@ boundary (``intervals``, ``ilinalg``, ``systems``) when a caller asks for
 one.  Python floats are IEEE binary64 like numpy's, but their arithmetic
 skips numpy's scalar dispatch and never warns on overflow.  The package
 has no interval number type: these functions are its scalar interval
-arithmetic, and the division kernels ``r_div``, ``c_den`` and ``c_div``
-are kept for the interval soundness guarantee alone (see ``r_div``).
+arithmetic.  Of the rectangle kernels, tracking calls ``r_sub`` alone;
+``r_add``, ``r_mul``, ``c_add``, ``c_sub``, ``c_mul`` and the division
+kernels ``r_div``, ``c_den`` and ``c_div`` are kept for the interval
+soundness guarantee alone (see ``r_div``).
 
 Three soundness conventions, all for IEEE-754 round-to-nearest with
 gradual underflow:
@@ -49,12 +51,12 @@ gradual underflow:
 
 The endpoint min/max of a product keep Python's ``min``/``max`` semantics
 (keep a unless b < a), which fixes where a NaN ends up.  ``_batch`` holds
-the array twins of these kernels and performs the same IEEE operations in
-the same order, so the two agree bit for bit.  The polynomial kernels loop
-over the term lists of a ``systems._Flat``, and their twins loop over the
-same lists with a segment axis on every value; the tail's twins loop over
-the summation index with the other indices as array axes.  The verifier
-replays with the twins.
+the array twins of the kernels that tracking calls and performs the same
+IEEE operations in the same order, so the two agree bit for bit.  The
+polynomial kernels loop over the term lists of a ``systems._Flat``, and
+their twins loop over the same lists with a segment axis on every value;
+the tail's twins loop over the summation index with the other indices as
+array axes.  The verifier replays with the twins.
 """
 
 import functools
@@ -92,10 +94,10 @@ def r_mul(al, ah, bl, bh):
 def r_div(al, ah, bl, bh):
     """[al, ah] / [bl, bh]; the caller guarantees 0 is not in [bl, bh].
 
-    No step of tracking or verification divides intervals.  This kernel,
-    ``c_den`` and ``c_div`` stay because acceptance criterion 1
-    (``tests/test_acceptance.py``) guarantees sound interval division
-    alongside + - *, and checks it on them.
+    No step of tracking or verification divides intervals, or calls
+    ``r_mul`` or a complex rectangle kernel.  They stay because acceptance
+    criterion 1 (``tests/test_acceptance.py``) guarantees sound interval
+    + - * /, and checks it on them.
     """
     q1 = al / bl
     q2 = al / bh
@@ -164,33 +166,6 @@ def c_mul(a, b):
             _next(ril + irl, -_INF), _next(rih + irh, _INF))
 
 
-def cp_mul(a, z):
-    """Rectangle a times the complex point z.
-
-    Bit-identical to ``c_mul`` with z as a degenerate rectangle on either
-    side: with equal endpoints, two of the four products of each real
-    interval product repeat, and the min/max of the repeats is the first;
-    swapping the sides swaps the addends of the imaginary part.
-    """
-    arl, arh, ail, aih = a
-    zr = z.real
-    zi = z.imag
-    p, q = arl * zr, arh * zr
-    rrl = _next(q if q < p else p, -_INF)
-    rrh = _next(q if q > p else p, _INF)
-    p, q = ail * zi, aih * zi
-    iil = _next(q if q < p else p, -_INF)
-    iih = _next(q if q > p else p, _INF)
-    p, q = arl * zi, arh * zi
-    ril = _next(q if q < p else p, -_INF)
-    rih = _next(q if q > p else p, _INF)
-    p, q = ail * zr, aih * zr
-    irl = _next(q if q < p else p, -_INF)
-    irh = _next(q if q > p else p, _INF)
-    return (_next(rrl - iih, -_INF), _next(rrh - iil, _INF),
-            _next(ril + irl, -_INF), _next(rih + irh, _INF))
-
-
 def c_den(b):
     """Denominator interval Re_b*Re_b + Im_b*Im_b of complex division; a
     caller of ``c_div`` checks that it excludes 0 (kept for division's
@@ -216,17 +191,6 @@ def c_div(a, b):
     rl, rh = r_div(rnl, rnh, dl, dh)
     il, ih = r_div(inl, inh, dl, dh)
     return rl, rh, il, ih
-
-
-def c_mag(a):
-    # upper bound on |z| over the rectangle, rounded up at every step
-    rl, rh, il, ih = a
-    x, y = abs(rl), abs(rh)
-    re = y if y > x else x
-    x, y = abs(il), abs(ih)
-    im = y if y > x else x
-    s = _next(_next(re * re, _INF) + _next(im * im, _INF), _INF)
-    return _next(math.sqrt(s), _INF)
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +454,8 @@ def tpoly_table(x, sa, sb, p0, p1, t_lo, t_hi):
     """The time window and the factor table that ``eval_terms_tpoly`` and
     ``eval_terms_deviation`` share: (facs, tau_lo, tau_hi, tmax), where
     facs lists, variables then parameters, (A, B, h, h + eps, eps, a, v)
-    per factor A + B*tau, B None for a variable that does not move, and
-    a >= |A|_1 and v >= |F(tau) - A|_1 on the window are rounded up."""
+    per factor A + B*tau, and a >= |A|_1 and v >= |F(tau) - A|_1 on the
+    window are rounded up."""
     tc = 0.5 * (t_lo + t_hi)
     if tc < t_lo:
         tc = t_lo
@@ -504,18 +468,13 @@ def tpoly_table(x, sa, sb, p0, p1, t_lo, t_hi):
     if tau_hi > tmax:
         tmax = tau_hi
     facs = []
-    if sa is None:
-        for xj in x:
-            h = abs(xj.real) + abs(xj.imag)
-            facs.append((xj, None, h, h, 0.0, _next(h, _INF), 0.0))
-    else:
-        for xj, a, b in zip(x, sa, sb):
-            mb = abs(b.real) + abs(b.imag)
-            g = (((atc * mb + (abs(a.real) + abs(a.imag)))
-                  + (abs(xj.real) + abs(xj.imag))) + mb * tmax)
-            facs.append(_factor(complex((tc * b.real + a.real) + xj.real,
-                                        (tc * b.imag + a.imag) + xj.imag),
-                                b, mb, g, tmax))
+    for xj, a, b in zip(x, sa, sb):
+        mb = abs(b.real) + abs(b.imag)
+        g = (((atc * mb + (abs(a.real) + abs(a.imag)))
+              + (abs(xj.real) + abs(xj.imag))) + mb * tmax)
+        facs.append(_factor(complex((tc * b.real + a.real) + xj.real,
+                                    (tc * b.imag + a.imag) + xj.imag),
+                            b, mb, g, tmax))
     for a, b in zip(p0, p1):
         br = b.real - a.real
         bi = b.imag - a.imag
@@ -547,9 +506,9 @@ def eval_terms_tpoly(flat, table):
     in midpoint-radius form (``midrad_k``), as the operator tail takes
     them.
 
-    ``tpoly_table`` takes x, p0, p1 as lists of complex and the shear
-    s(t) = sa + t*sb as lists sa, sb, or both None when unsheared, and
-    forms each factor's A~ and B~ (step 1 below).
+    ``tpoly_table`` takes x, p0, p1 and the shear s(t) = sa + t*sb as
+    lists of complex, sa and sb zero for an unsheared homotopy, and forms
+    each factor's A~ and B~ (step 1 below).
 
     The bound rho_i.  Let u = 2^-53, gamma_k = k*u / (1 - k*u),
     |z|_1 = |Re z| + |Im z|, tmax = max(-tau_lo, tau_hi) >= |tau|, and
@@ -567,16 +526,16 @@ def eval_terms_tpoly(flat, table):
 
     1. Rounded factors.  The kernel forms A~ and B~ once per factor: for
        a parameter B~ = fl(p1 - p0) and A~ = fl(p0 + fl(tc*B~)); for a
-       sheared variable B = sb and A~ = fl(fl(fl(tc*sb) + sa) + x), at
-       most 3 roundings per path and one product.  So ||F~ - F|| <=
-       eps_f = gamma_3 g_f + 3*2^-1075, where g_f = m_A + m_B*tmax sums
-       the exact monomials' magnitudes: m_A = |p0|_1 + |tc| (|p0|_1 +
-       |p1|_1) and m_B = |p0|_1 + |p1|_1 for a parameter, m_A = |x|_1 +
-       |sa|_1 + |tc| |sb|_1 and m_B = |sb|_1 for a sheared variable.  An
-       unsheared variable, F = x, is exact.  A coefficient is exact when
-       fac = 1; else coef~ = fl(coef*fac) is off by eps_c = u*l1, with
-       l1 >= |coef*fac|_1 and >= |coef~|_1 held rounded up.  The sheared
-       m's are large when sa and tc*sb nearly cancel; they enter once.
+       variable B = sb and A~ = fl(fl(fl(tc*sb) + sa) + x), at most 3
+       roundings per path and one product.  So ||F~ - F|| <= eps_f =
+       gamma_3 g_f + 3*2^-1075, where g_f = m_A + m_B*tmax sums the exact
+       monomials' magnitudes: m_A = |p0|_1 + |tc| (|p0|_1 + |p1|_1) and
+       m_B = |p0|_1 + |p1|_1 for a parameter, m_A = |x|_1 + |sa|_1 + |tc|
+       |sb|_1 and m_B = |sb|_1 for a variable.  A coefficient is exact
+       when fac = 1; else coef~ = fl(coef*fac) is off by eps_c = u*l1,
+       with l1 >= |coef*fac|_1 and >= |coef~|_1 held rounded up.  A
+       variable's m's are large when sa and tc*sb nearly cancel; they
+       enter once.
     2. Arithmetic on the rounded factors.  From coef~, A~ and B~ a path
        takes at most 3 roundings per stage (real product, the complex
        product's real sum, the slot sum) and n_i - 1 in the sum of
@@ -656,9 +615,6 @@ def eval_terms_tpoly(flat, table):
                 a, b, h, he, e, _, _ = facs[f]
                 dev = dev * he + mag * e
                 mag = mag * h
-                if b is None:
-                    w = [v * a for v in w]
-                    continue
                 u = w[0]
                 w1 = [u * a]
                 for v in w[1:]:

@@ -2,20 +2,23 @@
 
 A certificate is a chain of time segments tiling [0, 1].  Each segment
 claims: over T = [t_lo, t_hi] the Krawczyk test with the stored box and
-stored matrix Y passes for the stored homotopy (sheared through the stored
-endpoints in tilted mode, centered at the stored point in rect mode).
+stored matrix Y passes for the stored homotopy in the segment's frame, a
+box about a point x under a shear s(t) = sa + t*sb.  A tilted segment
+tests about x = 0, sheared along the line through its stored endpoints; a
+rect segment tests about its stored center, under the zero shear.
 
 ``verify`` trusts nothing but those claims and states each check once.
 ``deserialize`` reads a segment's anchors (``_ANCHORS`` of its mode) as
 required fields.  ``_Claims`` checks a certificate's structure
 (dimensions, time brackets, the anchors of one built in memory) and each
 segment's operands; ``_Claims.regions`` is the one definition of the
-region a segment certifies at a time t (its box, moved by its shear s(t)
-in tilted mode).  ``verify`` replays every test with its own interval
-arithmetic, checks that the segments tile [0, 1] exactly, that consecutive
-regions overlap at the shared times, that the recorded endpoint lies in
-the region the last segment certifies at t = 1, and that it really solves
-the t = 1 system to the certification tolerance.  The hand-off check is
+region a segment certifies at a time t, box + s(t) rounded outward; a rect
+region is box + 0, which is exact: its box.  ``verify`` replays every test
+with its own interval arithmetic, checks that the segments tile [0, 1]
+exactly, that consecutive regions overlap at the shared times, that the
+recorded endpoint lies in the region the last segment certifies at t = 1,
+and that it really solves the t = 1 system to the certification
+tolerance.  The hand-off check is
 overlap only: it does not show that the two regions hold the same root.
 The replay runs all segments of a certificate as one batch (``_batch``)
 with the same floating-point operations, in the same order, as the
@@ -259,9 +262,11 @@ class _Claims:
         self.t_hi = np.array([s.t_hi for s in segs], dtype=np.float64)
         self.box = np.array([s.box.rows for s in segs], dtype=np.float64)
         self.y = np.stack([s.y for s in segs]).astype(np.complex128)
+        # each segment's frame: its point x and shear sa + t*sb, which
+        # stay zero where a rect segment has no shear and a tilted one no x
         self.x = np.zeros((count, n), dtype=np.complex128)
-        self.sa = np.zeros((count, n), dtype=np.complex128) if tilted else None
-        self.sb = np.zeros((count, n), dtype=np.complex128) if tilted else None
+        self.sa = np.zeros((count, n), dtype=np.complex128)
+        self.sb = np.zeros((count, n), dtype=np.complex128)
         self.errors = [None] * count
         self.shear_errors = [None] * count
         zeros = [0j] * n
@@ -283,9 +288,7 @@ class _Claims:
     def regions(self, rows, t):
         """The regions that the segments ``rows`` (a slice of the segment
         axis) certify at the times ``t``, one per row: each box, moved by
-        its shear s(t) in tilted mode.  Returns (rows, n, 4)."""
-        if self.sa is None:
-            return self.box[rows]
+        its shear s(t).  Returns (rows, n, 4)."""
         return shear_regions(self.box[rows], self.sa[rows], self.sb[rows], t)
 
 
@@ -295,12 +298,10 @@ def _replay(cert, claims):
     live = np.array([i for i, e in enumerate(out) if e is None], dtype=int)
     if not len(live):
         return out
-    sheared = claims.sa is not None
     image, norm = krawczyk_images(
         cert.homotopy, claims.x[live], claims.y[live],
         claims.box[live], claims.t_lo[live], claims.t_hi[live],
-        claims.sa[live] if sheared else None,
-        claims.sb[live] if sheared else None)
+        claims.sa[live], claims.sb[live])
     images = image.tolist()
     for k, i in enumerate(live):
         try:

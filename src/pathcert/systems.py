@@ -9,7 +9,8 @@ the parameter part evaluated at the displacement p1 - p0.
 A homotopy can carry a shear: a time-affine shift s(t) with s(t0) = x0 and
 s(t1) = x1.  The sheared map is x |-> H(x + s(t), t); evaluation and
 x-Jacobians account for it (the Jacobian is unchanged as a function, only
-its argument shifts).
+its argument shifts).  The enclosures treat an unsheared homotopy as the
+zero shear, s(t) = 0 + t*0.
 
 A homotopy keeps its parameters and shear as lists of Python complex, the
 kernels' form.  Its private point maps (``_eval``, ``_jac``, ``_f1``) take
@@ -308,9 +309,10 @@ class Homotopy:
         self._p0 = p0.tolist()
         self._p1 = p1.tolist()
         self._dp = (p1 - p0).tolist()
+        # unsheared, the enclosures see the zero shear and the point
+        # maps no shift at all (``_at``)
         self.shear = None
-        self._sa = None
-        self._sb = None
+        self._sa = self._sb = [0j] * system.n
         self._table = None
         if shear is not None:
             self._set_shear(*shear)

@@ -5,11 +5,12 @@ tests a box of radius r over T = [t0, t1] with the parametric Krawczyk
 test.  On success t0 advances to t1 and dt and r scale up by lambda when
 the test left room for it; on failure both scale down and the attempt is
 retried from the same x and Y, the midpoint inverse of the Jacobian at
-(x, t0).  The mode decides only the frame an attempt is tested in and the
-point the next step starts from:
+(x, t0).  Every attempt is tested in one frame, a box about a point under
+a shear s(t) = sa + t*sb; the mode decides only that point and shear, and
+the point the next step starts from:
 
-rect:   test H in a box centered at the current refined point x.  On
-        success refine x with Newton at the new t0.
+rect:   test H, under the zero shear, in a box centered at the current
+        refined point x.  On success refine x with Newton at the new t0.
 
 tilted: once per t0, compute the Euler direction J(x, t0)^{-1} dH/dt.
         For each attempt, predict x1 at t1 along it, refine x1 with

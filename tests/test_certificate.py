@@ -4,6 +4,7 @@ import dataclasses
 import json
 import multiprocessing
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 import tutil
 from pathcert import _pool
+from pathcert._batch import shear_regions
 from pathcert.bench import (
     gen_lowrank,
     gen_newton_homotopy,
@@ -20,6 +22,7 @@ from pathcert.certificate import (
     MODE_RECT,
     MODE_TILTED,
     PathCertificate,
+    _Claims,
     deserialize,
     load_certificate,
     replay,
@@ -418,3 +421,101 @@ class TestBatchedReplay:
         rep = verify(cert)
         assert rep.failures == [f"segments[{i}]: replay error: {want}"]
         assert rep.segment_ok == [j != i for j in range(len(tilted.segments))]
+
+
+# ---------------------------------------------------------------------------
+# the certified region box + s(t), against exact values
+# ---------------------------------------------------------------------------
+
+HOSTILE_KINDS = ["product", "sum", "box", "subnormal", "1e300"]
+
+
+def hostile_part(rng, kind, t):
+    """One part (re or im) of box endpoints lo, hi and shear sa, sb, each
+    (S, 2), for the segments' times t.  Each kind makes one of the
+    region's roundings the one that covers the exact value:
+    "product": sa cancels t*sb, so the product's rounding error is all
+    that is left; "sum": t*sb lies far below an ulp of sa, and the box
+    cancels sa; "box": s(t) lies far below an ulp of the box.  Signs are
+    random, so each lands on either end of the region, and a quarter of
+    the "sum" slopes and the "box" offsets are 0: only sa = sb = 0 leaves
+    the box's endpoints as they are."""
+    shape = (t.shape[0], 2)
+    u = rng.uniform(0.5, 1.0, (3,) + shape)
+    sign = rng.choice([-1.0, 1.0], (3,) + shape)
+    scale = 2.0 ** rng.integers(-30, 31, shape)
+    tc = t[:, None]
+    if kind == "product":
+        sb = sign[0] * u[0] * scale
+        sa = -(tc * sb)
+        lo = hi = np.zeros(shape)
+    elif kind == "sum":
+        sa = sign[0] * u[0] * scale
+        sb = np.where(rng.random(shape) < 0.25, 0.0,
+                      sign[1] * u[1] * scale * 2.0 ** -60)
+        lo = hi = -sa
+    elif kind == "box":
+        lo = hi = sign[0] * u[0] * scale
+        sa = np.where(rng.random(shape) < 0.25, 0.0,
+                      sign[1] * u[1] * scale * 2.0 ** -60)
+        sb = sign[2] * u[2] * scale * 2.0 ** -60
+    elif kind == "subnormal":
+        tiny = 5e-324 * rng.integers(0, 2 ** 20, (4,) + shape)
+        sb = sign[0] * (tiny[0] + 5e-324)
+        sa = sign[1] * tiny[1]
+        lo = sign[2] * tiny[2]
+        hi = lo + tiny[3]
+    else:   # "1e300": the product case and a wide box near 1e300
+        sb = sign[0] * u[0] * 1e300
+        sa = np.where(rng.random(shape) < 0.5, -(tc * sb),
+                      sign[1] * u[1] * 1e300)
+        lo = sign[2] * u[2] * 1e300
+        hi = lo + u[0] * 1e300
+    return lo, hi, sa, sb
+
+
+def assert_region_encloses(box, sa, sb, t):
+    """box + (sa + t*sb), in exact arithmetic, lies in the region that
+    ``shear_regions`` returns, for every segment and entry."""
+    got = shear_regions(box, sa, sb, t)
+    for s in range(len(t)):
+        ft = Fraction(t[s])
+        for j in range(box.shape[1]):
+            for k, (a, b) in enumerate(((sa[s, j].real, sb[s, j].real),
+                                        (sa[s, j].imag, sb[s, j].imag))):
+                shift = Fraction(a) + ft * Fraction(b)
+                lo = Fraction(box[s, j, 2 * k]) + shift
+                hi = Fraction(box[s, j, 2 * k + 1]) + shift
+                assert Fraction(got[s, j, 2 * k]) <= lo, (s, j, k)
+                assert hi <= Fraction(got[s, j, 2 * k + 1]), (s, j, k)
+
+
+class TestRegionsExact:
+    """``_batch.shear_regions``, the one formula for the region a segment
+    certifies at a time t, against box + s(t) in Fraction arithmetic with
+    no tolerance."""
+
+    @pytest.mark.parametrize("name", ["katsura3_tilted.json",
+                                      "lowrank2_tilted.json",
+                                      "newton10_rect.json",
+                                      "newton10_tilted.json"])
+    def test_tracked_segments(self, name):
+        claims = _Claims(deserialize((GOLDEN / name).read_text("utf-8")))
+        for t in (claims.t_lo, claims.t_hi, np.ones(len(claims.t_lo))):
+            assert_region_encloses(claims.box, claims.sa, claims.sb, t)
+
+    def test_zero_shear_region_is_the_box(self, newton_certs):
+        # box + 0 is exact: a rect segment's region is its stored box
+        claims = _Claims(newton_certs[2])
+        got = claims.regions(slice(None), claims.t_hi)
+        assert got.tobytes() == claims.box.tobytes()
+
+    @pytest.mark.parametrize("kind", HOSTILE_KINDS)
+    def test_hostile_shears(self, kind):
+        rng = np.random.default_rng(HOSTILE_KINDS.index(kind) + 900)
+        S = 400
+        t = np.where(rng.random(S) < 0.25, 1.0, rng.uniform(0.0, 1.0, S))
+        (rl, rh, ar, br), (il, ih, ai, bi) = (hostile_part(rng, kind, t)
+                                              for _ in range(2))
+        box = np.stack((rl, rh, il, ih), axis=-1)
+        assert_region_encloses(box, ar + 1j * ai, br + 1j * bi, t)

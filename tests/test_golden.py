@@ -27,6 +27,13 @@ outward, to midpoint-radius products with one a priori bound per dot
 product (``ilinalg.residual_matrix``): only each segment's stored
 ``residual_norm`` moved, in its last bits, and no segment count changed.
 The files they replaced are kept in ``data/golden/v2_rect_operator``.
+``newton10_rect.json`` was written again when rect segments moved into
+the tilted segments' frame, a box about a point under a shear, with the
+zero shear: its factors gained a zero slope, so only each segment's
+``residual_norm`` moved, in its last bits, and its 21 segments stayed.
+The file it replaced, tested without a shear, is kept in
+``data/golden/v3_unsheared_rect``; the tilted files reproduced byte for
+byte.
 Every certificate an earlier version wrote must still verify, with the
 segment count it was written with.
 Any change to the order or rounding of an interval operation on the
@@ -73,6 +80,9 @@ V2_RECT_OPERATOR = GOLDEN / "v2_rect_operator"
 V2_SEGMENTS = {"katsura3_tilted.json": 95, "katsura3_tilted_default.json": 55,
                "lowrank2_tilted.json": 119, "newton10_rect.json": 21,
                "newton10_tilted.json": 12, "random2_tilted.json": 86}
+# the rect case, written with rect segments tested without a shear
+V3_UNSHEARED_RECT = GOLDEN / "v3_unsheared_rect"
+V3_SEGMENTS = {"newton10_rect.json": 21}
 
 
 def newton10(mode):
@@ -161,4 +171,11 @@ def test_interval_jacobian_certificate_still_verifies(name):
 def test_rect_operator_certificate_still_verifies(name):
     cert = deserialize((V2_RECT_OPERATOR / name).read_text(encoding="utf-8"))
     assert len(cert.segments) == V2_SEGMENTS[name]
+    assert verify(cert).ok
+
+
+@pytest.mark.parametrize("name", sorted(V3_SEGMENTS))
+def test_unsheared_rect_certificate_still_verifies(name):
+    cert = deserialize((V3_UNSHEARED_RECT / name).read_text(encoding="utf-8"))
+    assert len(cert.segments) == V3_SEGMENTS[name]
     assert verify(cert).ok

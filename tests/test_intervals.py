@@ -154,14 +154,11 @@ def exact_c_sub(a, b):
                  for u, v in zip(a, (b[1], b[0], b[3], b[2])))
 
 
-# kernel and its exact oracle on (rectangle, rectangle); "point *" is
-# cp_mul, whose second operand is the point (b[0], b[2])
+# kernel and its exact oracle on (rectangle, rectangle)
 EXACT = {
     "+": (_k.c_add, exact_c_add),
     "-": (_k.c_sub, exact_c_sub),
     "*": (_k.c_mul, exact_c_mul),
-    "point *": (lambda a, b: _k.cp_mul(a, complex(b[0], b[2])),
-                lambda a, b: exact_c_mul(a, (b[0], b[0], b[2], b[2]))),
 }
 
 
@@ -203,7 +200,7 @@ class TestComplexOps:
         """Each endpoint lies on the outer side of the exact one.  A
         kernel that drops the outward rounding of a result endpoint
         leaves it rounded to nearest, inside the exact range for some of
-        the draws.  In ``c_mul`` and ``cp_mul`` the rounding of the sum
+        the draws.  In ``c_mul`` the rounding of the sum
         covers a dropped rounding of a product inside it for random
         operands, so operands whose two products nearly cancel follow
         (``cancelling_operands``)."""
@@ -272,15 +269,16 @@ class TestComplexOps:
 
 
 class TestSizes:
+    # ``tutil.c_mag`` bounds the magnitudes that ``tutil.box_norm`` compares
     def test_mag_3_4_5(self):
-        m = _k.c_mag((3.0, 3.0, 4.0, 4.0))
+        m = tutil.c_mag((3.0, 3.0, 4.0, 4.0))
         assert 5.0 <= m <= 5.0 + 8 * math.ulp(5.0)
 
     def test_mag_upper_bound_sampled(self):
         rng = np.random.default_rng(14)
         for _ in range(200):
             c = tutil.random_complex_interval(rng)
-            m = tutil.fr(_k.c_mag(c)) ** 2
+            m = tutil.fr(tutil.c_mag(c)) ** 2
             for z in tutil.sample_ci(rng, c, 5):
                 zz = complex(z)
                 assert tutil.fr(zz.real) ** 2 + tutil.fr(zz.imag) ** 2 <= m

@@ -8,7 +8,12 @@ import pytest
 
 import tutil
 from pathcert import _kernels as _k
-from pathcert.bench import gen_katsura, gen_lowrank, gen_newton_homotopy
+from pathcert.bench import (
+    gen_katsura,
+    gen_lowrank,
+    gen_newton_homotopy,
+    gen_random_quadratic,
+)
 from pathcert.certificate import MODE_RECT, MODE_TILTED, replay
 from pathcert.errors import DimensionMismatch, NonFiniteEndpoint, PathcertError
 from pathcert.intervals import Box, RealInterval, box_centered
@@ -216,7 +221,14 @@ OPERATOR_RUNS = {
                         TrackerConfig(dt0=0.02, r0=0.1), MODE_TILTED),
     "newton10_rect": (lambda: gen_newton_homotopy(10.0),
                       TrackerConfig(dt0=0.02, r0=0.1), MODE_RECT),
+    "random2": (lambda: gen_random_quadratic(2), TrackerConfig(),
+                MODE_TILTED),
+    "lowrank3": (lambda: gen_lowrank(3), TrackerConfig(dt0=0.2, r0=0.1),
+                 MODE_TILTED),
 }
+# each run's sampling seed
+OPERATOR_SEEDS = {"katsura3": 120, "lowrank2": 121, "newton10_rect": 122,
+                  "newton10_tilted": 123, "random2": 124, "lowrank3": 125}
 
 
 def exact_matvec(a, v, start=None):
@@ -243,7 +255,7 @@ class TestOperatorExact:
 
     @pytest.mark.parametrize("name", sorted(OPERATOR_RUNS))
     def test_tracked_segments(self, name):
-        rng = np.random.default_rng(sorted(OPERATOR_RUNS).index(name) + 120)
+        rng = np.random.default_rng(OPERATOR_SEEDS[name])
         verdicts = {}
         for cert, k, h, x in tutil.tracked_segments(*OPERATOR_RUNS[name]):
             if id(cert) not in verdicts:

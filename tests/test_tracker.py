@@ -284,11 +284,12 @@ class TestTrackEndToEnd:
     def test_determinism_bit_identical(self):
         h, starts = gen_newton_homotopy(10.0)
         cfg = TrackerConfig(dt0=0.02, r0=0.1)
-        a = track(h, starts[0], cfg, mode=MODE_TILTED)
-        b = track(h, starts[0], cfg, mode=MODE_TILTED)
-        assert serialize(a.certificate) == serialize(b.certificate)
-        assert [(r.t0, r.dt, r.r, r.accepted) for r in a.step_log] == \
-               [(r.t0, r.dt, r.r, r.accepted) for r in b.step_log]
+        for mode in (MODE_TILTED, MODE_RECT):
+            a = track(h, starts[0], cfg, mode=mode)
+            b = track(h, starts[0], cfg, mode=mode)
+            assert serialize(a.certificate) == serialize(b.certificate)
+            assert [(r.t0, r.dt, r.r, r.accepted) for r in a.step_log] == \
+                   [(r.t0, r.dt, r.r, r.accepted) for r in b.step_log]
 
     def test_step_underflow_at_singular_endpoint(self, monkeypatch):
         # x^2 - (1 - t): the two roots collide at t = 1, so certifiable

@@ -18,7 +18,6 @@ from unittest import mock
 
 import numpy as np
 
-from pathcert import _kernels
 from pathcert.certificate import MODE_TILTED
 from pathcert.errors import PathcertError
 from pathcert.intervals import RealInterval
@@ -156,15 +155,19 @@ def exact_eval(system, xq, pq):
     return out
 
 
+def exact_shifted(h, x, t):
+    """Exact x + s(t) as Fraction pairs, x floats, where s(t) = sa + t*sb
+    is the homotopy's shear (zero when unsheared)."""
+    ft = fr(t)
+    return [c_add(c_pair(v), c_add(c_pair(a), c_scale(c_pair(b), ft)))
+            for v, a, b in zip(np.asarray(x, dtype=np.complex128).tolist(),
+                               h._sa, h._sb)]
+
+
 def exact_homotopy_eval(h, x, t):
-    """Exact H(x + s(t), t), floats in, Fraction pairs out, where
-    s(t) = sa + t*sb is the homotopy's shear (zero when unsheared)."""
-    xq = [c_pair(xi) for xi in np.asarray(x, dtype=np.complex128)]
-    if h.shear is not None:
-        ft = fr(t)
-        xq = [c_add(v, c_add(c_pair(a), c_scale(c_pair(b), ft)))
-              for v, a, b in zip(xq, h._sa, h._sb)]
-    return exact_eval(h.system, xq, exact_params_at(h, t))
+    """Exact H(x + s(t), t), floats in, Fraction pairs out."""
+    return exact_eval(h.system, exact_shifted(h, x, t),
+                      exact_params_at(h, t))
 
 
 def exact_jacobian(system, xq, pq):
@@ -190,14 +193,9 @@ def exact_jacobian(system, xq, pq):
 
 def exact_homotopy_jac(h, x, t):
     """Exact dH/dx at (x + s(t), t), floats in, rows of Fraction pairs
-    out, where s(t) = sa + t*sb is the homotopy's shear (zero when
-    unsheared)."""
-    xq = [c_pair(xi) for xi in np.asarray(x, dtype=np.complex128)]
-    if h.shear is not None:
-        ft = fr(t)
-        xq = [c_add(v, c_add(c_pair(a), c_scale(c_pair(b), ft)))
-              for v, a, b in zip(xq, h._sa, h._sb)]
-    return exact_jacobian(h.system, xq, exact_params_at(h, t))
+    out."""
+    return exact_jacobian(h.system, exact_shifted(h, x, t),
+                          exact_params_at(h, t))
 
 
 def eval_contained(h, box, x, t, scale_hint=None):
@@ -356,9 +354,19 @@ def random_complex_interval(rng, scale=1.0):
     return float(a), float(b), float(c), float(d)
 
 
+def c_mag(c):
+    """Upper bound on |z| over the rectangle c, rounded up at every
+    step."""
+    up = math.nextafter
+    re = max(abs(c[0]), abs(c[1]))
+    im = max(abs(c[2]), abs(c[3]))
+    return up(math.sqrt(up(up(re * re, math.inf) + up(im * im, math.inf),
+                           math.inf)), math.inf)
+
+
 def box_norm(box):
-    """Largest magnitude bound of a box's entries (``_kernels.c_mag``)."""
-    return max(_kernels.c_mag(r) for r in box.rows)
+    """Largest magnitude bound of a box's entries (``c_mag``)."""
+    return max(c_mag(r) for r in box.rows)
 
 
 def box_midpoint(box):
